@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -52,8 +51,6 @@ def _config_header(args: argparse.Namespace, command: str) -> list[str]:
              if k not in _HEADER_SKIP and v is not None}
     lines = [f"# command: {command}"]
     lines += [f"# {k}: {v}" for k, v in pairs.items()]
-    workers = os.environ.get("CODESMOOTH_WORKERS", "1")
-    lines.append(f"# workers: {workers}")
     return lines
 
 
@@ -113,11 +110,9 @@ def cmd_capacity_curve(args) -> int:
 def cmd_wiretap_rates(args) -> int:
     regimes = (list(wt.REGIMES) if args.regime == "all" else [args.regime])
     lines = _config_header(args, "wiretap rates")
-    smoothing_re = ("(1-2de)^2" if args.re_convention == "threshold"
-                    else "4de(1-de)")
     lines.append("# formulas: shannon_capacity rb=1-h(db) re=1-h(de); "
-                 f"bec_dual rb=1-log2(1+2sqrt(db(1-db))) re={smoothing_re}; "
-                 f"rm rb=1-h(db) re={smoothing_re}; "
+                 "bec_dual rb=1-log2(1+2sqrt(db(1-db))) re=(1-2de)^2; "
+                 "rm rb=1-h(db) re=(1-2de)^2; "
                  "alpha_secrecy rb=1-h(db) re=1-h_a(de)")
     lines.append("regime,delta_b,delta_e,rb,re,rate,clamped")
 
@@ -128,9 +123,7 @@ def cmd_wiretap_rates(args) -> int:
 
     if args.grid:
         for regime in regimes:
-            for pt in wt.rate_curve(args.db, args.grid, regime,
-                                    alpha=args.alpha,
-                                    re_convention=args.re_convention):
+            for pt in wt.rate_curve(args.db, args.grid, regime, alpha=args.alpha):
                 lines.append(fmt(pt))
     else:
         if args.de is None:
@@ -139,8 +132,7 @@ def cmd_wiretap_rates(args) -> int:
             alpha = args.alpha if regime == "alpha_secrecy" else None
             if regime == "alpha_secrecy" and alpha is None:
                 continue
-            lines.append(fmt(wt.rate_point(args.db, args.de, regime, alpha=alpha,
-                                           re_convention=args.re_convention)))
+            lines.append(fmt(wt.rate_point(args.db, args.de, regime, alpha=alpha)))
     _emit(lines, args.csv)
     return 0
 
@@ -149,15 +141,16 @@ def cmd_wiretap_leakage(args) -> int:
     scheme = wt.NestedScheme(cd.load_code(args.inner), cd.load_code(args.outer))
     leak = wt.leakage_exact(scheme, args.de)
     rows = []
-    violation = False
     for alpha in _parse_alpha_list(args.alpha):
-        bound = wt.secrecy_bound(scheme, args.de, alpha)
-        ok = leak <= bound + 1e-9 or alpha < 1
-        violation |= (alpha >= 1 and not ok)
+        if alpha >= 1:
+            rep = wt.secrecy_report(scheme, args.de, alpha)
+            bound, ok = rep.rhs, rep.passed
+        else:  # leakage is bounded only from order 1 up
+            bound, ok = wt.secrecy_bound(scheme, args.de, alpha), True
         rows.append({"alpha": "inf" if alpha == INF else alpha,
                      "secrecy_bound": bound, "holds": ok})
     payload = {"n": scheme.n, "message_bits": scheme.message_bits,
-               "delta_e": args.de, "leakage": leak, "bounds": rows}
+               "delta_e": float(args.de), "leakage": leak, "bounds": rows}
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -167,24 +160,24 @@ def cmd_wiretap_leakage(args) -> int:
         lines += [f"{r['alpha']},{r['secrecy_bound']:.12g},{int(r['holds'])}"
                   for r in rows]
         _emit(lines, args.csv)
-    return 1 if violation else 0
+    return 0 if all(r["holds"] for r in rows) else 1
 
 
 def cmd_erasure_bound(args) -> int:
     code = cd.load_code(args.code)
     alpha = _parse_alpha(args.alpha)
-    lam = er.erasure_noise_level(alpha, args.delta)
-    kernel = kn.Kernel.bernoulli(code.n, Fraction(args.delta))
-    lhs = sm.divergence_to_uniform(sm.smooth(code, kernel), alpha).d_alpha
+    lam = float(er.erasure_noise_level(alpha, args.delta))
     if args.mode.startswith("mc:"):
         trials = int(args.mode.split(":", 1)[1])
+        kernel = kn.Kernel.bernoulli(code.n, args.delta)
+        lhs = sm.divergence_to_uniform(sm.smooth(code, kernel), alpha).d_alpha
         ctx = er.ErasureContext(code, lam, mode="mc", trials=trials,
                                 seed=args.seed)
         rhs, sigma = er.bec_conditional_entropy(ctx)
         ok = lhs <= rhs + 3 * sigma
     else:
-        rhs, sigma = er.bec_conditional_entropy(er.ErasureContext(code, lam))
-        ok = lhs <= rhs + 1e-12
+        rep = er.smoothing_erasure_report(code, args.delta, alpha)
+        lhs, rhs, sigma, ok = rep.lhs, rep.rhs, 0.0, rep.passed
     lines = _config_header(args, "erasure-bound")
     lines.append("divergence,bec_entropy,stderr,lambda,holds")
     lines.append(f"{lhs:.12g},{rhs:.12g},{sigma:.12g},{lam:.12g},{int(ok)}")
@@ -200,7 +193,7 @@ def cmd_decode_bound(args) -> int:
     else:
         if args.t is None:
             raise SystemExit(2)
-        bound = dec.list_error_bound(dist, Fraction(args.delta), args.list,
+        bound = dec.list_error_bound(dist, args.delta, args.list,
                                      args.t, args.tprime)
     lines = _config_header(args, "decode-bound")
     lines.append("n,delta,L,t,tprime,energy_term,tail_term,total,exact_total")
@@ -210,7 +203,7 @@ def cmd_decode_bound(args) -> int:
                  f"{bound.exact_total:.12g}")
     ok = True
     if args.mc:
-        est, sigma = dec.mc_decoding_error(code, args.delta, args.list,
+        est, sigma = dec.mc_decoding_error(code, float(args.delta), args.list,
                                            bound.t, args.mc, seed=args.seed)
         ok = est - 3 * sigma <= bound.total
         lines.append("mc_estimate,mc_stderr,bound_holds")
@@ -284,14 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all", *wt.REGIMES])
     p.add_argument("--alpha", type=_parse_alpha)
     p.add_argument("--grid", type=int)
-    p.add_argument("--re-convention", dest="re_convention",
-                   choices=["threshold", "complement"], default="threshold")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_wiretap_rates)
     p = wt_sub.add_parser("leakage", help="exact leakage of a nested scheme")
     p.add_argument("--inner", required=True)
     p.add_argument("--outer", required=True)
-    p.add_argument("--de", type=float, required=True)
+    p.add_argument("--de", type=Fraction, required=True)
     p.add_argument("--alpha", default="1,2,inf")
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv")
@@ -299,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("erasure-bound", help="smoothing vs dual erasure entropy")
     p.add_argument("--code", required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=Fraction, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--mode", default="exact")
     p.add_argument("--seed", type=int, default=0)
@@ -308,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode-bound", help="list-decoding error bound")
     p.add_argument("--code", required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=Fraction, required=True)
     p.add_argument("--list", type=int, default=1)
     p.add_argument("--t", type=int)
     p.add_argument("--tprime", type=int)
@@ -350,7 +341,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, cd.BudgetExceeded) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

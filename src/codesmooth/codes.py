@@ -2,7 +2,7 @@
 
 Linear codes carry a row-reduced generator matrix (numpy uint8).  Codewords
 are materialized as integer arrays (coordinate i in bit i) by repeated
-doubling, which keeps full enumerations cheap up to the stated budgets.
+doubling; `hypercube.admit` refuses enumerations too large to hold.
 Distance distributions follow the pair-count normalization A_i =
 #pairs-at-distance-i / |C|, which for linear codes is the weight
 distribution of the code itself.
@@ -16,13 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import hypercube as hc
+from .hypercube import BudgetExceeded  # noqa: F401  (re-exported)
 
-ENUM_BUDGET = 26          # 2^k codeword enumeration cap
-COVERING_BUDGET = 26      # 2^n space sweep cap
-
-
-class BudgetExceeded(ValueError):
-    """An enumeration would exceed the dense budget."""
+WORD_BITS = 62   # codewords are int64 words, and 2^n must fit one too
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +62,41 @@ def int_to_row(x: int, n: int) -> np.ndarray:
     return np.array([(x >> j) & 1 for j in range(n)], dtype=np.uint8)
 
 
-class LinearCode:
+def _check_length(n: int) -> None:
+    if n > WORD_BITS:
+        raise ValueError(f"code length {n} exceeds the {WORD_BITS} bits of a packed codeword")
+
+
+class _Code:
+    """Dense 2^n arrays over the codewords, shared by both representations."""
+
+    def indicator(self) -> np.ndarray:
+        """Dense int64 0/1 indicator of the code."""
+        return self._on_codewords(1, np.int64)
+
+    def pmf(self, exact: bool = False) -> np.ndarray:
+        """Uniform code distribution as a dense pmf (float64 or Fractions)."""
+        if exact:
+            return self._on_codewords(Fraction(1, self.size), object)
+        return self._on_codewords(1.0 / self.size, np.float64)
+
+    def _on_codewords(self, value, dtype) -> np.ndarray:
+        hc.admit("dense code array", nbytes=8 << self.n)
+        words = self.codeword_ints()
+        out = np.empty(1 << self.n, dtype=dtype)
+        out.fill(Fraction(0) if dtype is object else 0)
+        out[words] = value
+        return out
+
+
+class LinearCode(_Code):
     """An [n, k] binary linear code with a row-reduced generator."""
 
     def __init__(self, generator: np.ndarray):
         gen = (np.asarray(generator) & 1).astype(np.uint8)
         if gen.ndim != 2:
             raise ValueError("generator must be a 2-D 0/1 matrix")
-        if gen.shape[1] > hc.MAX_N:
-            raise ValueError(f"code length {gen.shape[1]} exceeds {hc.MAX_N}")
+        _check_length(gen.shape[1])
         rref, pivots = gf2_rref(gen)
         if rref.shape[0] != gen.shape[0]:
             raise ValueError("generator rows are linearly dependent")
@@ -97,8 +119,7 @@ class LinearCode:
     def codeword_ints(self) -> np.ndarray:
         """All 2^k codewords as int64 values (doubling enumeration)."""
         if self._codewords is None:
-            if self.k > ENUM_BUDGET:
-                raise BudgetExceeded(f"2^{self.k} codewords exceed the budget")
+            hc.admit("codeword enumeration", nbytes=16 << self.k)
             cw = np.zeros(1, dtype=np.int64)
             for r in rows_to_ints(self.generator):
                 cw = np.concatenate([cw, cw ^ r])
@@ -135,39 +156,15 @@ class LinearCode:
             self._dual = LinearCode(h) if n > k else LinearCode(np.zeros((0, n), np.uint8))
         return self._dual
 
-    def indicator(self, exact: bool = False) -> np.ndarray:
-        """Dense 0/1 indicator of the code (int64 or Fractions)."""
-        if self.n > COVERING_BUDGET:
-            raise BudgetExceeded(f"dense indicator needs 2^{self.n} cells")
-        idx = self.codeword_ints()
-        if exact:
-            out = np.empty(1 << self.n, dtype=object)
-            out[:] = [Fraction(0)] * (1 << self.n)
-            for i in idx:
-                out[int(i)] = Fraction(1)
-        else:
-            out = np.zeros(1 << self.n, dtype=np.int64)
-            out[idx] = 1
-        return out
-
-    def pmf(self, exact: bool = False) -> np.ndarray:
-        """Uniform code distribution as a dense pmf."""
-        ind = self.indicator(exact=exact)
-        if exact:
-            inv = Fraction(1, self.size)
-            return ind * inv
-        return ind.astype(np.float64) / self.size
-
     def __repr__(self):
         return f"LinearCode(n={self.n}, k={self.k})"
 
 
-class ExplicitCode:
+class ExplicitCode(_Code):
     """A code given by an explicit list of codewords (not necessarily linear)."""
 
     def __init__(self, n: int, words):
-        if n > hc.MAX_N:
-            raise ValueError(f"code length {n} exceeds {hc.MAX_N}")
+        _check_length(n)
         ws = sorted(set(int(w) for w in words))
         if not ws:
             raise ValueError("explicit code must be non-empty")
@@ -186,17 +183,6 @@ class ExplicitCode:
 
     def codeword_ints(self) -> np.ndarray:
         return self.words
-
-    def pmf(self, exact: bool = False) -> np.ndarray:
-        if exact:
-            out = np.empty(1 << self.n, dtype=object)
-            out[:] = [Fraction(0)] * (1 << self.n)
-            for w in self.words:
-                out[int(w)] = Fraction(1, self.size)
-            return out
-        out = np.zeros(1 << self.n)
-        out[self.words] = 1.0 / self.size
-        return out
 
     def __repr__(self):
         return f"ExplicitCode(n={self.n}, size={self.size})"
@@ -306,12 +292,12 @@ def distance_distribution(code) -> list:
     Entries are Python ints for linear codes and Fractions in general.
     """
     if isinstance(code, LinearCode):
+        hc.admit("distance distribution", nbytes=17 << code.k)
         counts = np.bincount(code.weights(), minlength=code.n + 1)
         return [int(c) for c in counts]
     words = code.codeword_ints()
     m = len(words)
-    if m * m > (1 << ENUM_BUDGET):
-        raise BudgetExceeded("pairwise distance enumeration over budget")
+    hc.admit("pairwise distance enumeration", nbytes=9 * m * m)
     diffs = words[:, None] ^ words[None, :]
     wt = np.bitwise_count(diffs)
     counts = np.bincount(wt.ravel(), minlength=code.n + 1)
@@ -339,8 +325,7 @@ def dual_distance_distribution(dist, size: int) -> list[Fraction]:
 def covering_radius(code) -> int:
     """max_x min_c d(x, c) by breadth-first expansion over the full cube."""
     n = code.n
-    if n > COVERING_BUDGET:
-        raise BudgetExceeded(f"covering radius sweep needs 2^{n} cells")
+    hc.admit("covering radius sweep", nbytes=3 << n)
     covered = np.zeros(1 << n, dtype=bool)
     covered[code.codeword_ints()] = True
     rho = 0

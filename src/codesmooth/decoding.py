@@ -16,11 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import codes as cd
 from . import hypercube as hc
 
 MC_SHARD = 65536
-DENSE_LOOKUP_BUDGET = 24
 
 
 @dataclass
@@ -64,7 +62,7 @@ def binomial_tail(n: int, delta, lo: int, hi: int) -> Fraction:
 def energy_sum(dist, t: int) -> Fraction:
     """sum_{w>=1} mu_t(w) A_w: the pairwise intersection energy."""
     n = len(dist) - 1
-    return sum(Fraction(hc.mu_direct(n, t, w)) * Fraction(dist[w])
+    return sum(Fraction(hc.mu(n, t, w)) * Fraction(dist[w])
                for w in range(1, n + 1))
 
 
@@ -129,7 +127,7 @@ def asymptotic_bound(dist, delta: float, list_size: int,
     hoeffding = 2 * math.exp(-(n ** (2 * theta - 1)))
     exact_tail = float(binomial_tail(n, Fraction(delta), 0, tprime)
                        + binomial_tail(n, Fraction(delta), t, n))
-    return DecodingBound(n, delta, list_size, t, max(tprime, 0), energy,
+    return DecodingBound(n, float(delta), list_size, t, max(tprime, 0), energy,
                          hoeffding, exact_tail_term=exact_tail,
                          tprime_clamped=clamped)
 
@@ -141,12 +139,8 @@ def asymptotic_bound(dist, delta: float, list_size: int,
 def ball_counts_table(code, t: int) -> np.ndarray:
     """F_t(y) = #codewords within distance t of y, for every y (dense)."""
     n = code.n
-    if n > DENSE_LOOKUP_BUDGET:
-        raise cd.BudgetExceeded(
-            f"dense codeword-count table capped at n={DENSE_LOOKUP_BUDGET}")
-    ind = np.zeros(1 << n, dtype=np.int64)
-    ind[code.codeword_ints()] = 1
-    wf = hc.wht_natural(ind)
+    hc.admit("codeword-count table", nbytes=48 << n)
+    wf = hc.wht_natural(code.indicator())
     lrow = np.array(hc.lloyd_row(n, t), dtype=np.int64)
     wt = hc.weights_table(n)
     counts = hc.wht_natural(wf * lrow[wt])
@@ -161,11 +155,15 @@ def mc_decoding_error(code, delta: float, list_size: int, t: int,
     """Unbiased estimate of Pr{F_t(Y) >= L+1 or |Y| > t}, Y ~ Bernoulli(delta).
 
     The zero codeword is transmitted (the error event of a linear code is
-    translation invariant).  Returns (estimate, standard error).
+    translation invariant).  Returns (estimate, standard error).  Looks
+    F_t up in `ball_counts_table` when that is admitted and scans the
+    codewords per trial otherwise.
     """
     n = code.n
-    table = ball_counts_table(code, t) if n <= DENSE_LOOKUP_BUDGET else None
-    words = code.codeword_ints() if table is None else None
+    try:
+        table, words = ball_counts_table(code, t), None
+    except hc.BudgetExceeded:
+        table, words = None, code.codeword_ints()
     failures = 0
     done = 0
     shard = 0

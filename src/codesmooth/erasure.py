@@ -30,7 +30,6 @@ from .reports import BoundReport, check_bound
 
 INF = math.inf
 
-EXACT_SUBSET_BUDGET = 22
 MC_SHARD = 4096
 
 
@@ -45,9 +44,8 @@ class ErasureContext:
     def __post_init__(self):
         if not 0.0 <= float(self.lam) <= 1.0:
             raise ValueError(f"erasure probability {self.lam} outside [0,1]")
-        if self.mode == "exact" and self.code.n > EXACT_SUBSET_BUDGET:
-            raise cd.BudgetExceeded(
-                f"exact subset expectation capped at n={EXACT_SUBSET_BUDGET}")
+        if self.mode == "exact":
+            _admit_rank_profile(self.code.n)
         if self.mode not in ("exact", "mc"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -77,6 +75,10 @@ def collision_count_direct(code: cd.LinearCode, coords) -> int:
 # Rank profile over subsets and the exact conditional entropy
 # ---------------------------------------------------------------------------
 
+def _admit_rank_profile(n: int) -> None:
+    hc.admit("rank profile over all coordinate subsets", steps=1 << n)
+
+
 def rank_profile(code: cd.LinearCode) -> dict[tuple[int, int], int]:
     """Counts of (|G|, rank of G columns) over all 2^n coordinate subsets.
 
@@ -87,9 +89,7 @@ def rank_profile(code: cd.LinearCode) -> dict[tuple[int, int], int]:
     if code.rank_profile_cache is not None:
         return code.rank_profile_cache
     n, k = code.n, code.k
-    if n > EXACT_SUBSET_BUDGET:
-        raise cd.BudgetExceeded(
-            f"exact subset expectation capped at n={EXACT_SUBSET_BUDGET}")
+    _admit_rank_profile(n)
     columns = [int(sum(int(code.generator[r, c]) << r for r in range(k)))
                for c in range(n)]
     profile: dict[tuple[int, int], int] = {}
@@ -293,12 +293,12 @@ def subset_expectation(f, lam: float, functional) -> float:
 
     `functional(values, gamma_size)` receives the distinct fiber values of
     E(f|G) (each repeated 2^(n-|G|) times in the dense function) and must
-    return the statistic of interest.  Sums over all 2^n subsets; n <= 12.
+    return the statistic of interest.  Sums over all 2^n subsets, each
+    visiting all 2^n points, as does the exact recheck of the same sweep.
     """
     arr = np.asarray(f, dtype=np.float64)
     n = hc.dimension_of(arr)
-    if n > 12:
-        raise cd.BudgetExceeded("full subset expectation capped at n=12")
+    hc.admit("subset sweep", steps=1 << 2 * n)
     # axis j of the reshaped cube corresponds to coordinate n-1-j
     cube = arr.reshape((2,) * n)
     total = 0.0

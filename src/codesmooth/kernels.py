@@ -29,15 +29,12 @@ from . import hypercube as hc
 INF = math.inf
 
 
-MAX_N_RADIAL = 64   # radial forms are O(n) data; only dense lifts need 2^n
-
-
 class Kernel:
     """Immutable noise kernel; lifts are cached per scalar mode."""
 
     def __init__(self, n: int, form: str, *, delta=None, t=None,
                  coords=None, profile=None, values=None):
-        if not 1 <= n <= MAX_N_RADIAL:
+        if n < 1:
             raise ValueError(f"kernel dimension {n} out of range")
         self.n = n
         self.form = form
@@ -126,8 +123,6 @@ class Kernel:
         if key in self._lift_cache:
             return self._lift_cache[key]
         n = self.n
-        if n > hc.MAX_N:
-            raise ValueError(f"dense lift capped at n={hc.MAX_N}")
         if self.form == "dense":
             out = self.values
             if exact and not hc.is_exact(out):
@@ -135,6 +130,7 @@ class Kernel:
             if not exact and hc.is_exact(out):
                 out = np.array([float(v) for v in out])
         elif self.form == "subcube":
+            hc.admit("dense subcube lift", nbytes=(25 if exact else 17) << n)
             mask = 0
             for c in self.coords:
                 mask |= 1 << c

@@ -20,13 +20,11 @@ from itertools import product
 
 import numpy as np
 
-from . import codes as cd
 from . import hypercube as hc
 from . import kernels as kn
 
 INF = math.inf
 
-MC_DENSE_BUDGET = 24
 MC_SHARD = 256
 
 
@@ -45,8 +43,9 @@ class EnsembleSpec:
             raise ValueError("trials must be >= 1")
         if self.num_codewords < 1:
             raise ValueError("ensemble needs at least one codeword")
-        if self.n > MC_DENSE_BUDGET:
-            raise cd.BudgetExceeded(f"dense ensemble runs capped at n={MC_DENSE_BUDGET}")
+        # per trial: the draws, their histogram and two transforms of it
+        hc.admit("dense ensemble trial",
+                 nbytes=(48 << self.n) + 8 * self.num_codewords)
 
     @property
     def num_codewords(self) -> int:
@@ -140,8 +139,7 @@ def qn_exact_pairwise(n: int, m: int, kernel: kn.Kernel) -> float:
 
 def qn_exhaustive(n: int, m: int, kernel: kn.Kernel, alpha: float) -> float:
     """Brute-force E Q_n(alpha) over every codeword tuple (tiny n, M only)."""
-    if (1 << n) ** m > 1 << 22:
-        raise cd.BudgetExceeded("exhaustive ensemble expectation too large")
+    hc.admit("exhaustive ensemble expectation", steps=(1 << n) ** m)
     lifted = kernel.lift()
     idx = np.arange(1 << n)
     total = 0.0

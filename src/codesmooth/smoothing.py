@@ -26,9 +26,6 @@ from .reports import BoundReport, check_bound
 
 INF = math.inf
 
-DENSE_BUDGET_FLOAT = 26
-DENSE_BUDGET_EXACT = 26   # exact path is integer-scaled; memory-bound like float
-
 
 # ---------------------------------------------------------------------------
 # Noisy code distributions
@@ -38,56 +35,44 @@ def smooth(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
     """Dense pmf of the noisy code distribution r * f_C."""
     if kernel.n != code.n:
         raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={code.n}")
-    budget = DENSE_BUDGET_EXACT if exact else DENSE_BUDGET_FLOAT
-    if code.n > budget:
-        raise cd.BudgetExceeded(f"dense smoothing capped at n={budget}")
+    hc.admit("exact smoothing" if exact else "dense smoothing",
+             nbytes=(hc.EXACT_CELL_BYTES if exact else 48) << code.n)
     return hc.convolve(code.pmf(exact=exact), kernel.lift(exact=exact))
 
 
 def is_perfectly_smoothed(code, kernel: kn.Kernel) -> bool:
-    """Exact test of T_r f_C == U_n, staying in integer arithmetic.
+    """Exact test of T_r f_C == U_n.
 
-    Equivalent to comparing every entry of the exact rational convolution
-    with 2^{-n}, but avoids materializing per-point Fractions so that
-    length-23 certificates run in seconds.
+    Radial kernels whose integer-scaled transforms fit int64 stay in native
+    integer arithmetic, which avoids materializing per-point Fractions so
+    that length-23 certificates run in seconds; other kernels compare every
+    entry of the exact rational smoothing with 2^{-n}.
     """
     n = code.n
     if kernel.n != n:
         raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={n}")
-    if n > DENSE_BUDGET_EXACT:
-        raise cd.BudgetExceeded(f"certificates capped at n={DENSE_BUDGET_EXACT}")
-    ind = code.indicator() if isinstance(code, cd.LinearCode) else None
-    if ind is None:
-        ind = np.zeros(1 << n, dtype=np.int64)
-        ind[code.codeword_ints()] = 1
-    if kernel.is_radial():
-        prof = kernel.radial_profile()
-        denom = math.lcm(*(f.denominator for f in prof))
-        nums = [int(f * denom) for f in prof]
-        wt = hc.weights_table(n)
-        # every intermediate is bounded by total-mass products: the scaled
-        # kernel sums to denom, the indicator to |C|, the final inverse
-        # transform multiplies by at most 2^n
-        if code.size * denom * (1 << n) < np.iinfo(np.int64).max:
-            wf = hc.wht_natural(ind)
-            # transform of a radial function evaluated per weight
-            prof_hat = [sum(nums[i] * hc.krawtchouk(n, i, k) for i in range(n + 1))
-                        for k in range(n + 1)]
-            prod = wf * np.array(prof_hat, dtype=np.int64)[wt]
-            conv = hc.wht_natural(prod) >> n
-            # uniform iff conv == |C| * denom / 2^n everywhere (an integer)
-            target_num = code.size * denom
-            if target_num % (1 << n):
-                return False
-            return bool((conv == (target_num >> n)).all())
-        kern_dense = hc.lift_radial(n, prof)
-    else:
-        kern_dense = kernel.lift(exact=True)
-    exact_ind = np.empty(1 << n, dtype=object)
-    exact_ind[:] = [int(v) for v in ind]
-    conv = hc.convolve(exact_ind, kern_dense)
-    target = Fraction(code.size, 1 << n)
-    return all(v == target for v in conv)
+    prof = kernel.radial_profile() if kernel.is_radial() else None
+    denom = math.lcm(*(f.denominator for f in prof)) if prof else 0
+    # every intermediate is bounded by total-mass products: the scaled
+    # kernel sums to denom, the indicator to |C|, the final inverse
+    # transform multiplies by at most 2^n
+    if prof is None or code.size * denom * (1 << n) >= np.iinfo(np.int64).max:
+        target = Fraction(1, 1 << n)
+        return all(v == target for v in smooth(code, kernel, exact=True))
+    hc.admit("perfect-smoothing certificate", nbytes=48 << n)
+    nums = [int(f * denom) for f in prof]
+    wt = hc.weights_table(n)
+    wf = hc.wht_natural(code.indicator())
+    # transform of a radial function evaluated per weight
+    prof_hat = [sum(nums[i] * hc.krawtchouk(n, i, k) for i in range(n + 1))
+                for k in range(n + 1)]
+    prod = wf * np.array(prof_hat, dtype=np.int64)[wt]
+    conv = hc.wht_natural(prod) >> n
+    # uniform iff conv == |C| * denom / 2^n everywhere (an integer)
+    target_num = code.size * denom
+    if target_num % (1 << n):
+        return False
+    return bool((conv == (target_num >> n)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +137,9 @@ def l2_closed_form(dist, size: int, kernel: kn.Kernel, exact: bool = False):
     Radial kernels only: the value equals
 
         (2^n / |C|) * sum_i (r*r)(i) A_i
-      =  4^n * sum_k rhat(k)^2 A'_k      (dual spectrum form)
 
-    Both forms are computed and must agree; the shared value is returned.
+    It also equals 4^n * sum_k rhat(k)^2 A'_k, the dual spectrum form;
+    the tests hold the two forms to exact agreement.
     """
     if not kernel.is_radial():
         raise ValueError("closed-form L2 smoothness needs a radial kernel")
@@ -163,13 +148,6 @@ def l2_closed_form(dist, size: int, kernel: kn.Kernel, exact: bool = False):
     rr = hc.radial_convolve(n, prof, prof)
     primal = sum(rr[i] * Fraction(dist[i]) for i in range(n + 1))
     primal = Fraction(1 << n, size) * primal
-    rhat = hc.radial_hat(n, prof)
-    dual = cd.dual_distance_distribution(dist, size)
-    dual_form = sum(rhat[k] ** 2 * dual[k] for k in range(n + 1))
-    dual_form *= Fraction(4) ** n
-    if primal != dual_form:
-        raise ArithmeticError(
-            f"L2 closed forms disagree: {primal} vs {dual_form}")
     return primal if exact else float(primal)
 
 
@@ -287,9 +265,9 @@ def local_weight_rows(code, radius: int) -> np.ndarray:
     """Distinct rows (N_0(x), ..., N_radius(x)) of codeword counts at each
     distance, over all x in the cube."""
     n = code.n
-    ind = np.zeros(1 << n, dtype=np.int64)
-    ind[code.codeword_ints()] = 1
-    wf = hc.wht_natural(ind)
+    # the transforms and weight table, plus one int64 column per shell
+    hc.admit("local weight rows", nbytes=(72 + 8 * radius) << n)
+    wf = hc.wht_natural(code.indicator())
     wt = hc.weights_table(n)
     cols = []
     for i in range(radius + 1):

@@ -100,7 +100,7 @@ def check_smoothing_erasure(cfg: SuiteConfig) -> list[BoundReport]:
     out = []
     for i in range(cfg.erasure_codes):
         code = _random_code(rng, 14 if not cfg.quick else 10)
-        for delta in (0.05, 0.1, 0.2):
+        for delta in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5)):
             for alpha in (1, 2, 3, INF):
                 out.append(er.smoothing_erasure_report(code, delta, alpha))
     return out
@@ -138,7 +138,7 @@ def check_secrecy(cfg: SuiteConfig) -> list[BoundReport]:
         schemes.append(wt.NestedScheme(inner, outer))
     out = []
     for i, scheme in enumerate(schemes):
-        de = (0.1, 0.2, 0.3)[i % 3]
+        de = (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10))[i % 3]
         rep = wt.secrecy_report(scheme, de)
         rep.name = f"[{i}] " + rep.name
         out.append(rep)

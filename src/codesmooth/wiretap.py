@@ -19,6 +19,7 @@ import mpmath
 import numpy as np
 
 from . import codes as cd
+from . import hypercube as hc
 from . import kernels as kn
 from . import smoothing as sm
 from .reports import BoundReport, check_bound
@@ -97,9 +98,7 @@ def leakage_exact(scheme: NestedScheme, delta_e: float) -> float:
 
 
 def leakage_mixture_oracle(scheme: NestedScheme, delta_e: float) -> float:
-    """I(M; Z) by materializing every conditional distribution (n <= 12)."""
-    if scheme.n > 12:
-        raise cd.BudgetExceeded("mixture oracle capped at n=12")
+    """I(M; Z) by materializing every conditional distribution."""
     conditionals = conditional_distributions(scheme, delta_e)
     marginal = np.mean(conditionals, axis=0)
     total = 0.0
@@ -111,6 +110,9 @@ def leakage_mixture_oracle(scheme: NestedScheme, delta_e: float) -> float:
 
 def conditional_distributions(scheme: NestedScheme, delta_e: float) -> np.ndarray:
     """Stack of P_{Z|M=m}: the noisy inner pmf shifted by each coset leader."""
+    # the shifted rows are held twice while they are stacked
+    hc.admit("conditional distributions",
+             nbytes=(16 * scheme.num_messages + 48) << scheme.n)
     kernel = kn.Kernel.bernoulli(scheme.n, Fraction(delta_e))
     base = sm.smooth(scheme.inner, kernel)
     idx = np.arange(1 << scheme.n)
@@ -128,26 +130,29 @@ def secrecy_bound(scheme: NestedScheme, delta_e: float, alpha=1) -> float:
     return sm.divergence_to_uniform(noisy, alpha).d_alpha
 
 
-def secrecy_report(scheme: NestedScheme, delta_e: float) -> BoundReport:
-    """leakage <= smoothing bound, with a high-precision recheck.
+def secrecy_report(scheme: NestedScheme, delta_e: float, alpha=1) -> BoundReport:
+    """leakage <= smoothing bound of order alpha >= 1, with a high-precision
+    recheck.
 
     At order 1 the gap is exactly the divergence of the marginal from
     uniform, which vanishes when the outer code fills the space; the
-    recheck re-evaluates both entropies from exact rational pmfs.
+    recheck re-evaluates the entropies from exact rational pmfs.
     """
     leak = leakage_exact(scheme, delta_e)
-    bound = secrecy_bound(scheme, delta_e, 1)
+    bound = secrecy_bound(scheme, delta_e, alpha)
 
     def recheck():
         kernel = kn.Kernel.bernoulli(scheme.n, Fraction(delta_e))
+        inner = sm.smooth(scheme.inner, kernel, exact=True)
         with mpmath.workdps(50):
             h_outer = sm._mp_renyi(sm.smooth(scheme.outer, kernel, exact=True), 1)
-            h_inner = sm._mp_renyi(sm.smooth(scheme.inner, kernel, exact=True), 1)
-            return h_outer - h_inner, scheme.n - h_inner
+            h_inner = sm._mp_renyi(inner, 1)
+            bound_hp = scheme.n - (h_inner if alpha == 1 else sm._mp_renyi(inner, alpha))
+            return h_outer - h_inner, bound_hp
 
-    return check_bound(
-        f"secrecy-bound n={scheme.n} de={delta_e}", leak, bound,
-        recheck=recheck, details={"scheme": repr(scheme)})
+    name = f"secrecy-bound n={scheme.n} de={delta_e}" + (f" a={alpha}" if alpha != 1 else "")
+    return check_bound(name, leak, bound, recheck=recheck,
+                       details={"scheme": repr(scheme), "alpha": alpha})
 
 
 def decomposition_terms(scheme: NestedScheme, delta_e: float) -> tuple[float, float, float]:
@@ -176,8 +181,7 @@ class RatePoint:
     clamped: bool = False
 
 
-def rate_point(delta_b: float, delta_e: float, regime: str, alpha=None,
-               re_convention: str = "threshold") -> RatePoint:
+def rate_point(delta_b: float, delta_e: float, regime: str, alpha=None) -> RatePoint:
     """Achievable (R_b, R_e, R_b - R_e) for one secrecy regime.
 
     Regimes:
@@ -186,10 +190,6 @@ def rate_point(delta_b: float, delta_e: float, regime: str, alpha=None,
       rm               : R_b = 1-h(db),                R_e = (1-2 de)^2
       alpha_secrecy    : R_b = 1-h(db),                R_e = 1-h_alpha(de)
 
-    `re_convention` switches the eavesdropper-rate threshold of the
-    bec_dual/rm regimes between the default (1-2 de)^2 and the variant
-    4 de (1-de).  The two are complements of each other, and only the
-    default reproduces the reference rate numbers, so it is the default.
     Negative net rates are clamped to zero and flagged.
     """
     if not 0 <= delta_b < delta_e <= 0.5:
@@ -197,11 +197,8 @@ def rate_point(delta_b: float, delta_e: float, regime: str, alpha=None,
             f"need 0 <= delta_b < delta_e <= 1/2, got ({delta_b}, {delta_e})")
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    if re_convention not in ("threshold", "complement"):
-        raise ValueError(f"unknown convention {re_convention!r}")
     hb = kn.binary_entropy(delta_b)
-    smoothing_re = ((1 - 2 * delta_e) ** 2 if re_convention == "threshold"
-                    else 4 * delta_e * (1 - delta_e))
+    smoothing_re = (1 - 2 * delta_e) ** 2
     if regime == "shannon_capacity":
         rb, re = 1 - hb, 1 - kn.binary_entropy(delta_e)
     elif regime == "bec_dual":
@@ -219,12 +216,10 @@ def rate_point(delta_b: float, delta_e: float, regime: str, alpha=None,
                      alpha=alpha, clamped=clamped)
 
 
-def rate_curve(delta_b: float, grid: int, regime: str, alpha=None,
-               re_convention: str = "threshold") -> list[RatePoint]:
+def rate_curve(delta_b: float, grid: int, regime: str, alpha=None) -> list[RatePoint]:
     """Sweep delta_e over (delta_b, 1/2] on a uniform grid."""
     pts = []
     for i in range(1, grid + 1):
         de = delta_b + (0.5 - delta_b) * i / grid
-        pts.append(rate_point(delta_b, de, regime, alpha=alpha,
-                              re_convention=re_convention))
+        pts.append(rate_point(delta_b, de, regime, alpha=alpha))
     return pts

@@ -103,7 +103,7 @@ class TestCriterion3OracleEquivalence:
         for n in range(2, 11):
             for t in range(n + 1):
                 for i in range(n + 1):
-                    assert hc.mu_spectral(n, t, i) == hc.mu_direct(n, t, i)
+                    assert hc.mu_spectral(n, t, i) == hc.mu(n, t, i)
 
         elapsed = time.time() - t0
         assert elapsed < 120.0

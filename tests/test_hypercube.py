@@ -198,7 +198,7 @@ class TestBallGeometry:
         for n in range(2, 11):
             for t in range(n + 1):
                 for i in range(n + 1):
-                    assert hc.mu_spectral(n, t, i) == hc.mu_direct(n, t, i)
+                    assert hc.mu_spectral(n, t, i) == hc.mu(n, t, i)
 
     def test_mu_brute_force_oracle_n6(self):
         n = 6

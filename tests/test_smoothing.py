@@ -156,6 +156,20 @@ class TestL2ClosedForm:
                                    exact=True)
         assert primal == spectral == closed
 
+    def test_dual_spectrum_form_exact(self):
+        # 4^n sum_k rhat(k)^2 A'_k, evaluated independently of the primal form
+        rng = seeded_rng(44)
+        for _ in range(20):
+            code = random_linear_code(rng, 12)
+            n = code.n
+            for kernel in (kn.Kernel.bernoulli(n, Fraction(int(rng.integers(1, 50)), 100)),
+                           kn.Kernel.ball(n, int(rng.integers(0, n + 1)))):
+                dist = cd.distance_distribution(code)
+                rhat = hc.radial_hat(n, kernel.radial_profile())
+                dual = cd.dual_distance_distribution(dist, code.size)
+                dual_form = 4 ** n * sum(rhat[k] ** 2 * dual[k] for k in range(n + 1))
+                assert dual_form == sm.l2_closed_form(dist, code.size, kernel, exact=True)
+
     def test_rejects_non_radial(self):
         with pytest.raises(ValueError):
             sm.l2_closed_form([1, 0, 0, 0, 1], 2, kn.Kernel.subcube(4, [0]))

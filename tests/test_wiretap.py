@@ -143,9 +143,6 @@ class TestRatePoints:
     def test_eavesdropper_threshold_value(self):
         pt = wt.rate_point(0.05, 0.3, "rm")
         assert math.isclose(pt.re, 0.16)  # (1 - 0.6)^2
-        alt = wt.rate_point(0.05, 0.3, "rm", re_convention="complement")
-        assert math.isclose(alt.re, 4 * 0.3 * 0.7)
-        assert math.isclose(pt.re + alt.re, 1.0)  # complementary conventions
 
     def test_rm_dominates_bec_dual(self):
         for de in np.linspace(0.1, 0.5, 21):
