@@ -139,16 +139,19 @@ def cmd_wiretap_rates(args) -> int:
 
 def cmd_wiretap_leakage(args) -> int:
     scheme = wt.NestedScheme(cd.load_code(args.inner), cd.load_code(args.outer))
-    leak = wt.leakage_exact(scheme, args.de)
+    leak = None
     rows = []
     for alpha in _parse_alpha_list(args.alpha):
         if alpha >= 1:
             rep = wt.secrecy_report(scheme, args.de, alpha)
             bound, ok = rep.rhs, rep.passed
+            leak = rep.lhs if leak is None else leak
         else:  # leakage is bounded only from order 1 up
             bound, ok = wt.secrecy_bound(scheme, args.de, alpha), True
         rows.append({"alpha": "inf" if alpha == INF else alpha,
                      "secrecy_bound": bound, "holds": ok})
+    if leak is None:
+        leak = wt.leakage_exact(scheme, args.de)
     payload = {"n": scheme.n, "message_bits": scheme.message_bits,
                "delta_e": float(args.de), "leakage": leak, "bounds": rows}
     if args.json:

@@ -140,14 +140,7 @@ def ball_counts_table(code, t: int) -> np.ndarray:
     """F_t(y) = #codewords within distance t of y, for every y (dense)."""
     n = code.n
     hc.admit("codeword-count table", nbytes=48 << n)
-    wf = hc.wht_natural(code.indicator())
-    lrow = np.array(hc.lloyd_row(n, t), dtype=np.int64)
-    wt = hc.weights_table(n)
-    counts = hc.wht_natural(wf * lrow[wt])
-    q, r = np.divmod(counts, 1 << n)
-    if r.any():
-        raise ArithmeticError("non-integral ball count")
-    return q
+    return hc.convolve_radial(code.indicator(), [[1] * (t + 1) + [0] * (n - t)])[0]
 
 
 def mc_decoding_error(code, delta: float, list_size: int, t: int,

@@ -119,31 +119,25 @@ def bec_conditional_entropy(ctx: ErasureContext) -> tuple[float, float]:
     estimate with the standard error of the mean.
     """
     code, lam = ctx.code, float(ctx.lam)
-    n = code.n
     if ctx.mode == "exact":
-        profile = rank_profile(code)
-        if lam in (0.0, 1.0):
-            # endpoint weights degenerate; the expectation is a single term
-            size = n if lam == 1.0 else 0
-            val = sum((s - r) * c for (s, r), c in profile.items() if s == size)
-            return float(val), 0.0
-        total = 0.0
-        for (size, rank), count in profile.items():
-            w = count * (lam ** size) * ((1 - lam) ** (n - size))
-            total += w * (size - rank)
-        return total, 0.0
+        return _rank_expectation(code, lam), 0.0
     return _bec_entropy_mc(code, lam, ctx.trials, ctx.seed)
 
 
 def bec_conditional_entropy_exact_fraction(code: cd.LinearCode, lam) -> Fraction:
     """Exact rational value of the conditional entropy for rational lambda."""
-    lam = Fraction(lam)
+    return _rank_expectation(code, Fraction(lam))
+
+
+def _rank_expectation(code: cd.LinearCode, lam):
+    """E[|G| - rank(G columns)] for G ~ lambda, summed over the rank profile.
+
+    Works for float, Fraction and mpf lambda; 0 ** 0 == 1 in each, so the
+    endpoints lambda in {0, 1} need no special case.
+    """
     n = code.n
-    profile = rank_profile(code)
-    total = Fraction(0)
-    for (size, rank), count in profile.items():
-        total += count * lam ** size * (1 - lam) ** (n - size) * (size - rank)
-    return total
+    return sum(count * lam ** size * (1 - lam) ** (n - size) * (size - rank)
+               for (size, rank), count in rank_profile(code).items())
 
 
 def _bec_entropy_mc(code: cd.LinearCode, lam: float, trials: int,
@@ -201,16 +195,14 @@ def erasure_noise_level(alpha, delta: float) -> float:
         f"order {alpha} unsupported: the pairing covers 1, integers >= 2, inf")
 
 
-def _bec_entropy_mp(code: cd.LinearCode, lam) -> mpmath.mpf:
-    """Conditional entropy from the rank profile at working precision."""
-    profile = rank_profile(code)
-    lam = mpmath.mpf(lam) if not isinstance(lam, Fraction) else \
-        mpmath.mpf(lam.numerator) / lam.denominator
-    total = mpmath.mpf(0)
-    n = code.n
-    for (size, rank), count in profile.items():
-        total += count * lam ** size * (1 - lam) ** (n - size) * (size - rank)
-    return total
+def _erasure_noise_level_mp(alpha, delta: Fraction) -> mpmath.mpf:
+    """`erasure_noise_level` at working precision, from an exact delta."""
+    if alpha == 1:
+        return (1 - 2 * sm._mp(delta)) ** 2
+    if alpha == INF:
+        return 1 + mpmath.log(1 - sm._mp(delta), 2)
+    a = int(alpha)
+    return 1 - sm._mp_log2(delta ** a + (1 - delta) ** a) / (1 - a)
 
 
 def smoothing_erasure_report(code: cd.LinearCode, delta: float, alpha) -> BoundReport:
@@ -225,16 +217,8 @@ def smoothing_erasure_report(code: cd.LinearCode, delta: float, alpha) -> BoundR
         with mpmath.workdps(50):
             exact_noisy = sm.smooth(code, kernel, exact=True)
             lhs_hp = code.n - sm._mp_renyi(exact_noisy, alpha)
-            d = Fraction(delta)
-            if alpha == 1:
-                lam_hp = (1 - 2 * mpmath.mpf(d.numerator) / d.denominator) ** 2
-            elif alpha == INF:
-                lam_hp = 1 + mpmath.log(1 - mpmath.mpf(d.numerator) / d.denominator, 2)
-            else:
-                a = int(alpha)
-                s = d ** a + (1 - d) ** a
-                lam_hp = 1 - sm._mp_log2(s) / (1 - a)
-            return lhs_hp, _bec_entropy_mp(code, lam_hp)
+            lam_hp = _erasure_noise_level_mp(alpha, Fraction(delta))
+            return lhs_hp, _rank_expectation(code, lam_hp)
 
     return check_bound(
         f"smoothing<=erasure a={alpha} d={delta} n={code.n}", lhs, rhs,
@@ -319,17 +303,9 @@ def _ent_of_fiber(values: np.ndarray, size: int) -> float:
     return float((pos * np.log2(pos / mean)).sum() / len(values))
 
 
-def _mp_log2(x) -> mpmath.mpf:
-    if isinstance(x, Fraction):
-        return (mpmath.log(x.numerator) - mpmath.log(x.denominator)) / mpmath.log(2)
-    return mpmath.log(x, 2)
-
-
-def _subset_expectation_mp(f_fracs: np.ndarray, lam, term_mp) -> mpmath.mpf:
+def _subset_expectation_mp(f_fracs: np.ndarray, lam: mpmath.mpf, term_mp) -> mpmath.mpf:
     """High-precision E_G term(fiber averages), fibers computed exactly."""
     n = hc.dimension_of(f_fracs)
-    lam = mpmath.mpf(lam.numerator) / lam.denominator \
-        if isinstance(lam, Fraction) else mpmath.mpf(lam)
     total = mpmath.mpf(0)
     for g in range(1 << n):
         coords = [c for c in range(n) if (g >> c) & 1]
@@ -347,7 +323,7 @@ def _ent_term_mp(vals) -> mpmath.mpf:
     acc = mpmath.mpf(0)
     for v in vals:
         if v > 0:
-            acc += mpmath.mpf(v.numerator) / v.denominator * _mp_log2(v / mean)
+            acc += sm._mp(v) * sm._mp_log2(v / mean)
     return acc / len(vals)
 
 
@@ -363,7 +339,7 @@ def noisy_entropy_report(f, delta: float) -> BoundReport:
     n = hc.dimension_of(arr)
     kernel = kn.Kernel.bernoulli(n, Fraction(delta))
     lhs = entropy_functional(hc.convolve(arr, kernel.lift()))
-    lam = (1 - 2 * delta) ** 2
+    lam = erasure_noise_level(1, delta)
     rhs = subset_expectation(arr, lam, _ent_of_fiber)
 
     def recheck():
@@ -371,9 +347,8 @@ def noisy_entropy_report(f, delta: float) -> BoundReport:
             fr = _as_fraction_array(arr)
             noisy = hc.convolve(fr, kernel.lift(exact=True))
             lhs_hp = _ent_term_mp(list(noisy))
-            d = Fraction(delta)
-            return lhs_hp, _subset_expectation_mp(fr, (1 - 2 * d) ** 2,
-                                                   _ent_term_mp)
+            lam_hp = _erasure_noise_level_mp(1, Fraction(delta))
+            return lhs_hp, _subset_expectation_mp(fr, lam_hp, _ent_term_mp)
 
     return check_bound(f"noisy-entropy d={delta} n={n}", lhs, rhs,
                        recheck=recheck,
@@ -400,7 +375,7 @@ def noisy_norm_report(f, delta: float, alpha) -> BoundReport:
             arr, lam, lambda vals, size: math.log2(vals.max()))
 
         def term_mp(vals):
-            return _mp_log2(max(vals))
+            return sm._mp_log2(max(vals))
     else:
         a = int(alpha)
         lhs = math.log2(np.mean(noisy ** a)) / a
@@ -409,18 +384,14 @@ def noisy_norm_report(f, delta: float, alpha) -> BoundReport:
             lambda vals, size: math.log2(np.mean(vals ** a)) / a)
 
         def term_mp(vals):
-            return _mp_log2(sum(v ** a for v in vals) / len(vals)) / a
+            return sm._mp_log2(sum(v ** a for v in vals) / len(vals)) / a
 
     def recheck():
         with mpmath.workdps(50):
             fr = _as_fraction_array(arr)
             exact_noisy = hc.convolve(fr, kernel.lift(exact=True))
             lhs_hp = term_mp(list(exact_noisy))
-            d = Fraction(delta)
-            if alpha == INF:
-                lam_hp = 1 + mpmath.log(1 - mpmath.mpf(d.numerator) / d.denominator, 2)
-            else:
-                lam_hp = 1 - _mp_log2(d ** a + (1 - d) ** a) / (1 - a)
+            lam_hp = _erasure_noise_level_mp(alpha, Fraction(delta))
             return lhs_hp, _subset_expectation_mp(fr, lam_hp, term_mp)
 
     return check_bound(f"noisy-norm a={alpha} d={delta} n={n}", lhs, rhs,

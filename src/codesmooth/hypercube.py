@@ -13,6 +13,10 @@ The Fourier transform convention used everywhere in this package puts the
 
 so the inverse transform carries no normalization and round-trips exactly
 in rational mode.
+
+Every radial routine is built on `radial_transform`, the per-weight
+transform of a radial function; `_int64_exact` is the one rule that lets
+integer transforms run in int64 rather than Python ints.
 """
 
 from __future__ import annotations
@@ -128,7 +132,11 @@ def wht_natural(values) -> np.ndarray:
     Works on float64, integer, and object (Fraction / Python int) arrays;
     the butterfly preserves exactness.  Self-inverse up to a factor 2^n.
     """
-    a = np.array(values, copy=True)
+    return _wht_inplace(np.array(values, copy=True))
+
+
+def _wht_inplace(a: np.ndarray) -> np.ndarray:
+    """`wht_natural` that overwrites its argument instead of copying it."""
     size = a.shape[0]
     dimension_of(a)  # validates power of two
     if a.dtype in (np.float64, np.int64):
@@ -184,6 +192,16 @@ def _scale_to_int(arr: np.ndarray) -> tuple[np.ndarray, int]:
     return out, denom
 
 
+def _int64_exact(n: int, bound: int) -> bool:
+    """True when an integer transform pair of size 2^n is exact in int64.
+
+    `bound` caps the magnitude of the exact result before the final inverse
+    transform multiplies it by 2^n.  int64 arithmetic is a ring mod 2^64,
+    so intermediates that wrap around cancel once the final value fits.
+    """
+    return bound << n <= _INT64_MAX
+
+
 def convolve(f, g) -> np.ndarray:
     """Cyclic (XOR) convolution (f*g)(x) = sum_z f(z) g(x^z).
 
@@ -205,7 +223,7 @@ def convolve(f, g) -> np.ndarray:
         # and the final inverse transform by S_f*S_g*2^n.
         sf = sum(abs(int(v)) for v in fi)
         sg = sum(abs(int(v)) for v in gi)
-        if sf * sg * (1 << n) < _INT64_MAX:
+        if _int64_exact(n, sf * sg):
             fi = fi.astype(np.int64)
             gi = gi.astype(np.int64)
         prod = wht_natural(fi) * wht_natural(gi)
@@ -265,15 +283,6 @@ def lloyd(n: int, t: int, x: int) -> int:
     return sum(krawtchouk(n, s, x) for s in range(t + 1))
 
 
-def lloyd_row(n: int, t: int) -> list[int]:
-    """[L_t(0), ..., L_t(n)]."""
-    row = [0] * (n + 1)
-    for s in range(t + 1):
-        for x, v in enumerate(krawtchouk_row(n, s)):
-            row[x] += v
-    return row
-
-
 def ball_volume(n: int, t: int) -> int:
     """Number of points within Hamming distance t of a fixed point."""
     if not 0 <= t <= n:
@@ -302,9 +311,8 @@ def mu_spectral(n: int, t: int, i: int) -> int:
     """Same intersection volume via 2^{-n} sum_k L_t(k)^2 K_k(i)."""
     if not (0 <= t <= n and 0 <= i <= n):
         raise ValueError(f"mu indices out of range: n={n}, t={t}, i={i}")
-    lrow = lloyd_row(n, t)
-    acc = sum(lrow[k] ** 2 * krawtchouk(n, k, i) for k in range(n + 1))
-    q, r = divmod(acc, 1 << n)
+    lrow = radial_transform(n, [1] * (t + 1) + [0] * (n - t))
+    q, r = divmod(radial_transform(n, [v * v for v in lrow])[i], 1 << n)
     if r:
         raise ArithmeticError("spectral intersection volume is not integral")
     return q
@@ -330,18 +338,31 @@ def lift_radial(n: int, profile) -> np.ndarray:
     return prof[wt]
 
 
+def radial_transform(n: int, profile) -> list:
+    """Unnormalized transform of a radial function, per weight:
+    k -> sum_i profile(i) K_i(k).
+
+    Exact for int and Fraction profiles, float for float ones.  Applying
+    it twice multiplies by 2^n.
+    """
+    if len(profile) != n + 1:
+        raise DimensionMismatch(f"profile length {len(profile)} != n+1 = {n + 1}")
+    # all rows K_0..K_n by the three-term recurrence
+    # (t+1) K_{t+1}(x) = (n-2x) K_t(x) - (n-t+1) K_{t-1}(x), in O(n^2)
+    rows = [[1] * (n + 1), [n - 2 * x for x in range(n + 1)]]
+    for t in range(1, n):
+        rows.append([((n - 2 * x) * a - (n - t + 1) * b) // (t + 1)
+                     for x, (a, b) in enumerate(zip(rows[t], rows[t - 1]))])
+    return [sum(profile[i] * rows[i][k] for i in range(n + 1)) for k in range(n + 1)]
+
+
 def radial_hat(n: int, profile) -> list:
     """Per-weight profile of the forward transform of a radial function.
 
     rhat(k) = 2^{-n} sum_i profile(i) K_i(k); exact for Fraction profiles.
     """
-    exact = is_exact(profile)
-    rows = [krawtchouk_row(n, i) for i in range(n + 1)]
-    out = []
-    for k in range(n + 1):
-        acc = sum(profile[i] * rows[i][k] for i in range(n + 1))
-        out.append(acc * Fraction(1, 1 << n) if exact else acc / (1 << n))
-    return out
+    inv = Fraction(1, 1 << n) if is_exact(profile) else 1.0 / (1 << n)
+    return [v * inv for v in radial_transform(n, profile)]
 
 
 def radial_convolve(n: int, p1, p2) -> list:
@@ -350,21 +371,41 @@ def radial_convolve(n: int, p1, p2) -> list:
     Runs in O(n^2) through the weight-indexed transform, so dimensions far
     beyond the dense cap are fine as long as both factors are radial.
     """
-    if len(p1) != n + 1 or len(p2) != n + 1:
-        raise DimensionMismatch("radial profiles must have length n+1")
     exact = is_exact(p1) and is_exact(p2)
     if not exact:
         p1 = [float(v) for v in p1]
         p2 = [float(v) for v in p2]
-    rows = [krawtchouk_row(n, i) for i in range(n + 1)]
-    # w1(k) = sum_i p1(i) K_i(k) is the unnormalized transform at weight k.
-    w1 = [sum(p1[i] * rows[i][k] for i in range(n + 1)) for k in range(n + 1)]
-    w2 = [sum(p2[i] * rows[i][k] for i in range(n + 1)) for k in range(n + 1)]
-    out = []
+    prod = [a * b for a, b in zip(radial_transform(n, p1), radial_transform(n, p2))]
     inv = Fraction(1, 1 << n) if exact else 1.0 / (1 << n)
-    for i in range(n + 1):
-        acc = sum(w1[k] * w2[k] * rows[k][i] for k in range(n + 1))
-        out.append(acc * inv)
+    return [v * inv for v in radial_transform(n, prod)]
+
+
+def convolve_radial(f: np.ndarray, profiles) -> list[np.ndarray]:
+    """Exact x -> sum_z f(z) p(|x^z|) for a nonnegative int64 dense `f` and
+    each integer profile p.
+
+    W(f) is taken once; each profile then costs one product and one inverse
+    transform.  The work runs in int64 when 2^n max f sum_i C(n,i)|p(i)|
+    fits, which bounds every exact result, and on Python ints otherwise.
+    """
+    n = dimension_of(f)
+    mass = max(sum(math.comb(n, i) * abs(v) for i, v in enumerate(p))
+               for p in profiles)
+    if not _int64_exact(n, int(f.max()) * mass):
+        admit("exact radial convolution", nbytes=EXACT_CELL_BYTES << n)
+        f = f.astype(object)
+    wf = wht_natural(f)
+    wt = weights_table(n)
+    out = []
+    for p in profiles:
+        # one 2^n buffer per profile: lift, multiply and transform in place
+        counts = np.array(radial_transform(n, p), dtype=f.dtype)[wt]
+        counts *= wf
+        counts = _wht_inplace(counts)
+        if np.bitwise_or.reduce(counts) & ((1 << n) - 1):
+            raise ArithmeticError("radial convolution is not integral")
+        counts >>= n
+        out.append(counts)
     return out
 
 

@@ -54,12 +54,9 @@ class EnsembleSpec:
 
 def _kernel_transform_by_weight(kernel: kn.Kernel) -> np.ndarray:
     """Unnormalized transform of the kernel indexed by output weight."""
-    n = kernel.n
-    prof = kernel.radial_profile(exact=False) if kernel.is_radial() else None
-    if prof is not None:
-        vals = [sum(prof[i] * hc.krawtchouk(n, i, k) for i in range(n + 1))
-                for k in range(n + 1)]
-        return np.array(vals)[hc.weights_table(n)]
+    if kernel.is_radial():
+        wr = hc.radial_transform(kernel.n, kernel.radial_profile(exact=False))
+        return np.array(wr)[hc.weights_table(kernel.n)]
     return hc.wht_natural(kernel.lift())
 
 

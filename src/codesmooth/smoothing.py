@@ -43,36 +43,27 @@ def smooth(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
 def is_perfectly_smoothed(code, kernel: kn.Kernel) -> bool:
     """Exact test of T_r f_C == U_n.
 
-    Radial kernels whose integer-scaled transforms fit int64 stay in native
-    integer arithmetic, which avoids materializing per-point Fractions so
-    that length-23 certificates run in seconds; other kernels compare every
-    entry of the exact rational smoothing with 2^{-n}.
+    A radial kernel is scaled to integers by its common denominator and
+    convolved with the code indicator by `hc.convolve_radial` (int64 when
+    its rule admits, Python ints otherwise), so no per-point Fraction is
+    built; other kernels compare every entry of the exact rational
+    smoothing with 2^{-n}.
     """
     n = code.n
     if kernel.n != n:
         raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={n}")
-    prof = kernel.radial_profile() if kernel.is_radial() else None
-    denom = math.lcm(*(f.denominator for f in prof)) if prof else 0
-    # every intermediate is bounded by total-mass products: the scaled
-    # kernel sums to denom, the indicator to |C|, the final inverse
-    # transform multiplies by at most 2^n
-    if prof is None or code.size * denom * (1 << n) >= np.iinfo(np.int64).max:
+    if not kernel.is_radial():
         target = Fraction(1, 1 << n)
         return all(v == target for v in smooth(code, kernel, exact=True))
-    hc.admit("perfect-smoothing certificate", nbytes=48 << n)
-    nums = [int(f * denom) for f in prof]
-    wt = hc.weights_table(n)
-    wf = hc.wht_natural(code.indicator())
-    # transform of a radial function evaluated per weight
-    prof_hat = [sum(nums[i] * hc.krawtchouk(n, i, k) for i in range(n + 1))
-                for k in range(n + 1)]
-    prod = wf * np.array(prof_hat, dtype=np.int64)[wt]
-    conv = hc.wht_natural(prod) >> n
-    # uniform iff conv == |C| * denom / 2^n everywhere (an integer)
-    target_num = code.size * denom
-    if target_num % (1 << n):
+    prof = kernel.radial_profile()
+    denom = math.lcm(*(f.denominator for f in prof))
+    # uniform iff the scaled smoothing equals |C| * denom / 2^n everywhere
+    target = code.size * denom
+    if target % (1 << n):
         return False
-    return bool((conv == (target_num >> n)).all())
+    hc.admit("perfect-smoothing certificate", nbytes=48 << n)
+    (conv,) = hc.convolve_radial(code.indicator(), [[int(f * denom) for f in prof]])
+    return bool((conv == target >> n).all())
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +199,15 @@ def _mp_renyi(values, alpha):
     if alpha == INF:
         return -_mp_log2(max(terms))
     if alpha == 1:
-        return -mpmath.fsum(mpmath.mpf(t.numerator) / t.denominator * _mp_log2(t)
-                            for t in terms)
+        return -mpmath.fsum(_mp(t) * _mp_log2(t) for t in terms)
     if float(alpha).is_integer():
         return _mp_log2(sum(t ** int(alpha) for t in terms)) / (1 - alpha)
-    s = mpmath.fsum((mpmath.mpf(t.numerator) / t.denominator) ** alpha
-                    for t in terms)
+    s = mpmath.fsum(_mp(t) ** alpha for t in terms)
     return mpmath.log(s, 2) / (1 - alpha)
+
+
+def _mp(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
 
 
 def _mp_log2(f: Fraction):
@@ -267,16 +260,8 @@ def local_weight_rows(code, radius: int) -> np.ndarray:
     n = code.n
     # the transforms and weight table, plus one int64 column per shell
     hc.admit("local weight rows", nbytes=(72 + 8 * radius) << n)
-    wf = hc.wht_natural(code.indicator())
-    wt = hc.weights_table(n)
-    cols = []
-    for i in range(radius + 1):
-        krow = np.array(hc.krawtchouk_row(n, i), dtype=np.int64)
-        counts = hc.wht_natural(wf * krow[wt])
-        q, r = np.divmod(counts, 1 << n)
-        if r.any():
-            raise ArithmeticError("non-integral shell count")
-        cols.append(q)
+    shells = [[int(j == i) for j in range(n + 1)] for i in range(radius + 1)]
+    cols = hc.convolve_radial(code.indicator(), shells)
     # the shell-i count is at most min(|C|, C(n,i)); when the widths fit
     # one word, pack each row into a single key so the dedup is a 1-D
     # unique instead of a lexicographic row sort

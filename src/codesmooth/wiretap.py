@@ -91,10 +91,17 @@ def leakage_exact(scheme: NestedScheme, delta_e: float) -> float:
     and the conditional given any message is a shifted noisy inner
     distribution, whose entropy is shift invariant.
     """
+    return _leakage(*_noisy_pmfs(scheme, delta_e))
+
+
+def _noisy_pmfs(scheme: NestedScheme, delta_e) -> tuple[np.ndarray, np.ndarray]:
+    """The noisy outer and inner pmfs T_de f_Cb and T_de f_Ce."""
     kernel = kn.Kernel.bernoulli(scheme.n, Fraction(delta_e))
-    h_outer = kn.shannon_entropy(sm.smooth(scheme.outer, kernel))
-    h_inner = kn.shannon_entropy(sm.smooth(scheme.inner, kernel))
-    return h_outer - h_inner
+    return sm.smooth(scheme.outer, kernel), sm.smooth(scheme.inner, kernel)
+
+
+def _leakage(outer: np.ndarray, inner: np.ndarray) -> float:
+    return kn.shannon_entropy(outer) - kn.shannon_entropy(inner)
 
 
 def leakage_mixture_oracle(scheme: NestedScheme, delta_e: float) -> float:
@@ -138,8 +145,9 @@ def secrecy_report(scheme: NestedScheme, delta_e: float, alpha=1) -> BoundReport
     uniform, which vanishes when the outer code fills the space; the
     recheck re-evaluates the entropies from exact rational pmfs.
     """
-    leak = leakage_exact(scheme, delta_e)
-    bound = secrecy_bound(scheme, delta_e, alpha)
+    outer, inner = _noisy_pmfs(scheme, delta_e)
+    leak = _leakage(outer, inner)
+    bound = sm.divergence_to_uniform(inner, alpha).d_alpha
 
     def recheck():
         kernel = kn.Kernel.bernoulli(scheme.n, Fraction(delta_e))
@@ -158,11 +166,10 @@ def secrecy_report(scheme: NestedScheme, delta_e: float, alpha=1) -> BoundReport
 def decomposition_terms(scheme: NestedScheme, delta_e: float) -> tuple[float, float, float]:
     """(conditional divergence, leakage, marginal divergence): the first
     equals the sum of the other two."""
-    cond = secrecy_bound(scheme, delta_e, alpha=1)
-    leak = leakage_exact(scheme, delta_e)
-    kernel = kn.Kernel.bernoulli(scheme.n, Fraction(delta_e))
-    marg = sm.divergence_to_uniform(sm.smooth(scheme.outer, kernel), 1).d_alpha
-    return cond, leak, marg
+    outer, inner = _noisy_pmfs(scheme, delta_e)
+    cond = sm.divergence_to_uniform(inner, 1).d_alpha
+    marg = sm.divergence_to_uniform(outer, 1).d_alpha
+    return cond, _leakage(outer, inner), marg
 
 
 # ---------------------------------------------------------------------------

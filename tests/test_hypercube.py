@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from codesmooth import codes as cd
 from codesmooth import hypercube as hc
+from codesmooth import kernels as kn
 
 from conftest import random_fraction_array, random_linear_code, seeded_rng
 
@@ -248,3 +249,57 @@ class TestRadial:
             lhs = sum(v[i] * dist[i] for i in range(n + 1))
             rhs = code.size * sum(vhat[k] * dual[k] for k in range(n + 1))
             assert lhs == rhs
+
+    def test_radial_transform_twice_is_scaling(self):
+        rng = seeded_rng(19)
+        for n in (1, 4, 9, 13):
+            p = [Fraction(int(a), 7) for a in rng.integers(-9, 9, n + 1)]
+            assert hc.radial_transform(n, hc.radial_transform(n, p)) == [
+                v * 2**n for v in p]
+
+    def test_unit_shell_transforms_to_krawtchouk_row(self):
+        for n in (3, 8):
+            for i in range(n + 1):
+                shell = [int(j == i) for j in range(n + 1)]
+                assert hc.radial_transform(n, shell) == hc.krawtchouk_row(n, i)
+
+
+def _scaled_profile(kernel: kn.Kernel) -> list[int]:
+    prof = kernel.radial_profile()
+    denom = math.lcm(*(v.denominator for v in prof))
+    return [int(v * denom) for v in prof]
+
+
+class TestConvolveRadial:
+    @staticmethod
+    def _check(code, profiles):
+        f = code.indicator()
+        outs = hc.convolve_radial(f, profiles)
+        for p, out in zip(profiles, outs):
+            assert out.tolist() == hc.convolve(f, hc.lift_radial(code.n, p)).tolist()
+        return outs
+
+    def test_matches_exact_convolve_20_codes(self):
+        rng = seeded_rng(20)
+        for trial in range(20):
+            code = random_linear_code(rng, 12)
+            n = code.n
+            profiles = [_scaled_profile(kn.Kernel.bernoulli(n, Fraction(1, 13))),
+                        [int(a) for a in rng.integers(-20, 21, n + 1)]]
+            for out in self._check(code, profiles):
+                assert out.dtype == np.int64
+
+    def test_int64_wraparound_cancels(self):
+        # the exact results fit int64 although |C| * S * 2^n does not
+        code = cd.random_linear(12, 8, seed=3)
+        prof = _scaled_profile(kn.Kernel.bernoulli(12, Fraction(1, 13)))
+        mass = sum(math.comb(12, i) * v for i, v in enumerate(prof))
+        assert code.size * mass << 12 >= 1 << 63 > mass << 12
+        (out,) = self._check(code, [prof])
+        assert out.dtype == np.int64
+
+    def test_python_int_path(self):
+        code = cd.random_linear(8, 4, seed=5)
+        prof = _scaled_profile(kn.Kernel.bernoulli(8, Fraction(1, 10**6)))
+        (out,) = self._check(code, [prof])
+        assert out.dtype == object

@@ -243,6 +243,23 @@ class TestCapacity:
         assert all(u >= v - 1e-12 for u, v in zip(vals, vals[1:]))
 
 
+class TestPerfectSmoothingCertificate:
+    def test_radial_certificate_builds_no_exact_smoothing(self, monkeypatch, hamming7):
+        # Bernoulli(1/10^6) fails the int64 rule, so these run on Python ints
+        def refuse(*args, **kwargs):
+            raise AssertionError("radial certificate fell back to exact smoothing")
+
+        monkeypatch.setattr(sm, "smooth", refuse)
+        tiny = Fraction(1, 10**6)
+        assert sm.is_perfectly_smoothed(cd.full_space(6), kn.Kernel.bernoulli(6, tiny))
+        assert not sm.is_perfectly_smoothed(hamming7, kn.Kernel.bernoulli(7, tiny))
+
+    def test_non_radial_kernels(self):
+        code = cd.parity(5)
+        assert sm.is_perfectly_smoothed(code, kn.Kernel.subcube(5, [0, 1, 2, 3]))
+        assert not sm.is_perfectly_smoothed(code, kn.Kernel.subcube(5, range(5)))
+
+
 class TestPerfectKernelSearch:
     def test_hamming_recovers_unit_ball(self, hamming7):
         kernel = sm.perfect_kernel_search(hamming7)
