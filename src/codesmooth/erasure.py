@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from . import codes as cd
@@ -183,11 +182,15 @@ def _bec_entropy_mc(code: cd.LinearCode, lam: float, trials: int,
 # ---------------------------------------------------------------------------
 
 def erasure_noise_level(alpha, delta: float) -> float:
-    """The erasure rate paired with Bernoulli(delta) noise at order alpha."""
+    """The erasure rate paired with Bernoulli(delta) noise at order alpha.
+
+    Exact for a Fraction delta at order 1; other orders take one log
+    through `kn.log2`.
+    """
     if alpha == 1:
         return (1 - 2 * delta) ** 2
     if alpha == INF:
-        return 1 + math.log2(1 - delta)
+        return 1 + kn.log2(1 - delta)
     if isinstance(alpha, int) or (isinstance(alpha, float) and alpha.is_integer()):
         if alpha >= 2:
             return 1 - kn.binary_renyi(alpha, delta)
@@ -195,30 +198,21 @@ def erasure_noise_level(alpha, delta: float) -> float:
         f"order {alpha} unsupported: the pairing covers 1, integers >= 2, inf")
 
 
-def _erasure_noise_level_mp(alpha, delta: Fraction) -> mpmath.mpf:
-    """`erasure_noise_level` at working precision, from an exact delta."""
-    if alpha == 1:
-        return (1 - 2 * sm._mp(delta)) ** 2
-    if alpha == INF:
-        return 1 + mpmath.log(1 - sm._mp(delta), 2)
-    a = int(alpha)
-    return 1 - sm._mp_log2(delta ** a + (1 - delta) ** a) / (1 - a)
-
-
 def smoothing_erasure_report(code: cd.LinearCode, delta: float, alpha) -> BoundReport:
-    """D_alpha(T_delta f_C || U_n) <= dual-code BEC conditional entropy."""
+    """D_alpha(T_delta f_C || U_n) <= dual-code BEC conditional entropy.
+
+    The recheck evaluates both sides on the exact noisy pmf and the exact
+    delta.
+    """
     lam = erasure_noise_level(alpha, delta)
     kernel = kn.Kernel.bernoulli(code.n, Fraction(delta))
-    noisy = sm.smooth(code, kernel)
-    lhs = sm.divergence_to_uniform(noisy, alpha).d_alpha
+    lhs = sm.divergence_to_uniform(sm.smooth(code, kernel), alpha).d_alpha
     rhs, _ = bec_conditional_entropy(ErasureContext(code, lam))
 
     def recheck():
-        with mpmath.workdps(50):
-            exact_noisy = sm.smooth(code, kernel, exact=True)
-            lhs_hp = code.n - sm._mp_renyi(exact_noisy, alpha)
-            lam_hp = _erasure_noise_level_mp(alpha, Fraction(delta))
-            return lhs_hp, _rank_expectation(code, lam_hp)
+        exact_noisy = sm.smooth(code, kernel, exact=True)
+        return (sm.divergence_to_uniform(exact_noisy, alpha).d_alpha,
+                _rank_expectation(code, erasure_noise_level(alpha, Fraction(delta))))
 
     return check_bound(
         f"smoothing<=erasure a={alpha} d={delta} n={code.n}", lhs, rhs,
@@ -240,9 +234,6 @@ def conditional_average(f, coords) -> np.ndarray:
     arr = f if isinstance(f, np.ndarray) else hc.as_dense(f)
     n = hc.dimension_of(arr)
     coords = sorted(set(coords))
-    out_mask = 0
-    for c in coords:
-        out_mask |= 1 << c
     free = [c for c in range(n) if c not in coords]
     # accumulate fiber sums by folding the free coordinates one at a time
     result = arr.copy()
@@ -254,33 +245,42 @@ def conditional_average(f, coords) -> np.ndarray:
 
 
 def entropy_functional(f) -> float:
-    """Ent[f] = ||f log2(f / ||f||_1)||_1 for a nonnegative dense function."""
-    arr = np.asarray(f, dtype=np.float64)
-    n = hc.dimension_of(arr)
+    """Ent[f] = ||f log2(f / ||f||_1)||_1 for a nonnegative dense function.
+
+    Float or exact (object array) input; the logs of an exact input go
+    through `kn.log2`.
+    """
+    arr = f if isinstance(f, np.ndarray) else np.asarray(f, dtype=np.float64)
+    hc.dimension_of(arr)
     if arr.min() < 0:
         raise ValueError("entropy functional needs a nonnegative function")
     mean = arr.mean()
     if mean == 0:
         return 0.0
     pos = arr[arr > 0]
-    return float((pos * np.log2(pos / mean)).sum() / len(arr))
+    if pos.dtype != object:
+        return float((pos * np.log2(pos / mean)).sum() / len(arr))
+    return sum(v * kn.log2(v / mean) for v in pos) / len(arr)
 
 
-def _fiber_values(cube: np.ndarray, axes_keep: tuple[int, ...]) -> np.ndarray:
-    """Mean of the n-dim cube over all axes except `axes_keep`, flattened."""
-    drop = tuple(a for a in range(cube.ndim) if a not in axes_keep)
-    return cube.mean(axis=drop).ravel() if drop else cube.ravel()
+def _log_norm(alpha):
+    """The statistic v -> log2 ||v||_alpha in the normalized counting measure."""
+    if alpha == INF:
+        return lambda v: kn.log2(v.max())
+    a = int(alpha)
+    return lambda v: kn.log2(np.mean(v ** a)) / a
 
 
 def subset_expectation(f, lam: float, functional) -> float:
     """E_{G ~ lam} functional(fiber-average values of f given G).
 
-    `functional(values, gamma_size)` receives the distinct fiber values of
-    E(f|G) (each repeated 2^(n-|G|) times in the dense function) and must
-    return the statistic of interest.  Sums over all 2^n subsets, each
-    visiting all 2^n points, as does the exact recheck of the same sweep.
+    `functional(values)` receives the distinct fiber values of E(f|G)
+    (each repeated 2^(n-|G|) times in the dense function) and must return
+    the statistic of interest.  Float or exact (object array) `f`; the
+    fibers of an exact `f` are averaged exactly.  Sums over all 2^n
+    subsets, each visiting all 2^n points.
     """
-    arr = np.asarray(f, dtype=np.float64)
+    arr = f if isinstance(f, np.ndarray) else np.asarray(f, dtype=np.float64)
     n = hc.dimension_of(arr)
     hc.admit("subset sweep", steps=1 << 2 * n)
     # axis j of the reshaped cube corresponds to coordinate n-1-j
@@ -288,71 +288,16 @@ def subset_expectation(f, lam: float, functional) -> float:
     total = 0.0
     for g in range(1 << n):
         size = g.bit_count()
-        axes = tuple(n - 1 - c for c in range(n) if (g >> c) & 1)
-        vals = _fiber_values(cube, axes)
+        drop = tuple(a for a in range(n) if not (g >> (n - 1 - a)) & 1)
+        vals = cube.mean(axis=drop, keepdims=True).ravel()
         w = (lam ** size) * ((1 - lam) ** (n - size))
-        total += w * functional(vals, size)
+        total += w * functional(vals)
     return total
-
-
-def _ent_of_fiber(values: np.ndarray, size: int) -> float:
-    mean = values.mean()
-    if mean == 0:
-        return 0.0
-    pos = values[values > 0]
-    return float((pos * np.log2(pos / mean)).sum() / len(values))
-
-
-def _subset_expectation_mp(f_fracs: np.ndarray, lam: mpmath.mpf, term_mp) -> mpmath.mpf:
-    """High-precision E_G term(fiber averages), fibers computed exactly."""
-    n = hc.dimension_of(f_fracs)
-    total = mpmath.mpf(0)
-    for g in range(1 << n):
-        coords = [c for c in range(n) if (g >> c) & 1]
-        vals = conditional_average(f_fracs, coords)
-        size = len(coords)
-        w = lam ** size * (1 - lam) ** (n - size)
-        total += w * term_mp(vals)
-    return total
-
-
-def _ent_term_mp(vals) -> mpmath.mpf:
-    mean = sum(vals) / len(vals)
-    if mean == 0:
-        return mpmath.mpf(0)
-    acc = mpmath.mpf(0)
-    for v in vals:
-        if v > 0:
-            acc += sm._mp(v) * sm._mp_log2(v / mean)
-    return acc / len(vals)
-
-
-def _as_fraction_array(arr: np.ndarray) -> np.ndarray:
-    out = np.empty(len(arr), dtype=object)
-    out[:] = [Fraction(float(v)) for v in arr]
-    return out
 
 
 def noisy_entropy_report(f, delta: float) -> BoundReport:
     """Ent[T_delta f] <= E_{G~(1-2d)^2} Ent[E(f|G)] for nonnegative f."""
-    arr = np.asarray(f, dtype=np.float64)
-    n = hc.dimension_of(arr)
-    kernel = kn.Kernel.bernoulli(n, Fraction(delta))
-    lhs = entropy_functional(hc.convolve(arr, kernel.lift()))
-    lam = erasure_noise_level(1, delta)
-    rhs = subset_expectation(arr, lam, _ent_of_fiber)
-
-    def recheck():
-        with mpmath.workdps(50):
-            fr = _as_fraction_array(arr)
-            noisy = hc.convolve(fr, kernel.lift(exact=True))
-            lhs_hp = _ent_term_mp(list(noisy))
-            lam_hp = _erasure_noise_level_mp(1, Fraction(delta))
-            return lhs_hp, _subset_expectation_mp(fr, lam_hp, _ent_term_mp)
-
-    return check_bound(f"noisy-entropy d={delta} n={n}", lhs, rhs,
-                       recheck=recheck,
-                       details={"delta": delta, "lambda": lam})
+    return _noisy_report("noisy-entropy", f, delta, 1, entropy_functional, {})
 
 
 def noisy_norm_report(f, delta: float, alpha) -> BoundReport:
@@ -363,40 +308,33 @@ def noisy_norm_report(f, delta: float, alpha) -> BoundReport:
     """
     if alpha != INF and (alpha < 2 or int(alpha) != alpha):
         raise ValueError("norm inequality needs integer alpha >= 2 or inf")
+    order = alpha if alpha == INF else int(alpha)
+    return _noisy_report(f"noisy-norm a={alpha}", f, delta, order,
+                         _log_norm(order), {"alpha": alpha})
+
+
+def _noisy_report(name: str, f, delta, alpha, statistic, details) -> BoundReport:
+    """statistic(T_delta f) <= E_{G ~ lambda} statistic(E(f|G)), with lambda
+    the erasure rate paired with delta at order alpha.
+
+    The recheck evaluates both sides on the exact binary values of f and
+    delta.
+    """
     arr = np.asarray(f, dtype=np.float64)
     n = hc.dimension_of(arr)
     kernel = kn.Kernel.bernoulli(n, Fraction(delta))
-    noisy = hc.convolve(arr, kernel.lift())
-    lam = erasure_noise_level(alpha if alpha == INF else int(alpha), delta)
 
-    if alpha == INF:
-        lhs = math.log2(noisy.max())
-        rhs = subset_expectation(
-            arr, lam, lambda vals, size: math.log2(vals.max()))
+    def sides(g, lam):
+        noisy = hc.convolve(g, kernel.lift(exact=hc.is_exact(g)))
+        return statistic(noisy), subset_expectation(g, lam, statistic)
 
-        def term_mp(vals):
-            return sm._mp_log2(max(vals))
-    else:
-        a = int(alpha)
-        lhs = math.log2(np.mean(noisy ** a)) / a
-        rhs = subset_expectation(
-            arr, lam,
-            lambda vals, size: math.log2(np.mean(vals ** a)) / a)
-
-        def term_mp(vals):
-            return sm._mp_log2(sum(v ** a for v in vals) / len(vals)) / a
-
-    def recheck():
-        with mpmath.workdps(50):
-            fr = _as_fraction_array(arr)
-            exact_noisy = hc.convolve(fr, kernel.lift(exact=True))
-            lhs_hp = term_mp(list(exact_noisy))
-            lam_hp = _erasure_noise_level_mp(alpha, Fraction(delta))
-            return lhs_hp, _subset_expectation_mp(fr, lam_hp, term_mp)
-
-    return check_bound(f"noisy-norm a={alpha} d={delta} n={n}", lhs, rhs,
-                       recheck=recheck,
-                       details={"delta": delta, "alpha": alpha, "lambda": lam})
+    lam = erasure_noise_level(alpha, delta)
+    lhs, rhs = sides(arr, lam)
+    return check_bound(
+        f"{name} d={delta} n={n}", lhs, rhs,
+        recheck=lambda: sides(hc.as_dense(arr, exact=True),
+                              erasure_noise_level(alpha, Fraction(delta))),
+        details={"delta": delta, **details, "lambda": lam})
 
 
 def conditional_norm_expectation(code: cd.LinearCode, lam: float, alpha: int) -> float:
@@ -409,6 +347,4 @@ def conditional_norm_expectation(code: cd.LinearCode, lam: float, alpha: int) ->
     f = code.pmf()
     scaled = f * (1 << code.n)
     a = int(alpha)
-    val = subset_expectation(
-        scaled, lam, lambda vals, size: math.log2(np.mean(vals ** a)) / a)
-    return val * a / (a - 1)
+    return subset_expectation(scaled, lam, _log_norm(a)) * a / (a - 1)

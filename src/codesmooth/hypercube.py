@@ -36,11 +36,11 @@ _INT64_MAX = np.iinfo(np.int64).max
 MEMORY_CAP = 1 << 30
 STEP_CAP = 2 ** 22
 
-# Peak bytes per cube point of exact rational smoothing and convolution.
-# tracemalloc measured 130-300 at n = 10..14 for rationals with small
-# denominators, such as Bernoulli(1/10) or ball kernels; probabilities
-# converted from binary floats carry 54-bit denominators per coordinate
-# and need about 600.
+# Peak bytes per cube point of exact rational convolution.  tracemalloc
+# measured 130-300 at n = 10..14 for rationals with small denominators,
+# such as Bernoulli(1/10) or ball kernels; probabilities converted from
+# binary floats carry 54-bit denominators per coordinate and need more,
+# which exact smoothing charges from the kernel's denominator.
 EXACT_CELL_BYTES = 400
 
 
@@ -387,19 +387,23 @@ def convolve_radial(f: np.ndarray, profiles) -> list[np.ndarray]:
     W(f) is taken once; each profile then costs one product and one inverse
     transform.  The work runs in int64 when 2^n max f sum_i C(n,i)|p(i)|
     fits, which bounds every exact result, and on Python ints otherwise.
+    W(f) itself is taken in int64 either way, which is exact while
+    sum f < 2^63, as for any code indicator.
     """
     n = dimension_of(f)
     mass = max(sum(math.comb(n, i) * abs(v) for i, v in enumerate(p))
                for p in profiles)
-    if not _int64_exact(n, int(f.max()) * mass):
+    on_int64 = _int64_exact(n, int(f.max()) * mass)
+    if not on_int64:
         admit("exact radial convolution", nbytes=EXACT_CELL_BYTES << n)
-        f = f.astype(object)
     wf = wht_natural(f)
+    if not on_int64:
+        wf = wf.astype(object)
     wt = weights_table(n)
     out = []
     for p in profiles:
         # one 2^n buffer per profile: lift, multiply and transform in place
-        counts = np.array(radial_transform(n, p), dtype=f.dtype)[wt]
+        counts = np.array(radial_transform(n, p), dtype=wf.dtype)[wt]
         counts *= wf
         counts = _wht_inplace(counts)
         if np.bitwise_or.reduce(counts) & ((1 << n) - 1):

@@ -18,8 +18,12 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
+import sys
+from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp
@@ -159,10 +163,14 @@ class Kernel:
         return max(nz, default=0)
 
     def renyi_entropy(self, alpha) -> float:
-        """H_alpha of the kernel, through the radial shortcut when radial."""
+        """H_alpha of the kernel from its exact values: the per-weight
+        profile when radial, so no 2^n array is built."""
         if self.is_radial():
-            return renyi_entropy_radial(self.n, self.radial_profile(exact=False), alpha)
-        return renyi_entropy(self.lift(), alpha)
+            return renyi_entropy_radial(self.n, self.radial_profile(), alpha)
+        if self.form == "subcube":
+            free = 1 << (self.n - len(self.coords))
+            return _exact_renyi({Fraction(1, free): free}, alpha)
+        return renyi_entropy(self.values, alpha)
 
     def spec_string(self) -> str:
         if self.form == "bernoulli":
@@ -203,6 +211,25 @@ def parse_kernel_spec(spec: str, n: int) -> Kernel:
 # Renyi entropies
 # ---------------------------------------------------------------------------
 
+def log2(x):
+    """log2 of a positive int, Fraction, float or mpf at mpmath's working
+    precision: a float at the default 53 bits, an mpf above them.
+
+    A Fraction is rounded once, to a float or an mpf; one below the normal
+    float range is split into numerator and denominator instead.
+    """
+    if mpmath.mp.prec > 53:
+        if isinstance(x, Fraction):
+            x = mpmath.mpf(x.numerator) / x.denominator
+        return mpmath.log(x, 2)
+    if isinstance(x, Fraction):
+        rounded = float(x)
+        if rounded < sys.float_info.min:
+            return math.log2(x.numerator) - math.log2(x.denominator)
+        x = rounded
+    return math.log2(x)
+
+
 def entropy_from_log_terms(log_terms: np.ndarray, alpha) -> float:
     """H_alpha in bits from natural logs of the positive pmf terms."""
     if alpha == 0:
@@ -217,31 +244,48 @@ def entropy_from_log_terms(log_terms: np.ndarray, alpha) -> float:
     return float(s / (1 - a) / math.log(2))
 
 
+def _exact_renyi(masses: dict, alpha):
+    """H_alpha in bits of a pmf given as {exact point mass: number of points}.
+
+    Power sums at integer orders are exact; every log goes through `log2`,
+    so the result is a float at the default precision and an mpf above it.
+    """
+    if alpha < 0:
+        raise ValueError("Renyi order must be >= 0")
+    if alpha == 0:
+        return log2(sum(masses.values()))
+    if alpha == INF:
+        return -log2(max(masses))
+    if alpha == 1:
+        return -sum(m * v * log2(v) for v, m in masses.items())
+    if float(alpha).is_integer():
+        s = sum(m * v ** int(alpha) for v, m in masses.items())
+    else:
+        s = sum(m * 2 ** (alpha * log2(v)) for v, m in masses.items())
+    return log2(s) / (1 - alpha)
+
+
+_num_den = operator.attrgetter("numerator", "denominator")
+
+
 def renyi_entropy(p, alpha) -> float:
     """H_alpha(p) in bits for a dense pmf; limits alpha in {0, 1, inf} included.
 
-    Float inputs are handled in the log domain; exact inputs with integer
-    alpha go through exact power sums before the single final log.
+    Float inputs are handled in the log domain.  Exact inputs are grouped
+    into distinct point masses and go through `_exact_renyi`.
     """
     arr = p if isinstance(p, np.ndarray) else hc.as_dense(p)
     if alpha < 0:
         raise ValueError("Renyi order must be >= 0")
     if hc.is_exact(arr):
-        support = [Fraction(v) for v in arr if v != 0]
-        if any(v < 0 for v in support):
+        # grouping on (numerator, denominator) avoids hashing 2^n Fractions
+        groups = Counter(map(_num_den, arr))
+        masses = {Fraction(*nd): m for nd, m in groups.items() if nd[0] != 0}
+        if any(v < 0 for v in masses):
             raise ValueError("pmf has a negative entry")
-        if sum(support) != 1:
+        if sum(m * v for v, m in masses.items()) != 1:
             raise ValueError("exact input is not a pmf")
-        if alpha == 0:
-            return math.log2(len(support))
-        if alpha == INF:
-            return -_log2_fraction(max(support))
-        if alpha == 1:
-            return -sum(float(v) * _log2_fraction(v) for v in support)
-        if isinstance(alpha, int) or (isinstance(alpha, Fraction) and alpha.denominator == 1):
-            s = sum(v ** int(alpha) for v in support)
-            return _log2_fraction(s) / (1 - int(alpha))
-        arr = np.array([float(v) for v in arr])
+        return _exact_renyi(masses, alpha)
     total = float(arr.sum())
     # transform round-off can leave -1e-13-scale noise on true zeros
     if abs(total - 1.0) > 1e-9 or float(arr.min()) < -1e-12:
@@ -255,37 +299,14 @@ def renyi_entropy_radial(n: int, profile, alpha) -> float:
 
     Each weight shell i contributes C(n,i) identical point masses, so the
     power sum is sum_i C(n,i) p_i^alpha; the multiplicity enters linearly
-    and must not be raised to alpha.
+    and must not be raised to alpha.  Float entries are taken at their
+    exact binary value, so only the logs round.
     """
-    if alpha < 0:
-        raise ValueError("Renyi order must be >= 0")
-    logp = []
-    logm = []
+    masses = Counter()
     for i, v in enumerate(profile):
-        v = float(v)
         if v > 0:
-            logp.append(math.log(v))
-            logm.append(_log_comb(n, i))
-    logp = np.array(logp)
-    logm = np.array(logm)
-    if alpha == 0:
-        return float(logsumexp(logm) / math.log(2))
-    if alpha == 1:
-        return float(-(np.exp(logm + logp) * logp).sum() / math.log(2))
-    if alpha == INF:
-        return float(-logp.max() / math.log(2))
-    a = float(alpha)
-    s = logsumexp(a * logp + logm)
-    return float(s / (1 - a) / math.log(2))
-
-
-def _log_comb(n: int, i: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-
-
-def _log2_fraction(f: Fraction) -> float:
-    """log2 of a positive Fraction; exact-int log2 avoids float overflow."""
-    return math.log2(f.numerator) - math.log2(f.denominator)
+            masses[Fraction(v)] += math.comb(n, i)
+    return _exact_renyi(masses, alpha)
 
 
 def shannon_entropy(p) -> float:
@@ -298,25 +319,21 @@ def shannon_entropy(p) -> float:
 # ---------------------------------------------------------------------------
 
 def binary_renyi(alpha, delta) -> float:
-    """h_alpha(delta) in bits, with the alpha in {0, 1, inf} limits."""
-    d = float(delta)
-    if not 0.0 <= d <= 1.0:
+    """h_alpha(delta) in bits, with the alpha in {0, 1, inf} limits.
+
+    The two-point pmf (1 - delta, delta) is the radial pmf of profile
+    [1 - delta, delta] on {0,1}; a float delta is taken at its binary value.
+    """
+    d = Fraction(delta)
+    if not 0 <= d <= 1:
         raise ValueError(f"probability {delta} outside [0,1]")
-    if alpha < 0:
-        raise ValueError("Renyi order must be >= 0")
-    if d in (0.0, 1.0):
+    if d in (0, 1):
         return 0.0
-    if d == 0.5:
+    if d == Fraction(1, 2):
         return 1.0  # exact at the symmetric point for every order
-    if alpha == 0:
-        return 1.0
-    if alpha == 1:
-        return -(d * math.log2(d) + (1 - d) * math.log2(1 - d))
-    if alpha == INF:
-        return -math.log2(max(d, 1 - d))
     # near alpha = 1 the 1/(1-alpha) factor amplifies log round-off past
     # the mathematical range [0, 1]; clamp to it
-    val = math.log2(d ** alpha + (1 - d) ** alpha) / (1 - alpha)
+    val = renyi_entropy_radial(1, [1 - d, d], alpha)
     return min(max(val, 0.0), 1.0)
 
 

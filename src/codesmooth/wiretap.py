@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from . import codes as cd
@@ -91,13 +90,14 @@ def leakage_exact(scheme: NestedScheme, delta_e: float) -> float:
     and the conditional given any message is a shifted noisy inner
     distribution, whose entropy is shift invariant.
     """
-    return _leakage(*_noisy_pmfs(scheme, delta_e))
+    return _leakage(*_noisy_pmfs(scheme, delta_e, False))
 
 
-def _noisy_pmfs(scheme: NestedScheme, delta_e) -> tuple[np.ndarray, np.ndarray]:
+def _noisy_pmfs(scheme: NestedScheme, delta_e, exact: bool) -> tuple[np.ndarray, np.ndarray]:
     """The noisy outer and inner pmfs T_de f_Cb and T_de f_Ce."""
     kernel = kn.Kernel.bernoulli(scheme.n, Fraction(delta_e))
-    return sm.smooth(scheme.outer, kernel), sm.smooth(scheme.inner, kernel)
+    return (sm.smooth(scheme.outer, kernel, exact=exact),
+            sm.smooth(scheme.inner, kernel, exact=exact))
 
 
 def _leakage(outer: np.ndarray, inner: np.ndarray) -> float:
@@ -143,30 +143,22 @@ def secrecy_report(scheme: NestedScheme, delta_e: float, alpha=1) -> BoundReport
 
     At order 1 the gap is exactly the divergence of the marginal from
     uniform, which vanishes when the outer code fills the space; the
-    recheck re-evaluates the entropies from exact rational pmfs.
+    recheck evaluates the same entropies on the exact rational pmfs.
     """
-    outer, inner = _noisy_pmfs(scheme, delta_e)
-    leak = _leakage(outer, inner)
-    bound = sm.divergence_to_uniform(inner, alpha).d_alpha
+    def sides(exact):
+        outer, inner = _noisy_pmfs(scheme, delta_e, exact)
+        return _leakage(outer, inner), sm.divergence_to_uniform(inner, alpha).d_alpha
 
-    def recheck():
-        kernel = kn.Kernel.bernoulli(scheme.n, Fraction(delta_e))
-        inner = sm.smooth(scheme.inner, kernel, exact=True)
-        with mpmath.workdps(50):
-            h_outer = sm._mp_renyi(sm.smooth(scheme.outer, kernel, exact=True), 1)
-            h_inner = sm._mp_renyi(inner, 1)
-            bound_hp = scheme.n - (h_inner if alpha == 1 else sm._mp_renyi(inner, alpha))
-            return h_outer - h_inner, bound_hp
-
+    leak, bound = sides(False)
     name = f"secrecy-bound n={scheme.n} de={delta_e}" + (f" a={alpha}" if alpha != 1 else "")
-    return check_bound(name, leak, bound, recheck=recheck,
+    return check_bound(name, leak, bound, recheck=lambda: sides(True),
                        details={"scheme": repr(scheme), "alpha": alpha})
 
 
 def decomposition_terms(scheme: NestedScheme, delta_e: float) -> tuple[float, float, float]:
     """(conditional divergence, leakage, marginal divergence): the first
     equals the sum of the other two."""
-    outer, inner = _noisy_pmfs(scheme, delta_e)
+    outer, inner = _noisy_pmfs(scheme, delta_e, False)
     cond = sm.divergence_to_uniform(inner, 1).d_alpha
     marg = sm.divergence_to_uniform(outer, 1).d_alpha
     return cond, _leakage(outer, inner), marg

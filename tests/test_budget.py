@@ -75,3 +75,24 @@ def test_decoding_scans_codewords_when_the_table_is_refused(monkeypatch, hamming
     with pytest.raises(hc.BudgetExceeded):
         dec.ball_counts_table(hamming7, 1)
     assert dec.mc_decoding_error(hamming7, 0.05, 1, 1, 5000, seed=3) == table_path
+
+
+def test_exact_smoothing_estimate_grows_with_the_kernel_denominator(monkeypatch):
+    n = 10
+    code = cd.random_linear(n, 5, seed=1)
+    small = kn.Kernel.bernoulli(n, Fraction(1, 10))
+    binary = kn.Kernel.bernoulli(n, Fraction(0.1))  # 55 denominator bits per coordinate
+    per_point = sm._exact_cell_bytes(binary)
+    assert per_point > hc.EXACT_CELL_BYTES > sm._exact_cell_bytes(small)
+    tracemalloc.start()
+    try:
+        sm.smooth(code, binary, exact=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hc.EXACT_CELL_BYTES << n < peak <= per_point << n
+    monkeypatch.setattr(hc, "MEMORY_CAP", per_point << n)
+    sm.smooth(code, binary, exact=True)
+    monkeypatch.setattr(hc, "MEMORY_CAP", (per_point << n) - 1)
+    with pytest.raises(hc.BudgetExceeded, match="exact smoothing"):
+        sm.smooth(code, binary, exact=True)
