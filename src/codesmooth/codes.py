@@ -3,6 +3,8 @@
 Linear codes carry a row-reduced generator matrix (numpy uint8).  Codewords
 are materialized as integer arrays (coordinate i in bit i) by repeated
 doubling; `hypercube.admit` refuses enumerations too large to hold.
+A linear code also works on its 2^(n-k) cosets, indexed by syndrome, with
+the coset weight distribution taken from the dual code (MacWilliams).
 Distance distributions follow the pair-count normalization A_i =
 #pairs-at-distance-i / |C|, which for linear codes is the weight
 distribution of the code itself.
@@ -58,8 +60,13 @@ def rows_to_ints(mat: np.ndarray) -> list[int]:
     return [int(sum(int(b) << j for j, b in enumerate(row))) for row in mat]
 
 
-def int_to_row(x: int, n: int) -> np.ndarray:
-    return np.array([(x >> j) & 1 for j in range(n)], dtype=np.uint8)
+def span(gens) -> np.ndarray:
+    """XOR of every subset of the int words `gens`: entry a combines
+    gens[j] for each set bit j of a (doubling enumeration)."""
+    out = np.zeros(1, dtype=np.int64)
+    for g in gens:
+        out = np.concatenate([out, out ^ g])
+    return out
 
 
 def _check_length(n: int) -> None:
@@ -68,7 +75,9 @@ def _check_length(n: int) -> None:
 
 
 class _Code:
-    """Dense 2^n arrays over the codewords, shared by both representations."""
+    """Dense 2^n arrays over the codewords, shared by both representations,
+    which also split the cube into `cells` (cosets of a linear code, points
+    otherwise) on which `radial_counts` is constant; `cell_of` finds them."""
 
     def indicator(self) -> np.ndarray:
         """Dense int64 0/1 indicator of the code."""
@@ -106,6 +115,7 @@ class LinearCode(_Code):
         self._codewords: np.ndarray | None = None
         self._dual: LinearCode | None = None
         self._weights: np.ndarray | None = None
+        self._cosets: np.ndarray | None = None
         self.rank_profile_cache: dict | None = None
 
     @property
@@ -120,10 +130,7 @@ class LinearCode(_Code):
         """All 2^k codewords as int64 values (doubling enumeration)."""
         if self._codewords is None:
             hc.admit("codeword enumeration", nbytes=16 << self.k)
-            cw = np.zeros(1, dtype=np.int64)
-            for r in rows_to_ints(self.generator):
-                cw = np.concatenate([cw, cw ^ r])
-            self._codewords = cw
+            self._codewords = span(rows_to_ints(self.generator))
         return self._codewords
 
     def weights(self) -> np.ndarray:
@@ -131,10 +138,48 @@ class LinearCode(_Code):
             self._weights = np.bitwise_count(self.codeword_ints())
         return self._weights
 
+    @property
+    def cells(self) -> int:
+        return 1 << (self.n - self.k)
+
+    def cell_of(self, points) -> np.ndarray:
+        """Syndrome of each point: bit j is its parity on row j of the dual
+        generator.  Looked up 12 coordinates at a time."""
+        pts = np.asarray(points, dtype=np.int64)
+        cols = rows_to_ints(self.dual().generator.T)  # syndromes of unit vectors
+        out = np.zeros(pts.shape, dtype=np.int64)
+        for lo in range(0, self.n, 12):
+            out ^= span(cols[lo:lo + 12])[(pts >> lo) & 0xFFF]
+        return out
+
+    def coset_weights(self) -> np.ndarray:
+        """N[s, i] = number of weight-i words in the coset of syndrome s
+        (2^(n-k) x (n+1), int64, cached): the transform of K_i(|u|) over
+        the dual codewords u, whose index bits are the syndrome bits, over
+        2^(n-k); in int64 when 2^(n-k) max_i C(n,i) fits, else Python ints.
+        """
+        if self._cosets is None:
+            n, r = self.n, self.n - self.k
+            on_int64 = hc._int64_exact(r, math.comb(n, n // 2))
+            # measured: 20 bytes per int64 entry, 90 per Python int at ~1 us per butterfly
+            hc.admit("coset weight distribution",
+                     nbytes=(n + 1) * ((24 if on_int64 else hc.EXACT_CELL_BYTES) << r),
+                     steps=0 if on_int64 else r * (n + 1) << r)
+            kraw = np.array(hc.krawtchouk_matrix(n), dtype=np.int64 if on_int64 else object)
+            table = hc.wht_natural(kraw.T[self.dual().weights()])
+            table >>= r
+            self._cosets = table.astype(np.int64, copy=False)
+        return self._cosets
+
+    def radial_counts(self, profiles) -> list[np.ndarray]:
+        """Exact s -> sum_i p(i) N[s, i] for each integer profile p: the
+        value of x -> sum_c p(|x^c|) on coset s."""
+        return [self.coset_weights() @ np.array(p, dtype=np.int64 if hc._int64_exact(
+                    0, hc.radial_sum(self.n, [abs(v) for v in p])) else object)
+                for p in profiles]
+
     def contains(self, word: int) -> bool:
-        v = int_to_row(word, self.n)
-        stacked = np.vstack([self.generator, v])
-        return gf2_rank(stacked) == self.k
+        return not self.cell_of(word)
 
     def is_subcode_of(self, other: "LinearCode") -> bool:
         if self.n != other.n:
@@ -183,6 +228,17 @@ class ExplicitCode(_Code):
 
     def codeword_ints(self) -> np.ndarray:
         return self.words
+
+    @property
+    def cells(self) -> int:
+        return 1 << self.n
+
+    def cell_of(self, points) -> np.ndarray:
+        return np.asarray(points, dtype=np.int64)
+
+    def radial_counts(self, profiles) -> list[np.ndarray]:
+        """Exact x -> sum_c p(|x^c|) at every point, for integer profiles."""
+        return hc.convolve_radial(self.indicator(), profiles)
 
     def __repr__(self):
         return f"ExplicitCode(n={self.n}, size={self.size})"
@@ -323,7 +379,10 @@ def dual_distance_distribution(dist, size: int) -> list[Fraction]:
 
 
 def covering_radius(code) -> int:
-    """max_x min_c d(x, c) by breadth-first expansion over the full cube."""
+    """max_x min_c d(x, c): the largest coset-leader weight of a linear code;
+    for an explicit code, by breadth-first expansion over the full cube."""
+    if isinstance(code, LinearCode):
+        return int((code.coset_weights() != 0).argmax(axis=1).max())
     n = code.n
     hc.admit("covering radius sweep", nbytes=3 << n)
     covered = np.zeros(1 << n, dtype=bool)

@@ -138,9 +138,9 @@ def asymptotic_bound(dist, delta: float, list_size: int,
 
 def ball_counts_table(code, t: int) -> np.ndarray:
     """F_t(y) = #codewords within distance t of y, for every y (dense)."""
-    n = code.n
-    hc.admit("codeword-count table", nbytes=48 << n)
-    return hc.convolve_radial(code.indicator(), [[1] * (t + 1) + [0] * (n - t)])[0]
+    hc.admit("codeword-count table", nbytes=48 << code.n)
+    (counts,) = code.radial_counts([[1] * (t + 1) + [0] * (code.n - t)])
+    return counts[code.cell_of(np.arange(1 << code.n))]
 
 
 def mc_decoding_error(code, delta: float, list_size: int, t: int,
@@ -149,14 +149,15 @@ def mc_decoding_error(code, delta: float, list_size: int, t: int,
 
     The zero codeword is transmitted (the error event of a linear code is
     translation invariant).  Returns (estimate, standard error).  Looks
-    F_t up in `ball_counts_table` when that is admitted and scans the
-    codewords per trial otherwise.
+    F_t up by the cell (syndrome) of each received word when the cell
+    counts are admitted and scans the codewords per trial otherwise.
     """
     n = code.n
     try:
-        table, words = ball_counts_table(code, t), None
+        hc.admit("codeword-count table", nbytes=48 * code.cells)
+        counts, words = code.radial_counts([[1] * (t + 1) + [0] * (n - t)])[0], None
     except hc.BudgetExceeded:
-        table, words = None, code.codeword_ints()
+        counts, words = None, code.codeword_ints()
     failures = 0
     done = 0
     shard = 0
@@ -166,8 +167,8 @@ def mc_decoding_error(code, delta: float, list_size: int, t: int,
         bits = rng.random((count, n)) < delta
         idx = bits @ (1 << np.arange(n, dtype=np.int64))
         wt = np.bitwise_count(idx)
-        if table is not None:
-            many = table[idx] >= list_size + 1
+        if counts is not None:
+            many = counts[code.cell_of(idx)] >= list_size + 1
         else:
             many = np.array([
                 int(np.count_nonzero(np.bitwise_count(words ^ y) <= t)) >= list_size + 1

@@ -131,6 +131,7 @@ def wht_natural(values) -> np.ndarray:
 
     Works on float64, integer, and object (Fraction / Python int) arrays;
     the butterfly preserves exactness.  Self-inverse up to a factor 2^n.
+    A 2-D array is transformed down each column.
     """
     return _wht_inplace(np.array(values, copy=True))
 
@@ -143,24 +144,24 @@ def _wht_inplace(a: np.ndarray) -> np.ndarray:
         return _wht_native_inplace(a)
     h = 1
     while h < size:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a[:, 0, :] = top
-        a[:, 1, :] = bot
+        v = a.reshape(-1, 2, h, *a.shape[1:])
+        top = v[:, 0] + v[:, 1]
+        bot = v[:, 0] - v[:, 1]
+        v[:, 0] = top
+        v[:, 1] = bot
         h *= 2
-    return a.reshape(size)
+    return a
 
 
 def _wht_native_inplace(a: np.ndarray) -> np.ndarray:
     """Butterflies with a reused half-size scratch buffer (no per-level allocs)."""
     size = a.shape[0]
-    scratch = np.empty(size // 2, dtype=a.dtype) if size > 1 else None
+    scratch = np.empty((size // 2, *a.shape[1:]), dtype=a.dtype) if size > 1 else None
     h = 1
     while h < size:
-        v = a.reshape(-1, 2, h)
-        top, bot = v[:, 0, :], v[:, 1, :]
-        buf = scratch[: size // 2].reshape(top.shape)
+        v = a.reshape(-1, 2, h, *a.shape[1:])
+        top, bot = v[:, 0], v[:, 1]
+        buf = scratch.reshape(top.shape)
         np.subtract(top, bot, out=buf)
         np.add(top, bot, out=top)
         bot[:] = buf
@@ -347,13 +348,18 @@ def radial_transform(n: int, profile) -> list:
     """
     if len(profile) != n + 1:
         raise DimensionMismatch(f"profile length {len(profile)} != n+1 = {n + 1}")
-    # all rows K_0..K_n by the three-term recurrence
-    # (t+1) K_{t+1}(x) = (n-2x) K_t(x) - (n-t+1) K_{t-1}(x), in O(n^2)
+    rows = krawtchouk_matrix(n)
+    return [sum(profile[i] * rows[i][k] for i in range(n + 1)) for k in range(n + 1)]
+
+
+def krawtchouk_matrix(n: int) -> list[list[int]]:
+    """Rows [K_t(0), ..., K_t(n)] for t = 0..n in O(n^2), by the recurrence
+    (t+1) K_{t+1}(x) = (n-2x) K_t(x) - (n-t+1) K_{t-1}(x)."""
     rows = [[1] * (n + 1), [n - 2 * x for x in range(n + 1)]]
     for t in range(1, n):
         rows.append([((n - 2 * x) * a - (n - t + 1) * b) // (t + 1)
                      for x, (a, b) in enumerate(zip(rows[t], rows[t - 1]))])
-    return [sum(profile[i] * rows[i][k] for i in range(n + 1)) for k in range(n + 1)]
+    return rows[:n + 1]
 
 
 def radial_hat(n: int, profile) -> list:

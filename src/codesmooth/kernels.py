@@ -169,7 +169,7 @@ class Kernel:
             return renyi_entropy_radial(self.n, self.radial_profile(), alpha)
         if self.form == "subcube":
             free = 1 << (self.n - len(self.coords))
-            return _exact_renyi({Fraction(1, free): free}, alpha)
+            return exact_renyi({Fraction(1, free): free}, alpha)
         return renyi_entropy(self.values, alpha)
 
     def spec_string(self) -> str:
@@ -244,7 +244,7 @@ def entropy_from_log_terms(log_terms: np.ndarray, alpha) -> float:
     return float(s / (1 - a) / math.log(2))
 
 
-def _exact_renyi(masses: dict, alpha):
+def exact_renyi(masses: dict, alpha):
     """H_alpha in bits of a pmf given as {exact point mass: number of points}.
 
     Power sums at integer orders are exact; every log goes through `log2`,
@@ -268,24 +268,29 @@ def _exact_renyi(masses: dict, alpha):
 _num_den = operator.attrgetter("numerator", "denominator")
 
 
+def point_masses(p) -> dict:
+    """{exact point mass: number of points} of an exact pmf, zero excluded."""
+    # grouping on (numerator, denominator) avoids hashing 2^n Fractions
+    groups = Counter(map(_num_den, p))
+    masses = {Fraction(*nd): m for nd, m in groups.items() if nd[0] != 0}
+    if any(v < 0 for v in masses):
+        raise ValueError("pmf has a negative entry")
+    if sum(m * v for v, m in masses.items()) != 1:
+        raise ValueError("exact input is not a pmf")
+    return masses
+
+
 def renyi_entropy(p, alpha) -> float:
     """H_alpha(p) in bits for a dense pmf; limits alpha in {0, 1, inf} included.
 
     Float inputs are handled in the log domain.  Exact inputs are grouped
-    into distinct point masses and go through `_exact_renyi`.
+    into distinct point masses and go through `exact_renyi`.
     """
     arr = p if isinstance(p, np.ndarray) else hc.as_dense(p)
     if alpha < 0:
         raise ValueError("Renyi order must be >= 0")
     if hc.is_exact(arr):
-        # grouping on (numerator, denominator) avoids hashing 2^n Fractions
-        groups = Counter(map(_num_den, arr))
-        masses = {Fraction(*nd): m for nd, m in groups.items() if nd[0] != 0}
-        if any(v < 0 for v in masses):
-            raise ValueError("pmf has a negative entry")
-        if sum(m * v for v, m in masses.items()) != 1:
-            raise ValueError("exact input is not a pmf")
-        return _exact_renyi(masses, alpha)
+        return exact_renyi(point_masses(arr), alpha)
     total = float(arr.sum())
     # transform round-off can leave -1e-13-scale noise on true zeros
     if abs(total - 1.0) > 1e-9 or float(arr.min()) < -1e-12:
@@ -306,7 +311,7 @@ def renyi_entropy_radial(n: int, profile, alpha) -> float:
     for i, v in enumerate(profile):
         if v > 0:
             masses[Fraction(v)] += math.comb(n, i)
-    return _exact_renyi(masses, alpha)
+    return exact_renyi(masses, alpha)
 
 
 def shannon_entropy(p) -> float:

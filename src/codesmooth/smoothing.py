@@ -1,12 +1,14 @@
 """Noisy code distributions and their distance to uniform.
 
 The central object is T_r f_C: the uniform distribution on a code pushed
-through a noise kernel.  This module measures how far that distribution is
-from uniform (Renyi divergence of any order), provides the closed-form
-second-moment identities that express the L2 case through distance
-spectra, the rate lower bound, threshold-rate formulas for Bernoulli and
-ball noise families, and exact certificates of perfect smoothing
-(including recovery of the smoothing kernel for uniformly packed codes).
+through a noise kernel; under a radial kernel it is constant on each coset
+of a linear code, which is where it is computed.  This module measures how
+far that distribution is from uniform (Renyi divergence of any order),
+provides the closed-form second-moment identities that express the L2 case
+through distance spectra, the rate lower bound, threshold-rate formulas for
+Bernoulli and ball noise families, and exact certificates of perfect
+smoothing (including recovery of the smoothing kernel for uniformly packed
+codes).
 """
 
 from __future__ import annotations
@@ -31,12 +33,36 @@ INF = math.inf
 # ---------------------------------------------------------------------------
 
 def smooth(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
-    """Dense pmf of the noisy code distribution r * f_C."""
+    """Dense pmf of the noisy code distribution r * f_C.  Under a radial
+    kernel, coset s of a linear code has mass (1/|C|) sum_i r(i) N_i(s) per
+    point, a sum of nonnegative terms; other pairs convolve dense arrays."""
     if kernel.n != code.n:
         raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={code.n}")
-    hc.admit("exact smoothing" if exact else "dense smoothing",
-             nbytes=(_exact_cell_bytes(kernel) if exact else 48) << code.n)
+    what = "exact smoothing" if exact else "dense smoothing"
+    if isinstance(code, cd.LinearCode) and kernel.is_radial():
+        # the syndromes of all points and their gather, plus the coset masses
+        hc.admit(what, nbytes=(40 << code.n)
+                 + (_exact_cell_bytes(kernel) if exact else 8) * code.cells)
+        return _coset_masses(code, kernel, exact)[code.cell_of(np.arange(1 << code.n))]
+    hc.admit(what, nbytes=(_exact_cell_bytes(kernel) if exact else 48) << code.n)
     return hc.convolve(code.pmf(exact=exact), kernel.lift(exact=exact))
+
+
+def _coset_masses(code: cd.LinearCode, kernel: kn.Kernel, exact: bool) -> np.ndarray:
+    """The mass of a point of each coset, in float or as Fractions."""
+    if not exact:
+        return code.coset_weights() @ np.array(kernel.radial_profile(exact=False)) / code.size
+    scaled, denom = _scaled_profile(kernel)
+    out = np.empty(code.cells, dtype=object)
+    out[:] = [Fraction(int(c), code.size * denom) for c in code.radial_counts([scaled])[0]]
+    return out
+
+
+def _scaled_profile(kernel: kn.Kernel) -> tuple[list[int], int]:
+    """The radial profile times its common denominator, and the denominator."""
+    prof = kernel.radial_profile()
+    denom = math.lcm(*(v.denominator for v in prof))
+    return [int(v * denom) for v in prof], denom
 
 
 def _exact_cell_bytes(kernel: kn.Kernel) -> int:
@@ -56,10 +82,9 @@ def is_perfectly_smoothed(code, kernel: kn.Kernel) -> bool:
     """Exact test of T_r f_C == U_n.
 
     A radial kernel is scaled to integers by its common denominator and
-    convolved with the code indicator by `hc.convolve_radial` (int64 when
-    its rule admits, Python ints otherwise), so no per-point Fraction is
-    built; other kernels compare every entry of the exact rational
-    smoothing with 2^{-n}.
+    evaluated once per cell by `code.radial_counts` (int64 when it fits,
+    Python ints otherwise), so no per-point Fraction is built; other
+    kernels compare every entry of the exact rational smoothing with 2^{-n}.
     """
     n = code.n
     if kernel.n != n:
@@ -67,14 +92,13 @@ def is_perfectly_smoothed(code, kernel: kn.Kernel) -> bool:
     if not kernel.is_radial():
         target = Fraction(1, 1 << n)
         return all(v == target for v in smooth(code, kernel, exact=True))
-    prof = kernel.radial_profile()
-    denom = math.lcm(*(f.denominator for f in prof))
+    scaled, denom = _scaled_profile(kernel)
     # uniform iff the scaled smoothing equals |C| * denom / 2^n everywhere
     target = code.size * denom
     if target % (1 << n):
         return False
-    hc.admit("perfect-smoothing certificate", nbytes=48 << n)
-    (conv,) = hc.convolve_radial(code.indicator(), [[int(f * denom) for f in prof]])
+    hc.admit("perfect-smoothing certificate", nbytes=48 * code.cells)
+    (conv,) = code.radial_counts([scaled])
     return bool((conv == target >> n).all())
 
 
@@ -97,14 +121,20 @@ def divergence_to_uniform(f, alpha) -> SmoothnessReport:
     d_alpha = n - H_alpha(f); l_alpha = ||2^n f||_alpha; the dimensionless
     ratio is ||f - U||_alpha / ||f||_1 = ||2^n f - 1||_alpha.  The norms
     are undefined at alpha = 0, where only the divergence is filled in.
+    An exact pmf is grouped into distinct masses, one float conversion each.
     """
     arr = f if isinstance(f, np.ndarray) else hc.as_dense(f)
     n = hc.dimension_of(arr)
-    d_alpha = n - kn.renyi_entropy(arr, alpha)
+    if hc.is_exact(arr):
+        masses = kn.point_masses(arr)
+        d_alpha = n - kn.exact_renyi(masses, alpha)
+        # the norms need each value's multiplicity, not its position
+        arr = np.zeros(len(arr))
+        arr[:sum(masses.values())] = np.repeat([float(v) for v in masses], list(masses.values()))
+    else:
+        d_alpha = n - kn.renyi_entropy(arr, alpha)
     if alpha == 0:
         return SmoothnessReport(n, alpha, d_alpha, math.nan, math.nan)
-    if hc.is_exact(arr):
-        arr = np.array([float(v) for v in arr])
     scaled = arr * (1 << n)
     l_alpha = _norm(scaled, alpha)
     dimensionless = _norm(scaled - 1.0, alpha)
@@ -234,32 +264,12 @@ def pi_rate(kind: str, alpha, delta: float, n: int | None = None) -> float:
 
 def local_weight_rows(code, radius: int) -> np.ndarray:
     """Distinct rows (N_0(x), ..., N_radius(x)) of codeword counts at each
-    distance, over all x in the cube."""
+    distance, over all x in the cube (one x per cell of the code)."""
     n = code.n
     # the transforms and weight table, plus one int64 column per shell
-    hc.admit("local weight rows", nbytes=(72 + 8 * radius) << n)
+    hc.admit("local weight rows", nbytes=(72 + 8 * radius) * code.cells)
     shells = [[int(j == i) for j in range(n + 1)] for i in range(radius + 1)]
-    cols = hc.convolve_radial(code.indicator(), shells)
-    # the shell-i count is at most min(|C|, C(n,i)); when the widths fit
-    # one word, pack each row into a single key so the dedup is a 1-D
-    # unique instead of a lexicographic row sort
-    widths = [min(code.size, math.comb(n, i)).bit_length() + 1
-              for i in range(radius + 1)]
-    if sum(widths) <= 63:
-        packed = cols[0].copy()
-        for c, w in zip(cols[1:], widths[1:]):
-            packed <<= w
-            packed |= c
-        keys = np.unique(packed)
-        out = np.empty((len(keys), radius + 1), dtype=np.int64)
-        for j in range(radius, 0, -1):
-            mask = (1 << widths[j]) - 1
-            out[:, j] = keys & mask
-            keys = keys >> widths[j]
-        out[:, 0] = keys
-        return out
-    stacked = np.stack(cols, axis=1)
-    return np.unique(stacked, axis=0)
+    return np.unique(np.stack(code.radial_counts(shells), axis=1), axis=0)
 
 
 def perfect_kernel_search(code) -> kn.Kernel | None:

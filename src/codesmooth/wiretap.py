@@ -62,11 +62,8 @@ class NestedScheme:
                 extra.append(int(sum(int(b) << j for j, b in enumerate(row))))
         if len(extra) != self.message_bits:
             raise AssertionError("coset basis completion failed")
-        reps = np.zeros(1, dtype=np.int64)
-        for r in extra:
-            reps = np.concatenate([reps, reps ^ r])
         leaders = []
-        for rep in reps:
+        for rep in cd.span(extra):
             coset = inner_words ^ rep
             wt = np.bitwise_count(coset)
             best = wt.min()

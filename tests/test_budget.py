@@ -41,6 +41,8 @@ REFUSALS = [
     ("Hamming weight table", "memory cap", lambda: cd.ball_code(40, 1)),
     ("dense ensemble trial", "memory cap",
      lambda: rc.EnsembleSpec(30, 0.5, kn.Kernel.bernoulli(30, Fraction(1, 10)), 10)),
+    ("coset weight distribution", "memory cap",   # 2^32 cosets
+     lambda: cd.covering_radius(cd.random_linear(40, 8, seed=0))),
 ]
 
 
@@ -70,16 +72,18 @@ def test_admit_boundaries():
 
 def test_decoding_scans_codewords_when_the_table_is_refused(monkeypatch, hamming7):
     table_path = dec.mc_decoding_error(hamming7, 0.05, 1, 1, 5000, seed=3)
-    # room for the 2^4 codewords but not for the 2^7-point count table
+    # room for the 2^4 codewords but not for the coset weight distribution
     monkeypatch.setattr(hc, "MEMORY_CAP", 1024)
-    with pytest.raises(hc.BudgetExceeded):
-        dec.ball_counts_table(hamming7, 1)
-    assert dec.mc_decoding_error(hamming7, 0.05, 1, 1, 5000, seed=3) == table_path
+    fresh = cd.hamming(3)
+    with pytest.raises(hc.BudgetExceeded, match="coset weight distribution"):
+        fresh.coset_weights()
+    assert dec.mc_decoding_error(fresh, 0.05, 1, 1, 5000, seed=3) == table_path
 
 
 def test_exact_smoothing_estimate_grows_with_the_kernel_denominator(monkeypatch):
     n = 10
-    code = cd.random_linear(n, 5, seed=1)
+    # an explicit code: a linear one is smoothed on its cosets, not densely
+    code = cd.ExplicitCode(n, cd.random_linear(n, 5, seed=1).codeword_ints())
     small = kn.Kernel.bernoulli(n, Fraction(1, 10))
     binary = kn.Kernel.bernoulli(n, Fraction(0.1))  # 55 denominator bits per coordinate
     per_point = sm._exact_cell_bytes(binary)
