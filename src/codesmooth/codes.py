@@ -116,6 +116,7 @@ class LinearCode(_Code):
         self._dual: LinearCode | None = None
         self._weights: np.ndarray | None = None
         self._cosets: np.ndarray | None = None
+        self._cell_tables: list[np.ndarray] | None = None
         self.rank_profile_cache: dict | None = None
 
     @property
@@ -144,12 +145,15 @@ class LinearCode(_Code):
 
     def cell_of(self, points) -> np.ndarray:
         """Syndrome of each point: bit j is its parity on row j of the dual
-        generator.  Looked up 12 coordinates at a time."""
+        generator.  Looked up 12 coordinates at a time in tables built on
+        the first call and cached."""
         pts = np.asarray(points, dtype=np.int64)
-        cols = rows_to_ints(self.dual().generator.T)  # syndromes of unit vectors
+        if self._cell_tables is None:
+            cols = rows_to_ints(self.dual().generator.T)  # syndromes of unit vectors
+            self._cell_tables = [span(cols[lo:lo + 12]) for lo in range(0, self.n, 12)]
         out = np.zeros(pts.shape, dtype=np.int64)
-        for lo in range(0, self.n, 12):
-            out ^= span(cols[lo:lo + 12])[(pts >> lo) & 0xFFF]
+        for i, table in enumerate(self._cell_tables):
+            out ^= table[(pts >> 12 * i) & 0xFFF]
         return out
 
     def coset_weights(self) -> np.ndarray:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -64,8 +63,9 @@ def _sample_statistics(spec: EnsembleSpec, trial_value) -> tuple[float, float]:
     """Mean and standard error of a per-code statistic over random codes.
 
     `trial_value(spectrum)` receives the unnormalized transform of the
-    scaled noisy distribution, i.e. W(f_C) * W(r) evaluated pointwise;
-    one more transform divided by 2^n recovers 2^n T_r f_C when needed.
+    scaled noisy distribution, i.e. W(f_C) * W(r) evaluated pointwise, and
+    may overwrite it; one more transform divided by 2^n recovers
+    2^n T_r f_C when needed.
     """
     n, m = spec.n, spec.num_codewords
     wr = _kernel_transform_by_weight(spec.kernel)
@@ -79,8 +79,7 @@ def _sample_statistics(spec: EnsembleSpec, trial_value) -> tuple[float, float]:
             np.random.Philox(key=[spec.seed, (3 << 32) | shard]))
         for _ in range(count):
             draws = rng.integers(0, 1 << n, size=m)
-            hist = np.bincount(draws, minlength=1 << n).astype(np.float64) / m
-            spectrum = hc.wht_natural(hist)
+            spectrum = hc._wht_inplace(np.bincount(draws, minlength=1 << n) / m)
             spectrum *= wr
             val = trial_value(spectrum)
             acc += val
@@ -93,8 +92,9 @@ def _sample_statistics(spec: EnsembleSpec, trial_value) -> tuple[float, float]:
 
 
 def _scaled_noisy(spectrum: np.ndarray) -> np.ndarray:
-    # 2^n T_r f_C = W(W(f) W(r)) / 2^n scaled back up by 2^n
-    return hc.wht_natural(spectrum)
+    # 2^n T_r f_C = W(W(f) W(r)) / 2^n scaled back up by 2^n, computed in
+    # the spectrum's own buffer
+    return hc._wht_inplace(spectrum)
 
 
 def qn_estimate(spec: EnsembleSpec, alpha) -> tuple[float, float]:
@@ -132,18 +132,6 @@ def qn_exact_pairwise(n: int, m: int, kernel: kn.Kernel) -> float:
     lifted = kernel.lift(exact=True)
     l2 = (1 << n) * sum(Fraction(v) ** 2 for v in lifted)
     return float(1 + (l2 - 1) / m)
-
-
-def qn_exhaustive(n: int, m: int, kernel: kn.Kernel, alpha: float) -> float:
-    """Brute-force E Q_n(alpha) over every codeword tuple (tiny n, M only)."""
-    hc.admit("exhaustive ensemble expectation", steps=(1 << n) ** m)
-    lifted = kernel.lift()
-    idx = np.arange(1 << n)
-    total = 0.0
-    for tup in product(range(1 << n), repeat=m):
-        noisy = sum(lifted[idx ^ c] for c in tup) / m
-        total += float(np.mean((noisy * (1 << n)) ** alpha))
-    return total / (1 << n) ** m
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
 
 from conftest import random_fraction_array, random_linear_code, seeded_rng
+from oracles import convolve_direct, mu_spectral
 
 
 def direct_transform(f):
@@ -80,6 +82,54 @@ class TestFwht:
             hc.convolve(np.zeros(8), np.zeros(4))
 
 
+class TestBlockedWht:
+    """float64 transforms run as products by H_{2^g}; the butterflies on
+    object and int64 arrays are their oracles."""
+
+    def test_matches_exact_transform_up_to_n13(self):
+        # 52-bit numerators over 2^40: float sums of them round, while the
+        # object path sums the numerators exactly
+        rng = seeded_rng(20)
+        for n in range(14):
+            for shape in [(1 << n,), (1 << n, 3)]:
+                nums = rng.integers(-2 ** 52, 2 ** 52, size=shape)
+                f = nums * 2.0 ** -40
+                exact = hc.wht_natural(nums.astype(object)).astype(np.float64) * 2.0 ** -40
+                scale = np.abs(f).sum(axis=0)   # bounds every |W f(y)|
+                assert (np.abs(hc.wht_natural(f) - exact) <= 1e-13 * scale).all(), (n, shape)
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 3), (1 << 11,), (1 << 16,), (1 << 13, 3),
+                                       (1 << 6, 5000), (1 << 5, 9000)])
+    def test_integer_values_equal_int64_butterfly(self, shape):
+        # the last two shapes make a (2^g, low * cols) block wider than the
+        # scratch buffer, so the products run over slices of the trailing axis
+        f = seeded_rng(21).integers(-1000, 1000, size=shape)
+        assert np.array_equal(hc.wht_natural(f.astype(np.float64)), hc.wht_natural(f))
+
+    def test_columns_transform_independently(self):
+        f = seeded_rng(22).standard_normal((1 << 7, 4))
+        cols = np.stack([hc.wht_natural(f[:, j]) for j in range(4)], axis=1)
+        assert np.allclose(hc.wht_natural(f), cols, rtol=0, atol=1e-12)
+        assert np.array_equal(hc.wht_natural(np.asfortranarray(f)), hc.wht_natural(f))
+
+    def test_input_is_left_unmodified(self):
+        f = seeded_rng(23).standard_normal((1 << 10, 2))
+        before = f.copy()
+        hc.wht_natural(f)
+        hc.wht_natural(f[:, 0])
+        assert np.array_equal(f, before)
+
+    def test_in_place_peak_memory_at_n20(self):
+        a = seeded_rng(24).standard_normal(1 << 20)
+        tracemalloc.start()
+        try:
+            hc._wht_inplace(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+
 class TestConvolve:
     def test_uniform_absorbing(self):
         rng = seeded_rng(13)
@@ -105,7 +155,7 @@ class TestConvolve:
         conv = hc.convolve(bern(a), bern(b))
         expected = bern(c)
         assert all(conv[i] == expected[i] for i in range(1 << n))
-        direct = hc.convolve_direct(bern(a), bern(b))
+        direct = convolve_direct(bern(a), bern(b))
         assert all(conv[i] == direct[i] for i in range(1 << n))
 
     def test_fwht_path_equals_direct_float(self):
@@ -116,7 +166,7 @@ class TestConvolve:
             g = rng.random(1 << n)
             g /= g.sum()
             fast = hc.convolve(f, g)
-            slow = hc.convolve_direct(f, g)
+            slow = convolve_direct(f, g)
             assert np.allclose(fast, slow, atol=1e-14)
             assert abs(fast.sum() - 1.0) < 1e-12  # pmf * pmf is a pmf
 
@@ -199,7 +249,7 @@ class TestBallGeometry:
         for n in range(2, 11):
             for t in range(n + 1):
                 for i in range(n + 1):
-                    assert hc.mu_spectral(n, t, i) == hc.mu(n, t, i)
+                    assert mu_spectral(n, t, i) == hc.mu(n, t, i)
 
     def test_mu_brute_force_oracle_n6(self):
         n = 6

@@ -7,6 +7,7 @@ from codesmooth import kernels as kn
 from codesmooth import random_coding as rc
 
 from conftest import seeded_rng
+from oracles import qn_exhaustive
 
 INF = math.inf
 
@@ -33,7 +34,7 @@ class TestQnEstimate:
         # n=4, M=2: enumerate all 256 code tuples exactly
         n = 4
         kernel = kn.Kernel.bernoulli(n, Fraction(1, 4))
-        exact2 = rc.qn_exhaustive(n, 2, kernel, 2)
+        exact2 = qn_exhaustive(n, 2, kernel, 2)
         closed = rc.qn_exact_pairwise(n, 2, kernel)
         assert math.isclose(exact2, closed, rel_tol=1e-12)
         spec = rc.EnsembleSpec(n, 0.25, kernel, 3000, seed=2)  # M = 2

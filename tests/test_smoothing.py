@@ -53,6 +53,29 @@ class TestSmooth:
         with pytest.raises(ValueError):
             sm.smooth(cd.repetition(4), kn.Kernel.ball(5, 1))
 
+    def test_dense_float_support_is_exact(self):
+        # the [10, 2] code of verify seed 0's rate-floor[59] as an explicit
+        # code: transform round-off on its points of zero mass used to be
+        # counted as support (864 points; 888 nonzero), and how many
+        # depends on the transform's summation order
+        code = cd.ExplicitCode(10, [0, 145, 70, 215])
+        sphere = kn.Kernel.sphere(10, 4)
+        for kernel in (sphere, kn.Kernel.dense(sphere.lift(exact=True))):
+            noisy = sm.smooth(code, kernel)
+            assert np.count_nonzero(noisy) == 680
+            assert sm.divergence_to_uniform(noisy, 0).d_alpha == 10 - math.log2(680)
+
+    def test_dense_float_support_matches_exact_smoothing(self):
+        rng = seeded_rng(41)
+        for _ in range(5):
+            code = random_linear_code(rng, 10)
+            words = cd.ExplicitCode(code.n, code.codeword_ints())
+            coords = np.nonzero(rng.integers(0, 2, code.n))[0]
+            for c, kernel in ((code, kn.Kernel.subcube(code.n, coords)),
+                              (words, kn.Kernel.sphere(code.n, int(rng.integers(0, code.n + 1))))):
+                exact = sm.smooth(c, kernel, exact=True)
+                assert np.array_equal(sm.smooth(c, kernel) > 0, exact > 0)
+
 
 class TestDivergenceToUniform:
     def test_uniform_is_zero(self):
