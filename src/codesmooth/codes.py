@@ -63,9 +63,9 @@ def rows_to_ints(mat: np.ndarray) -> list[int]:
 def span(gens) -> np.ndarray:
     """XOR of every subset of the int words `gens`: entry a combines
     gens[j] for each set bit j of a (doubling enumeration)."""
-    out = np.zeros(1, dtype=np.int64)
-    for g in gens:
-        out = np.concatenate([out, out ^ g])
+    out = np.zeros(1 << len(gens), dtype=np.int64)
+    for j, g in enumerate(gens):
+        np.bitwise_xor(out[:1 << j], g, out=out[1 << j:2 << j])
     return out
 
 
@@ -88,6 +88,11 @@ class _Code:
         if exact:
             return self._on_codewords(Fraction(1, self.size), object)
         return self._on_codewords(1.0 / self.size, np.float64)
+
+    def cube_cells(self) -> np.ndarray:
+        """The cell of every point, in point order: `cell_of` is linear over
+        GF(2), so this is the span of the unit vectors' cells."""
+        return span(self.cell_of(1 << np.arange(self.n)))
 
     def _on_codewords(self, value, dtype) -> np.ndarray:
         hc.admit("dense code array", nbytes=8 << self.n)

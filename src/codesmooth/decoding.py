@@ -140,7 +140,7 @@ def ball_counts_table(code, t: int) -> np.ndarray:
     """F_t(y) = #codewords within distance t of y, for every y (dense)."""
     hc.admit("codeword-count table", nbytes=48 << code.n)
     (counts,) = code.radial_counts([[1] * (t + 1) + [0] * (code.n - t)])
-    return counts[code.cell_of(np.arange(1 << code.n))]
+    return counts[code.cube_cells()]
 
 
 def mc_decoding_error(code, delta: float, list_size: int, t: int,

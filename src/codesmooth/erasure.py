@@ -9,8 +9,11 @@ the divergence of the Bernoulli-noised code distribution from uniform.
 
 Because log2(2^|G| F / |C|) = |G| - rank(G columns), the exact expectation
 reduces to n*lambda - E[rank].  The exact mode aggregates a (size, rank)
-profile in one depth-first sweep over all subsets with an incrementally
-maintained column basis, after which any lambda is a closed-form sum.
+profile from the subset-sum transform of the code indicator over the
+subset lattice, after which any lambda is a closed-form sum; the Monte
+Carlo mode eliminates a batch of sampled column sets at once.  The
+subcube-average inequalities read every conditional average E(f|G) off one
+(3,)^n lattice of fiber averages.
 """
 
 from __future__ import annotations
@@ -62,53 +65,46 @@ def collision_count(code: cd.LinearCode, coords) -> int:
     return 1 << (code.k - cd.gf2_rank(sub.T))
 
 
-def collision_count_direct(code: cd.LinearCode, coords) -> int:
-    """Enumeration oracle for `collision_count` (small codes only)."""
-    mask = 0
-    for c in coords:
-        mask |= 1 << c
-    return int((code.codeword_ints() & mask == 0).sum())
-
-
 # ---------------------------------------------------------------------------
 # Rank profile over subsets and the exact conditional entropy
 # ---------------------------------------------------------------------------
 
 def _admit_rank_profile(n: int) -> None:
-    hc.admit("rank profile over all coordinate subsets", steps=1 << n)
+    # tracemalloc measured 4.2-4.6 bytes per subset at n = 20..22, plus the blocks
+    hc.admit("rank profile over all coordinate subsets", nbytes=(4 << n) + (1 << 20),
+             steps=1 << n)
 
 
 def rank_profile(code: cd.LinearCode) -> dict[tuple[int, int], int]:
     """Counts of (|G|, rank of G columns) over all 2^n coordinate subsets.
 
-    One DFS over the subset tree keeps a partially built column basis, so
-    adding a coordinate costs a handful of word operations; the profile
-    makes the subset expectation a closed form in lambda afterwards.
+    The 2^(k - rank) codewords vanishing on G are those supported on its
+    complement T, and z[T] = #codewords supported in T is the subset-sum
+    (zeta) transform of the code indicator: n in-place passes over the
+    subset lattice.  The profile makes the subset expectation a closed
+    form in lambda afterwards.
     """
     if code.rank_profile_cache is not None:
         return code.rank_profile_cache
     n, k = code.n, code.k
     _admit_rank_profile(n)
-    columns = [int(sum(int(code.generator[r, c]) << r for r in range(k)))
-               for c in range(n)]
-    profile: dict[tuple[int, int], int] = {}
-
-    def walk(i: int, basis: tuple[int, ...], size: int) -> None:
-        if i == n:
-            key = (size, len(basis))
-            profile[key] = profile.get(key, 0) + 1
-            return
-        walk(i + 1, basis, size)
-        v = columns[i]
-        for b in basis:
-            if (v ^ b) < v:
-                v ^= b
-        new_basis = basis if v == 0 else tuple(sorted(basis + (v,), reverse=True))
-        walk(i + 1, new_basis, size + 1)
-
-    walk(0, (), 0)
-    code.rank_profile_cache = profile
-    return profile
+    z = np.zeros(1 << n, dtype=np.int32)
+    z[code.codeword_ints()] = 1
+    for c in range(n):
+        v = z.reshape(-1, 2, 1 << c)
+        v[:, 1, :] += v[:, 0, :]
+    # subset G is the complement of index T: |G| = n - |T|, rank = k - log2 z[T];
+    # counted a block of 2^16 indices at a time, so z is the only 2^n array
+    z -= 1
+    low = min(n, 16)
+    size = n - np.bitwise_count(np.arange(1 << low)).astype(np.int64)
+    counts = np.zeros((n + 1) * (k + 1), dtype=np.int64)
+    for high, block in enumerate(z.reshape(-1, 1 << low)):
+        key = (size - high.bit_count()) * (k + 1) + k - np.bitwise_count(block)
+        counts += np.bincount(key, minlength=len(counts))
+    counts = counts.reshape(n + 1, k + 1)
+    code.rank_profile_cache = {sr: int(c) for sr, c in np.ndenumerate(counts) if c}
+    return code.rank_profile_cache
 
 
 def bec_conditional_entropy(ctx: ErasureContext) -> tuple[float, float]:
@@ -141,40 +137,35 @@ def _rank_expectation(code: cd.LinearCode, lam):
 
 def _bec_entropy_mc(code: cd.LinearCode, lam: float, trials: int,
                     seed: int) -> tuple[float, float]:
+    """Mean and standard error of |G| - rank(G columns) over sampled G,
+    one (trials, n) shard of masked columns eliminated at a time."""
     if trials < 1:
         raise ValueError("Monte Carlo mode needs trials >= 1")
-    n, k = code.n, code.k
-    columns = np.array(
-        [int(sum(int(code.generator[r, c]) << r for r in range(k)))
-         for c in range(n)], dtype=np.int64)
-    acc = 0.0
-    acc2 = 0.0
-    done = 0
-    shard = 0
-    while done < trials:
-        count = min(MC_SHARD, trials - done)
+    columns = np.array(cd.rows_to_ints(code.generator.T), dtype=np.int64)
+    acc = acc2 = 0
+    for shard, done in enumerate(range(0, trials, MC_SHARD)):
         rng = np.random.Generator(np.random.Philox(key=[seed, (1 << 32) | shard]))
-        picks = rng.random((count, n)) < lam
-        for row in picks:
-            basis: list[int] = []
-            size = int(row.sum())
-            for c in np.nonzero(row)[0]:
-                v = int(columns[c])
-                for b in basis:
-                    if (v ^ b) < v:
-                        v ^= b
-                if v:
-                    basis.append(v)
-                    basis.sort(reverse=True)
-            val = size - len(basis)
-            acc += val
-            acc2 += val * val
-        done += count
-        shard += 1
+        picks = rng.random((min(MC_SHARD, trials - done), code.n)) < lam
+        vals = picks.sum(axis=1) - _gf2_ranks(np.where(picks, columns, 0), code.k)
+        acc += int(vals.sum())
+        acc2 += int((vals * vals).sum())
     mean = acc / trials
     var = max(acc2 / trials - mean * mean, 0.0)
-    stderr = math.sqrt(var / trials)
-    return mean, stderr
+    return mean, math.sqrt(var / trials)
+
+
+def _gf2_ranks(words: np.ndarray, bits: int) -> np.ndarray:
+    """GF(2) rank of each row of `bits`-bit words, by elimination in place
+    from the top bit: a word holding the bit is the pivot, XORed into every
+    word of its row that holds the bit too."""
+    rows = np.arange(len(words))
+    ranks = np.zeros(len(words), dtype=np.int64)
+    for b in reversed(range(bits)):
+        has = (words >> b) & 1
+        pivot = words[rows, has.argmax(axis=1)]
+        words ^= has * pivot[:, None]
+        ranks += (pivot >> b) & 1
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -244,60 +235,87 @@ def conditional_average(f, coords) -> np.ndarray:
     return result / (1 << len(free))
 
 
-def entropy_functional(f) -> float:
-    """Ent[f] = ||f log2(f / ||f||_1)||_1 for a nonnegative dense function.
-
-    Float or exact (object array) input; the logs of an exact input go
-    through `kn.log2`.
+def statistic(f, order):
+    """Ent[f] = ||f log2(f / ||f||_1)||_1 at order 1, log2 ||f||_a at integer
+    a >= 2, or log2 max f at INF, of a nonnegative dense function in the
+    normalized counting measure.  Float or exact (object array) input; the
+    logs of an exact input go through `kn.log2`.
     """
     arr = f if isinstance(f, np.ndarray) else np.asarray(f, dtype=np.float64)
     hc.dimension_of(arr)
-    if arr.min() < 0:
+    reduce = np.max if order == INF else np.sum
+    terms = reduce(_terms(arr, order, arr.mean()), keepdims=True)
+    return _finish(terms, order, len(arr))[0]
+
+
+def _terms(values: np.ndarray, order, mean) -> np.ndarray:
+    """Summands of the statistic of order `order`: v log2(v / mean) (0 at
+    v = 0) for the entropy, v^a for integer a, v itself for INF (whose
+    reduction is the maximum)."""
+    if order != 1:
+        return values if order == INF else values ** int(order)
+    if (values < 0).any():
         raise ValueError("entropy functional needs a nonnegative function")
-    mean = arr.mean()
-    if mean == 0:
-        return 0.0
-    pos = arr[arr > 0]
-    if pos.dtype != object:
-        return float((pos * np.log2(pos / mean)).sum() / len(arr))
-    return sum(v * kn.log2(v / mean) for v in pos) / len(arr)
+    terms = np.zeros_like(values)
+    pos = values > 0
+    terms[pos] = values[pos] * _log2(values[pos] / mean)
+    return terms
 
 
-def _log_norm(alpha):
-    """The statistic v -> log2 ||v||_alpha in the normalized counting measure."""
-    if alpha == INF:
-        return lambda v: kn.log2(v.max())
-    a = int(alpha)
-    return lambda v: kn.log2(np.mean(v ** a)) / a
+def _finish(reduced: np.ndarray, order, count):
+    """The statistic from the reduced terms of `count` points."""
+    if order == 1:
+        return reduced / count
+    if order == INF:
+        return _log2(reduced)
+    return _log2(reduced / count) / int(order)
 
 
-def subset_expectation(f, lam: float, functional) -> float:
-    """E_{G ~ lam} functional(fiber-average values of f given G).
+def _log2(values: np.ndarray) -> np.ndarray:
+    """`kn.log2` entrywise; a float array in one numpy call."""
+    if values.dtype == object:
+        return np.frompyfunc(kn.log2, 1, 1)(values)
+    if not (values > 0).all():
+        raise ValueError("log2 of a nonpositive statistic")
+    return np.log2(values)
 
-    `functional(values)` receives the distinct fiber values of E(f|G)
-    (each repeated 2^(n-|G|) times in the dense function) and must return
-    the statistic of interest.  Float or exact (object array) `f`; the
-    fibers of an exact `f` are averaged exactly.  Sums over all 2^n
-    subsets, each visiting all 2^n points.
+
+def subset_expectation(f, lam: float, order) -> float:
+    """E_{G ~ lam} of `statistic(E(f|G), order)`: Ent at order 1,
+    log2 ||.||_a at integer a >= 2, log2 max at INF.
+
+    Appending to each axis of the (2,)^n cube its average over that axis
+    gives a (3,)^n lattice whose entries with index 2 on exactly the axes
+    outside G are the 2^|G| fiber values of E(f|G).  The statistic's terms
+    are reduced over the kept indices 0 and 1 one axis at a time, which
+    leaves one entry per subset.  Float or exact (object array) `f`; the
+    fibers of an exact `f` are averaged exactly.
     """
     arr = f if isinstance(f, np.ndarray) else np.asarray(f, dtype=np.float64)
     n = hc.dimension_of(arr)
-    hc.admit("subset sweep", steps=1 << 2 * n)
-    # axis j of the reshaped cube corresponds to coordinate n-1-j
-    cube = arr.reshape((2,) * n)
-    total = 0.0
-    for g in range(1 << n):
-        size = g.bit_count()
-        drop = tuple(a for a in range(n) if not (g >> (n - 1 - a)) & 1)
-        vals = cube.mean(axis=drop, keepdims=True).ravel()
-        w = (lam ** size) * ((1 - lam) ** (n - size))
-        total += w * functional(vals)
-    return total
+    # tracemalloc measured per lattice entry 41 bytes on floats (n = 8..13)
+    # and 300-315 on the exact values of binary floats (n = 6..10)
+    hc.admit("subset sweep", steps=3 ** n,
+             nbytes=(hc.EXACT_CELL_BYTES if hc.is_exact(arr) else 48) * 3 ** n)
+    lattice = arr.reshape((2,) * n)
+    for axis in range(n):
+        lattice = np.concatenate([lattice, lattice.mean(axis=axis, keepdims=True)], axis=axis)
+    terms = _terms(lattice, order, lattice[(2,) * n])
+    reduce = np.max if order == INF else np.sum
+    for axis in range(n):
+        kept, averaged = np.split(terms, [2], axis=axis)
+        terms = np.concatenate([reduce(kept, axis=axis, keepdims=True), averaged], axis=axis)
+    # flat index bit set: that coordinate is averaged out
+    size = n - hc.weights_table(n).astype(np.int64)
+    stats = _finish(terms.ravel(), order, (1 << size).astype(terms.dtype))
+    weights = np.array([lam ** s * (1 - lam) ** (n - s) for s in range(n + 1)],
+                       dtype=terms.dtype)
+    return (weights[size] * stats).sum()
 
 
 def noisy_entropy_report(f, delta: float) -> BoundReport:
     """Ent[T_delta f] <= E_{G~(1-2d)^2} Ent[E(f|G)] for nonnegative f."""
-    return _noisy_report("noisy-entropy", f, delta, 1, entropy_functional, {})
+    return _noisy_report("noisy-entropy", f, delta, 1, {})
 
 
 def noisy_norm_report(f, delta: float, alpha) -> BoundReport:
@@ -309,13 +327,12 @@ def noisy_norm_report(f, delta: float, alpha) -> BoundReport:
     if alpha != INF and (alpha < 2 or int(alpha) != alpha):
         raise ValueError("norm inequality needs integer alpha >= 2 or inf")
     order = alpha if alpha == INF else int(alpha)
-    return _noisy_report(f"noisy-norm a={alpha}", f, delta, order,
-                         _log_norm(order), {"alpha": alpha})
+    return _noisy_report(f"noisy-norm a={alpha}", f, delta, order, {"alpha": alpha})
 
 
-def _noisy_report(name: str, f, delta, alpha, statistic, details) -> BoundReport:
-    """statistic(T_delta f) <= E_{G ~ lambda} statistic(E(f|G)), with lambda
-    the erasure rate paired with delta at order alpha.
+def _noisy_report(name: str, f, delta, order, details) -> BoundReport:
+    """S(T_delta f) <= E_{G ~ lambda} S(E(f|G)) for S = `statistic(., order)`,
+    with lambda the erasure rate paired with delta at that order.
 
     The recheck evaluates both sides on the exact binary values of f and
     delta.
@@ -326,19 +343,19 @@ def _noisy_report(name: str, f, delta, alpha, statistic, details) -> BoundReport
 
     def sides(g, lam):
         noisy = hc.convolve(g, kernel.lift(exact=hc.is_exact(g)))
-        return statistic(noisy), subset_expectation(g, lam, statistic)
+        return statistic(noisy, order), subset_expectation(g, lam, order)
 
-    lam = erasure_noise_level(alpha, delta)
+    lam = erasure_noise_level(order, delta)
     lhs, rhs = sides(arr, lam)
     return check_bound(
         f"{name} d={delta} n={n}", lhs, rhs,
         recheck=lambda: sides(hc.as_dense(arr, exact=True),
-                              erasure_noise_level(alpha, Fraction(delta))),
+                              erasure_noise_level(order, Fraction(delta))),
         details={"delta": delta, **details, "lambda": lam})
 
 
 def conditional_norm_expectation(code: cd.LinearCode, lam: float, alpha: int) -> float:
-    """(alpha/(alpha-1)) E_G log ||E(2^n f_C | G)||_alpha, by enumeration.
+    """(alpha/(alpha-1)) E_G log ||E(2^n f_C | G)||_alpha, over the subset lattice.
 
     For a linear code this is independent of alpha and coincides with the
     BEC conditional entropy of the dual; evaluated directly so the
@@ -347,4 +364,4 @@ def conditional_norm_expectation(code: cd.LinearCode, lam: float, alpha: int) ->
     f = code.pmf()
     scaled = f * (1 << code.n)
     a = int(alpha)
-    return subset_expectation(scaled, lam, _log_norm(a)) * a / (a - 1)
+    return subset_expectation(scaled, lam, a) * a / (a - 1)

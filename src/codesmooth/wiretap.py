@@ -18,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import codes as cd
-from . import hypercube as hc
 from . import kernels as kn
 from . import smoothing as sm
 from .reports import BoundReport, check_bound
@@ -99,28 +98,6 @@ def _noisy_pmfs(scheme: NestedScheme, delta_e, exact: bool) -> tuple[np.ndarray,
 
 def _leakage(outer: np.ndarray, inner: np.ndarray) -> float:
     return kn.shannon_entropy(outer) - kn.shannon_entropy(inner)
-
-
-def leakage_mixture_oracle(scheme: NestedScheme, delta_e: float) -> float:
-    """I(M; Z) by materializing every conditional distribution."""
-    conditionals = conditional_distributions(scheme, delta_e)
-    marginal = np.mean(conditionals, axis=0)
-    total = 0.0
-    for row in conditionals:
-        mask = row > 0
-        total += float(np.sum(row[mask] * np.log2(row[mask] / marginal[mask])))
-    return total / scheme.num_messages
-
-
-def conditional_distributions(scheme: NestedScheme, delta_e: float) -> np.ndarray:
-    """Stack of P_{Z|M=m}: the noisy inner pmf shifted by each coset leader."""
-    # the shifted rows are held twice while they are stacked
-    hc.admit("conditional distributions",
-             nbytes=(16 * scheme.num_messages + 48) << scheme.n)
-    kernel = kn.Kernel.bernoulli(scheme.n, Fraction(delta_e))
-    base = sm.smooth(scheme.inner, kernel)
-    idx = np.arange(1 << scheme.n)
-    return np.stack([base[idx ^ int(c)] for c in scheme.coset_leaders()])
 
 
 def secrecy_bound(scheme: NestedScheme, delta_e: float, alpha=1) -> float:

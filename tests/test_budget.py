@@ -43,6 +43,8 @@ REFUSALS = [
      lambda: rc.EnsembleSpec(30, 0.5, kn.Kernel.bernoulli(30, Fraction(1, 10)), 10)),
     ("coset weight distribution", "memory cap",   # 2^32 cosets
      lambda: cd.covering_radius(cd.random_linear(40, 8, seed=0))),
+    ("subset sweep", "step cap",   # 3^14 lattice entries > 2^22
+     lambda: er.subset_expectation(np.ones(1 << 14), 0.5, 1)),
 ]
 
 
@@ -68,6 +70,11 @@ def test_admit_boundaries():
     with pytest.raises(hc.BudgetExceeded, match="step cap"):
         hc.admit("one step over", steps=hc.STEP_CAP + 1)
     assert cd.BudgetExceeded is hc.BudgetExceeded
+
+
+def test_subset_sweep_admits_n13():
+    # 3^13 lattice entries fit the step cap; a constant has zero log-max
+    assert er.subset_expectation(np.ones(1 << 13), 0.5, er.INF) == 0.0
 
 
 def test_decoding_scans_codewords_when_the_table_is_refused(monkeypatch, hamming7):

@@ -1,6 +1,8 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from codesmooth import codes as cd
 from codesmooth import erasure as er
 from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
+from codesmooth import reports
 
 from conftest import random_linear_code, seeded_rng
+from oracles import (bec_entropy_mc_loop, collision_count_direct, rank_profile_dfs,
+                     subset_expectation_loop)
 
 INF = math.inf
 
@@ -28,7 +33,7 @@ class TestCollisionCount:
             g = int(rng.integers(0, 1 << code.n))
             coords = [c for c in range(code.n) if (g >> c) & 1]
             assert (er.collision_count(code, coords)
-                    == er.collision_count_direct(code, coords))
+                    == collision_count_direct(code, coords))
 
     def test_matroid_identity_all_subsets_small(self):
         rng = seeded_rng(51)
@@ -54,6 +59,58 @@ class TestCollisionCount:
             comp = [c for c in range(14) if not (g >> c) & 1]
             assert er.collision_count(code, coords) == Fraction(
                 code.size, 1 << len(coords)) * er.collision_count(dual, comp)
+
+
+PROFILE_CODES = ([cd.random_linear(n, k, seed=n + k) for n, k in
+                  [(1, 1), (4, 1), (6, 6), (8, 7), (10, 3), (11, 5)]]
+                 + [cd.full_space(1).dual(), cd.full_space(5).dual(), cd.hamming(3), cd.parity(6)])
+
+
+@pytest.mark.parametrize("code", PROFILE_CODES, ids=repr)
+def test_rank_profile_matches_subset_ranks(code):
+    n = code.n
+    ranks = Counter()
+    for g in range(1 << n):
+        cols = [c for c in range(n) if (g >> c) & 1]
+        ranks[len(cols), cd.gf2_rank(code.generator[:, cols].T)] += 1
+    assert er.rank_profile(code) == rank_profile_dfs(code) == dict(ranks)
+
+
+def test_rank_profile_matches_dfs_beyond_one_block():
+    # n = 17 spans two 2^16-index blocks; (n + 1)(k + 1) > 256 keys
+    code = cd.random_linear(17, 14, seed=12)
+    assert er.rank_profile(code) == rank_profile_dfs(code)
+
+
+@pytest.mark.parametrize("n, k, seed", [(9, 4, 1), (12, 5, 6), (20, 10, 3)])
+def test_mc_is_bit_identical_to_the_per_trial_loop(n, k, seed):
+    # 4097 trials: one full shard and a one-trial tail
+    code = cd.random_linear(n, k, seed=seed)
+    ctx = er.ErasureContext(code, 0.3, mode="mc", trials=4097, seed=seed + 1)
+    assert er.bec_conditional_entropy(ctx) == bec_entropy_mc_loop(code, 0.3, 4097, seed + 1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("order", [1, 2, 3, INF])
+def test_subset_expectation_matches_the_per_subset_loop(n, order):
+    f = seeded_rng(59 + n).random(1 << n) * 2
+    f[1] = 0.0
+    for lam in (0.0, 0.37, 1.0):
+        assert abs(er.subset_expectation(f, lam, order)
+                   - subset_expectation_loop(f, lam, order)) <= 1e-14
+    exact = hc.as_dense(f, exact=True)
+    with mpmath.workdps(reports.RECHECK_DPS):
+        fast = er.subset_expectation(exact, Fraction(37, 100), order)
+        slow = subset_expectation_loop(exact, Fraction(37, 100), order)
+    # the logs are irrational: both sides agree to the working precision
+    assert isinstance(fast, mpmath.mpf) and abs(fast - slow) < 1e-45
+
+
+def test_subset_expectation_refuses_like_its_statistics():
+    with pytest.raises(ValueError, match="nonnegative"):
+        er.subset_expectation(np.array([1.0, -0.5, 2.0, 1.0]), 0.5, 1)
+    with pytest.raises(ValueError):
+        er.subset_expectation(np.zeros(4), 0.5, 2)
 
 
 class TestBecConditionalEntropy:
@@ -215,6 +272,6 @@ class TestSubcubeAverageInequalities:
         # Ent[f] = mean(f log2(f / mean f)); pmf scaling gives divergence
         f = np.zeros(8)
         f[0] = 8.0  # 2^n * point mass
-        assert math.isclose(er.entropy_functional(f), 3.0)
+        assert math.isclose(er.statistic(f, 1), 3.0)
         with pytest.raises(ValueError):
-            er.entropy_functional(np.array([-1.0, 1.0]))
+            er.statistic(np.array([-1.0, 1.0]), 1)
