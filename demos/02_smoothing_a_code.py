@@ -25,12 +25,12 @@ for delta in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5):
 dist = cd.distance_distribution(code)
 kernel = kn.Kernel.bernoulli(n, Fraction(1, 5))
 closed = sm.l2_closed_form(dist, code.size, kernel)
-dense = sm.l2_dense_oracle(code, kernel)
+noisy = sm.smooth(code, kernel)
+dense = (1 << n) * float(noisy @ noisy)
 print(f"\n||2^n T f||_2^2 closed form {closed:.10f} vs dense {dense:.10f}")
 assert math.isclose(closed, dense, rel_tol=1e-10)
 
 # D_2 is determined by that moment alone
-noisy = sm.smooth(code, kernel)
 d2 = sm.divergence_to_uniform(noisy, 2).d_alpha
 print(f"D_2 = log2(moment): {d2:.10f} == {math.log2(closed):.10f}")
 

@@ -71,7 +71,7 @@ def cmd_smooth(args) -> int:
     code = cd.load_code(args.code)
     kernel = kn.parse_kernel_spec(args.kernel, code.n)
     exact = args.mode == "exact"
-    noisy = sm.smooth(code, kernel, exact=exact)
+    noisy = sm.cell_pmf(code, kernel, exact)
     rows = []
     for alpha in _parse_alpha_list(args.alpha):
         rep = sm.divergence_to_uniform(noisy, alpha)
@@ -173,7 +173,7 @@ def cmd_erasure_bound(args) -> int:
     if args.mode.startswith("mc:"):
         trials = int(args.mode.split(":", 1)[1])
         kernel = kn.Kernel.bernoulli(code.n, args.delta)
-        lhs = sm.divergence_to_uniform(sm.smooth(code, kernel), alpha).d_alpha
+        lhs = sm.smoothness_of(code, kernel, alpha).d_alpha
         ctx = er.ErasureContext(code, lam, mode="mc", trials=trials,
                                 seed=args.seed)
         rhs, sigma = er.bec_conditional_entropy(ctx)

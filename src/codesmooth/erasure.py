@@ -192,17 +192,16 @@ def erasure_noise_level(alpha, delta: float) -> float:
 def smoothing_erasure_report(code: cd.LinearCode, delta: float, alpha) -> BoundReport:
     """D_alpha(T_delta f_C || U_n) <= dual-code BEC conditional entropy.
 
-    The recheck evaluates both sides on the exact noisy pmf and the exact
+    The recheck evaluates both sides on the exact coset pmf and the exact
     delta.
     """
     lam = erasure_noise_level(alpha, delta)
     kernel = kn.Kernel.bernoulli(code.n, Fraction(delta))
-    lhs = sm.divergence_to_uniform(sm.smooth(code, kernel), alpha).d_alpha
+    lhs = sm.smoothness_of(code, kernel, alpha).d_alpha
     rhs, _ = bec_conditional_entropy(ErasureContext(code, lam))
 
     def recheck():
-        exact_noisy = sm.smooth(code, kernel, exact=True)
-        return (sm.divergence_to_uniform(exact_noisy, alpha).d_alpha,
+        return (sm.divergence_to_uniform(sm.cell_pmf(code, kernel, True), alpha).d_alpha,
                 _rank_expectation(code, erasure_noise_level(alpha, Fraction(delta))))
 
     return check_bound(

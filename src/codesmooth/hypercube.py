@@ -142,20 +142,19 @@ def _wht_inplace(a: np.ndarray) -> np.ndarray:
     """`wht_natural` that overwrites its C-contiguous argument instead of
     copying it.  numpy has no integer BLAS (on a 2-core x86 VM, int64
     `matmul` blocks at n = 23 took 0.96-1.05 s against 0.81-0.86 s for the
-    butterfly), so only float64 is blocked; other dtypes run butterflies
-    through a reused half-size scratch buffer."""
+    butterfly), so only float64 is blocked; other dtypes run butterflies in
+    place, (t, b) -> (t + b, t + b - 2b), with no scratch buffer: every step
+    is a ring operation, exact in int64 (mod 2^64) and on Python ints."""
     dimension_of(a)  # validates power of two
     if a.dtype == np.float64:
         return _wht_blocked_inplace(a)
-    scratch = np.empty((a.shape[0] // 2, *a.shape[1:]), dtype=a.dtype)
     h = 1
     while h < a.shape[0]:
         v = a.reshape(-1, 2, h, *a.shape[1:])
         top, bot = v[:, 0], v[:, 1]
-        buf = scratch.reshape(top.shape)
-        np.subtract(top, bot, out=buf)
-        np.add(top, bot, out=top)
-        bot[:] = buf
+        top += bot
+        bot *= -2
+        bot += top
         h *= 2
     return a
 

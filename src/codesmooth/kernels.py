@@ -158,9 +158,7 @@ class Kernel:
             prof = self.radial_profile()
             return max((i for i, v in enumerate(prof) if v != 0), default=0)
         lifted = self.lift(exact=hc.is_exact(self.values) if self.form == "dense" else False)
-        wt = hc.weights_table(self.n)
-        nz = [int(wt[i]) for i in range(1 << self.n) if lifted[i] != 0]
-        return max(nz, default=0)
+        return int(hc.weights_table(self.n)[lifted != 0].max(initial=0))
 
     def renyi_entropy(self, alpha) -> float:
         """H_alpha of the kernel from its exact values: the per-weight
@@ -312,11 +310,6 @@ def renyi_entropy_radial(n: int, profile, alpha) -> float:
         if v > 0:
             masses[Fraction(v)] += math.comb(n, i)
     return exact_renyi(masses, alpha)
-
-
-def shannon_entropy(p) -> float:
-    """H(p) in bits."""
-    return renyi_entropy(p, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Noisy code distributions and their distance to uniform.
 
 The central object is T_r f_C: the uniform distribution on a code pushed
-through a noise kernel; under a radial kernel it is constant on each coset
-of a linear code, which is where it is computed.  This module measures how
-far that distribution is from uniform (Renyi divergence of any order),
-provides the closed-form second-moment identities that express the L2 case
-through distance spectra, the rate lower bound, threshold-rate formulas for
-Bernoulli and ball noise families, and exact certificates of perfect
-smoothing (including recovery of the smoothing kernel for uniformly packed
-codes).
+through a noise kernel.  Under a radial kernel it is constant on each coset
+of a linear code, so it is computed, and every report reads it, as a pmf on
+the 2^(n-k) syndromes (`cell_pmf`); only `smooth` spreads it over the 2^n
+points.  This module measures how far that distribution is from uniform
+(Renyi divergence of any order), provides the closed-form second-moment
+identities that express the L2 case through distance spectra, the rate
+lower bound, threshold-rate formulas for Bernoulli and ball noise families,
+and exact certificates of perfect smoothing (including recovery of the
+smoothing kernel for uniformly packed codes).
 """
 
 from __future__ import annotations
@@ -32,21 +33,28 @@ INF = math.inf
 # Noisy code distributions
 # ---------------------------------------------------------------------------
 
-def smooth(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
-    """Dense pmf of the noisy code distribution r * f_C.  Under a radial
-    kernel, coset s of a linear code has mass (1/|C|) sum_i r(i) N_i(s) per
-    point, a sum of nonnegative terms; other pairs convolve dense arrays,
-    and a float result is zeroed off the exact support."""
+def cell_pmf(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
+    """The noisy code distribution r * f_C as a pmf on the cells it is
+    constant on.  Under a radial kernel that is a coset of a linear code:
+    P(s) = sum_i r(i) N_i(s), a sum of nonnegative terms, on the 2^(n-k)
+    syndromes, with every divergence to uniform and every norm of
+    `divergence_to_uniform` equal to those of the dense pmf.  Other pairs
+    convolve dense arrays, and a float result is zeroed off the exact
+    support."""
     if kernel.n != code.n:
         raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={code.n}")
-    what = "exact smoothing" if exact else "dense smoothing"
     if isinstance(code, cd.LinearCode) and kernel.is_radial():
-        # the syndromes of all points and their gather, plus the coset masses
-        hc.admit(what, nbytes=(40 << code.n)
-                 + (_exact_cell_bytes(kernel) if exact else 8) * code.cells)
-        return _coset_masses(code, kernel, exact)[code.cube_cells()]
+        hc.admit("exact smoothing" if exact else "coset smoothing",
+                 nbytes=(_exact_cell_bytes(kernel) if exact else 8) * code.cells)
+        if not exact:
+            return code.coset_weights() @ np.array(kernel.radial_profile(exact=False))
+        scaled, denom = _scaled_profile(kernel)
+        out = np.empty(code.cells, dtype=object)
+        out[:] = [Fraction(int(c), denom) for c in code.radial_counts([scaled])[0]]
+        return out
     # float: tracemalloc measured 48-56 bytes per point, the support mask included
-    hc.admit(what, nbytes=(_exact_cell_bytes(kernel) if exact else 56) << code.n)
+    hc.admit("exact smoothing" if exact else "dense smoothing",
+             nbytes=(_exact_cell_bytes(kernel) if exact else 56) << code.n)
     noisy = hc.convolve(code.pmf(exact=exact), kernel.lift(exact=exact))
     if exact:
         return noisy
@@ -61,14 +69,15 @@ def smooth(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
     return noisy
 
 
-def _coset_masses(code: cd.LinearCode, kernel: kn.Kernel, exact: bool) -> np.ndarray:
-    """The mass of a point of each coset, in float or as Fractions."""
-    if not exact:
-        return code.coset_weights() @ np.array(kernel.radial_profile(exact=False)) / code.size
-    scaled, denom = _scaled_profile(kernel)
-    out = np.empty(code.cells, dtype=object)
-    out[:] = [Fraction(int(c), code.size * denom) for c in code.radial_counts([scaled])[0]]
-    return out
+def smooth(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
+    """Dense pmf of the noisy code distribution r * f_C: the cell masses of
+    `cell_pmf` spread over the points of each cell."""
+    if not (isinstance(code, cd.LinearCode) and kernel.is_radial()):
+        return cell_pmf(code, kernel, exact)
+    # the syndromes of all points and their gather, plus the coset masses
+    hc.admit("exact smoothing" if exact else "dense smoothing", nbytes=(40 << code.n)
+             + (_exact_cell_bytes(kernel) if exact else 8) * code.cells)
+    return (cell_pmf(code, kernel, exact) / code.size)[code.cube_cells()]
 
 
 def _scaled_profile(kernel: kn.Kernel) -> tuple[list[int], int]:
@@ -121,7 +130,6 @@ def is_perfectly_smoothed(code, kernel: kn.Kernel) -> bool:
 
 @dataclass
 class SmoothnessReport:
-    n: int
     alpha: float
     d_alpha: float       # divergence to uniform, bits
     l_alpha: float       # norm of 2^n f (>= 1 for alpha > 1)
@@ -129,7 +137,9 @@ class SmoothnessReport:
 
 
 def divergence_to_uniform(f, alpha) -> SmoothnessReport:
-    """All three proximity metrics of a pmf to the uniform distribution.
+    """All three proximity metrics of a pmf on {0,1}^n to the uniform
+    distribution; the pmf of `cell_pmf` on the cosets of a linear code
+    gives the same three as the dense pmf.
 
     d_alpha = n - H_alpha(f); l_alpha = ||2^n f||_alpha; the dimensionless
     ratio is ||f - U||_alpha / ||f||_1 = ||2^n f - 1||_alpha.  The norms
@@ -147,11 +157,11 @@ def divergence_to_uniform(f, alpha) -> SmoothnessReport:
     else:
         d_alpha = n - kn.renyi_entropy(arr, alpha)
     if alpha == 0:
-        return SmoothnessReport(n, alpha, d_alpha, math.nan, math.nan)
+        return SmoothnessReport(alpha, d_alpha, math.nan, math.nan)
     scaled = arr * (1 << n)
     l_alpha = _norm(scaled, alpha)
     dimensionless = _norm(scaled - 1.0, alpha)
-    return SmoothnessReport(n, alpha, d_alpha, l_alpha, dimensionless)
+    return SmoothnessReport(alpha, d_alpha, l_alpha, dimensionless)
 
 
 def _norm(values: np.ndarray, alpha) -> float:
@@ -171,7 +181,7 @@ def _norm(values: np.ndarray, alpha) -> float:
 
 
 def smoothness_of(code, kernel: kn.Kernel, alpha) -> SmoothnessReport:
-    return divergence_to_uniform(smooth(code, kernel), alpha)
+    return divergence_to_uniform(cell_pmf(code, kernel), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +208,6 @@ def l2_closed_form(dist, size: int, kernel: kn.Kernel, exact: bool = False):
     return primal if exact else float(primal)
 
 
-def l2_dense_oracle(code, kernel: kn.Kernel) -> float:
-    """||2^n T_r f_C||_2^2 by direct dense convolution (cross-check path)."""
-    noisy = smooth(code, kernel)
-    n = code.n
-    scaled = noisy * (1 << n)
-    return float(np.mean(scaled ** 2))
-
-
 # ---------------------------------------------------------------------------
 # Rate bounds and threshold rates
 # ---------------------------------------------------------------------------
@@ -218,12 +220,12 @@ def lower_bound(n: int, rate: float, kernel: kn.Kernel, alpha) -> float:
 def lower_bound_report(code, kernel: kn.Kernel, alpha) -> BoundReport:
     """Measured divergence against the rate floor, as LHS <= RHS.
 
-    The recheck evaluates the same two functions on the exact noisy pmf;
+    The recheck evaluates the same two functions on the exact cell pmf;
     the floor comes from the kernel's exact values either way.
     """
     def sides(exact):
         rate = kn.log2(code.size) / code.n
-        measured = divergence_to_uniform(smooth(code, kernel, exact=exact), alpha)
+        measured = divergence_to_uniform(cell_pmf(code, kernel, exact), alpha)
         return lower_bound(code.n, rate, kernel, alpha), measured.d_alpha
 
     floor, measured = sides(False)

@@ -6,7 +6,10 @@ observation through BSC(delta_e) has distribution T_de f_Cb, while the
 observation conditioned on a message is a shift of T_de f_Ce.  Shift
 invariance makes every per-message conditional divergence equal, so the
 leakage I(M; Z) collapses to an entropy difference and is bounded by the
-divergence of the inner noisy distribution from uniform.
+divergence of the inner noisy distribution from uniform.  Both noisy
+distributions are constant on the cosets of their code and are read there
+(`smoothing.cell_pmf`): the leakage is D_1(inner) - D_1(outer), and no 2^n
+array is built.
 """
 
 from __future__ import annotations
@@ -90,14 +93,17 @@ def leakage_exact(scheme: NestedScheme, delta_e: float) -> float:
 
 
 def _noisy_pmfs(scheme: NestedScheme, delta_e, exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The noisy outer and inner pmfs T_de f_Cb and T_de f_Ce."""
+    """The noisy outer and inner distributions T_de f_Cb and T_de f_Ce, on
+    the cosets of each code."""
     kernel = kn.Kernel.bernoulli(scheme.n, Fraction(delta_e))
-    return (sm.smooth(scheme.outer, kernel, exact=exact),
-            sm.smooth(scheme.inner, kernel, exact=exact))
+    return (sm.cell_pmf(scheme.outer, kernel, exact),
+            sm.cell_pmf(scheme.inner, kernel, exact))
 
 
-def _leakage(outer: np.ndarray, inner: np.ndarray) -> float:
-    return kn.shannon_entropy(outer) - kn.shannon_entropy(inner)
+def _leakage(outer: np.ndarray, inner: np.ndarray):
+    """H(outer) - H(inner) = D_1(inner || U_n) - D_1(outer || U_n)."""
+    return (sm.divergence_to_uniform(inner, 1).d_alpha
+            - sm.divergence_to_uniform(outer, 1).d_alpha)
 
 
 def secrecy_bound(scheme: NestedScheme, delta_e: float, alpha=1) -> float:
@@ -107,8 +113,7 @@ def secrecy_bound(scheme: NestedScheme, delta_e: float, alpha=1) -> float:
     per-message conditional divergence, identical across messages.
     """
     kernel = kn.Kernel.bernoulli(scheme.n, Fraction(delta_e))
-    noisy = sm.smooth(scheme.inner, kernel)
-    return sm.divergence_to_uniform(noisy, alpha).d_alpha
+    return sm.smoothness_of(scheme.inner, kernel, alpha).d_alpha
 
 
 def secrecy_report(scheme: NestedScheme, delta_e: float, alpha=1) -> BoundReport:
@@ -117,7 +122,7 @@ def secrecy_report(scheme: NestedScheme, delta_e: float, alpha=1) -> BoundReport
 
     At order 1 the gap is exactly the divergence of the marginal from
     uniform, which vanishes when the outer code fills the space; the
-    recheck evaluates the same entropies on the exact rational pmfs.
+    recheck evaluates the same divergences on the exact rational pmfs.
     """
     def sides(exact):
         outer, inner = _noisy_pmfs(scheme, delta_e, exact)
@@ -135,7 +140,7 @@ def decomposition_terms(scheme: NestedScheme, delta_e: float) -> tuple[float, fl
     outer, inner = _noisy_pmfs(scheme, delta_e, False)
     cond = sm.divergence_to_uniform(inner, 1).d_alpha
     marg = sm.divergence_to_uniform(outer, 1).d_alpha
-    return cond, _leakage(outer, inner), marg
+    return cond, cond - marg, marg
 
 
 # ---------------------------------------------------------------------------

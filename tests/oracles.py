@@ -44,6 +44,14 @@ def mu_spectral(n: int, t: int, i: int) -> int:
     return q
 
 
+def l2_dense_oracle(code, kernel: kn.Kernel) -> float:
+    """||2^n T_r f_C||_2^2 from a dense transform convolution of the code
+    pmf with the lifted kernel; the oracle for the closed form and the
+    coset masses."""
+    noisy = hc.convolve(code.pmf(), kernel.lift())
+    return float(np.mean((noisy * (1 << code.n)) ** 2))
+
+
 def qn_exhaustive(n: int, m: int, kernel: kn.Kernel, alpha: float) -> float:
     """Brute-force E Q_n(alpha) over every codeword tuple (tiny n, M only)."""
     hc.admit("exhaustive ensemble expectation", steps=(1 << n) ** m)

@@ -83,6 +83,16 @@ class TestCodeAndSmooth:
         ds = [r["d_alpha"] for r in payload["reports"]]
         assert ds == sorted(ds)  # divergence grows with the order
 
+    def test_smooth_reads_cosets_at_n32(self, capsys, tmp_path):
+        path = tmp_path / "rm25.code"
+        run_cli(capsys, "code", "gen", "--family", "rm", "--params", "2,5",
+                "--out", str(path))
+        code, out = run_cli(capsys, "smooth", "--code", str(path),
+                            "--kernel", "bernoulli:0.3", "--alpha", "0,1,2,inf", "--json")
+        assert code == 0
+        ds = [r["d_alpha"] for r in json.loads(out)["reports"]]
+        assert ds == sorted(ds) and ds[0] == 0.0  # full support
+
     def test_exact_mode_perfect_code(self, capsys, tmp_path):
         path = tmp_path / "hamming.code"
         run_cli(capsys, "code", "gen", "--family", "hamming",
@@ -110,6 +120,19 @@ class TestWiretapLeakage:
         assert payload["message_bits"] == 6
         assert all(r["holds"] for r in payload["bounds"])
         assert payload["leakage"] <= payload["bounds"][0]["secrecy_bound"] + 1e-9
+
+    def test_nested_rm_scheme_at_n32(self, capsys, tmp_path):
+        inner, outer = tmp_path / "in.code", tmp_path / "out.code"
+        run_cli(capsys, "code", "gen", "--family", "rm", "--params", "2,5",
+                "--out", str(inner))
+        run_cli(capsys, "code", "gen", "--family", "rm", "--params", "3,5",
+                "--out", str(outer))
+        code, out = run_cli(capsys, "wiretap", "leakage", "--inner", str(inner),
+                            "--outer", str(outer), "--de", "0.1", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n"] == 32 and payload["message_bits"] == 10
+        assert payload["leakage"] <= payload["bounds"][0]["secrecy_bound"]
 
     def test_non_nested_rejected(self, capsys, tmp_path):
         inner, outer = tmp_path / "in.code", tmp_path / "out.code"

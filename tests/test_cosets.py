@@ -2,7 +2,8 @@
 
 Every linear code below is also given as `ExplicitCode(n, codewords)`, which
 smooths, certifies and counts on dense 2^n arrays; the coset results must
-agree with it exactly (float smoothing to 1e-12 relative per point).
+agree with it exactly (float smoothing to 1e-12 relative per point, and the
+reports read from the syndrome pmf to 1e-12).
 """
 
 import math
@@ -55,6 +56,24 @@ def test_smoothing_matches_dense(code):
         reference = np.array([float(v) for v in exact])
         floats = sm.smooth(linear, kernel)
         assert np.all(np.abs(floats - reference) <= 1e-12 * reference)
+
+
+@pytest.mark.parametrize("code", CODES, ids=repr)
+def test_cell_pmf_reports_match_dense(code):
+    # the syndrome pmf has the divergences and norms of the dense pmf
+    linear, explicit = _pair(code)
+    for kernel in _kernels(code.n):
+        dense = sm.smooth(explicit, kernel, exact=True)
+        cells = [sm.cell_pmf(linear, kernel), sm.cell_pmf(linear, kernel, exact=True)]
+        assert all(len(p) == code.cells for p in cells)
+        for alpha in (0, 0.5, 1, 2, 3, math.inf):
+            want = sm.divergence_to_uniform(dense, alpha)
+            for p in cells:
+                got = sm.divergence_to_uniform(p, alpha)
+                for field in ("d_alpha", "l_alpha", "dimensionless"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert (math.isnan(a) and math.isnan(b)) or \
+                        math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12), (kernel, alpha, field)
 
 
 @pytest.mark.parametrize("code", CODES, ids=repr)

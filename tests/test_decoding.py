@@ -9,9 +9,9 @@ from codesmooth import codes as cd
 from codesmooth import decoding as dec
 from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
-from codesmooth import smoothing as sm
 
 from conftest import random_linear_code, seeded_rng
+from oracles import l2_dense_oracle
 
 
 class TestListErrorBound:
@@ -91,7 +91,7 @@ class TestEnergyVsSecondMoment:
             dist = cd.distance_distribution(code)
             energy = float(dec.energy_sum(dist, t))
             vt = hc.ball_volume(n, t)
-            moment = sm.l2_dense_oracle(code, kn.Kernel.ball(n, t))
+            moment = l2_dense_oracle(code, kn.Kernel.ball(n, t))
             predicted = code.size * vt * vt / (1 << n) * moment - vt
             assert math.isclose(energy, predicted, rel_tol=1e-9, abs_tol=1e-9)
 

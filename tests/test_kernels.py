@@ -52,6 +52,9 @@ class TestKernelLifts:
         assert kn.Kernel.bernoulli(9, Fraction(1, 10)).radius() == 9
         assert kn.Kernel.bernoulli(9, 0).radius() == 0
         assert kn.Kernel.subcube(4, [0, 1]).radius() == 2
+        sphere = kn.Kernel.sphere(6, 2)
+        assert kn.Kernel.dense(sphere.lift(exact=True)).radius() == 2
+        assert kn.Kernel.dense(sphere.lift()).radius() == 2
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +131,39 @@ class TestSecrecyBound:
             vals = [sm.divergence_to_uniform(row, alpha).d_alpha
                     for row in conditionals]
             assert max(vals) - min(vals) < 1e-12
+
+
+class TestCosetDomain:
+    def test_full_space_outer_is_one_cell(self):
+        scheme = nested_random(10, 4, 10, seed=17)
+        kernel = kn.Kernel.bernoulli(10, Fraction(1, 5))
+        assert sm.cell_pmf(scheme.outer, kernel).tolist() == [1.0]
+        assert sm.cell_pmf(scheme.outer, kernel, exact=True).tolist() == [1]
+        leak = wt.leakage_exact(scheme, Fraction(1, 5))
+        assert leak == wt.secrecy_bound(scheme, Fraction(1, 5), 1)
+        assert math.isclose(leak, leakage_mixture_oracle(scheme, 0.2), rel_tol=1e-9)
+        rep = wt.secrecy_report(scheme, Fraction(1, 5))
+        assert rep.passed and rep.rechecked and rep.exact_slack == 0
+
+    def test_nested_reed_muller_at_n32(self):
+        # RM(2,5) in RM(3,5): 2^16 and 2^6 cosets; the 2^32-point pmf would be refused
+        scheme = wt.NestedScheme(cd.reed_muller(2, 5), cd.reed_muller(3, 5))
+        de = Fraction(3, 10)
+        tracemalloc.start()
+        try:
+            leak = wt.leakage_exact(scheme, de)
+            bounds = [wt.secrecy_bound(scheme, de, a) for a in (1, 2, INF)]
+            wide = wt.secrecy_report(scheme, Fraction(1, 10))
+            floor = sm.lower_bound_report(scheme.inner, kn.Kernel.bernoulli(32, de), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        assert math.isclose(leak, 1.89879e-4, rel_tol=1e-5)
+        assert leak <= bounds[0] and bounds == sorted(bounds)
+        assert wide.passed and not wide.rechecked and floor.passed
+        rep = wt.secrecy_report(scheme, de)   # slack 8e-12: rechecked exactly
+        assert rep.passed and rep.rechecked
 
 
 class TestRatePoints:
