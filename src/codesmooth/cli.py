@@ -216,7 +216,7 @@ def cmd_decode_bound(args) -> int:
 
 
 def cmd_mc_qn(args) -> int:
-    alpha_frac = Fraction(args.alpha) if "/" in args.alpha else Fraction(_parse_alpha(args.alpha))
+    alpha_frac = Fraction(args.alpha)  # exact: "1.1" is 11/10; "inf" is refused
     kernel = kn.parse_kernel_spec(args.kernel, args.n)
     spec = rc.EnsembleSpec(args.n, args.rate, kernel, args.trials, seed=args.seed)
     est, sigma = rc.qn_estimate(spec, float(alpha_frac))

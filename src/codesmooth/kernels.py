@@ -10,8 +10,10 @@ A kernel is a pmf used as additive channel noise.  Supported forms:
 * ``radial(profile)``   -- arbitrary per-weight value profile
 * ``dense(values)``     -- arbitrary dense pmf
 
-Radial forms keep a per-weight VALUE r(i), not a per-shell mass; lifting
-places that value on each of the C(n,i) points of the shell.
+Every radial form is stored once, as its exact per-weight VALUE profile
+r(i) (not a per-shell mass), computed by the constructor; lifting places
+that value on each of the C(n,i) points of the shell, and every exact
+radial computation reads the profile.
 """
 
 from __future__ import annotations
@@ -34,16 +36,18 @@ INF = math.inf
 
 
 class Kernel:
-    """Immutable noise kernel; lifts are cached per scalar mode."""
+    """Immutable noise kernel; lifts are cached per scalar mode.
 
-    def __init__(self, n: int, form: str, *, delta=None, t=None,
-                 coords=None, profile=None, values=None):
+    A radial kernel stores its exact per-weight value profile, a subcube
+    kernel its coordinates and a dense kernel its values; each keeps the
+    spec text it was built from.
+    """
+
+    def __init__(self, n: int, spec: str, *, coords=None, profile=None, values=None):
         if n < 1:
             raise ValueError(f"kernel dimension {n} out of range")
         self.n = n
-        self.form = form
-        self.delta = delta
-        self.t = t
+        self._spec = spec
         self.coords = tuple(sorted(coords)) if coords is not None else None
         self.profile = list(profile) if profile is not None else None
         self.values = values
@@ -56,26 +60,29 @@ class Kernel:
         d = Fraction(delta)
         if not 0 <= d <= 1:
             raise ValueError(f"flip probability {delta} outside [0,1]")
-        return cls(n, "bernoulli", delta=d)
+        return cls(n, f"bernoulli:{float(d)}",
+                   profile=[d ** i * (1 - d) ** (n - i) for i in range(n + 1)])
 
     @classmethod
     def ball(cls, n: int, t: int) -> "Kernel":
         if not 0 <= t <= n:
             raise ValueError(f"ball radius {t} exceeds dimension {n}")
-        return cls(n, "ball", t=t)
+        v = Fraction(1, hc.ball_volume(n, t))
+        return cls(n, f"ball:{t}", profile=[v if i <= t else Fraction(0) for i in range(n + 1)])
 
     @classmethod
     def sphere(cls, n: int, t: int) -> "Kernel":
         if not 0 <= t <= n:
             raise ValueError(f"sphere radius {t} exceeds dimension {n}")
-        return cls(n, "sphere", t=t)
+        v = Fraction(1, math.comb(n, t))
+        return cls(n, f"sphere:{t}", profile=[v if i == t else Fraction(0) for i in range(n + 1)])
 
     @classmethod
     def subcube(cls, n: int, coords) -> "Kernel":
         coords = tuple(sorted(set(coords)))
         if coords and not (0 <= coords[0] and coords[-1] < n):
             raise ValueError(f"subcube coordinates {coords} outside [0, {n})")
-        return cls(n, "subcube", coords=coords)
+        return cls(n, "subcube:" + ",".join(map(str, coords)), coords=coords)
 
     @classmethod
     def radial(cls, n: int, profile) -> "Kernel":
@@ -99,27 +106,14 @@ class Kernel:
     # -- structure ---------------------------------------------------------
 
     def is_radial(self) -> bool:
-        return self.form in ("bernoulli", "ball", "sphere", "radial")
+        return self.profile is not None
 
     def radial_profile(self, exact: bool = True) -> list:
-        """Per-weight value profile; raises for non-radial forms."""
-        n = self.n
-        if self.form == "bernoulli":
-            d = self.delta
-            prof = [d ** i * (1 - d) ** (n - i) for i in range(n + 1)]
-        elif self.form == "ball":
-            v = Fraction(1, hc.ball_volume(n, self.t))
-            prof = [v if i <= self.t else Fraction(0) for i in range(n + 1)]
-        elif self.form == "sphere":
-            v = Fraction(1, math.comb(n, self.t))
-            prof = [v if i == self.t else Fraction(0) for i in range(n + 1)]
-        elif self.form == "radial":
-            prof = list(self.profile)
-        else:
-            raise ValueError(f"kernel form {self.form!r} is not radial")
-        if not exact:
-            return [float(v) for v in prof]
-        return prof
+        """Per-weight value profile, exact or as floats; raises for
+        non-radial kernels."""
+        if self.profile is None:
+            raise ValueError(f"kernel {self._spec!r} is not radial")
+        return self.profile if exact else [float(v) for v in self.profile]
 
     def lift(self, exact: bool = False) -> np.ndarray:
         """Dense pmf of the kernel (cached)."""
@@ -127,13 +121,13 @@ class Kernel:
         if key in self._lift_cache:
             return self._lift_cache[key]
         n = self.n
-        if self.form == "dense":
+        if self.values is not None:
             out = self.values
             if exact and not hc.is_exact(out):
                 raise ValueError("dense kernel built from floats has no exact lift")
             if not exact and hc.is_exact(out):
                 out = np.array([float(v) for v in out])
-        elif self.form == "subcube":
+        elif self.coords is not None:
             hc.admit("dense subcube lift", nbytes=(25 if exact else 17) << n)
             mask = 0
             for c in self.coords:
@@ -157,7 +151,7 @@ class Kernel:
         if self.is_radial():
             prof = self.radial_profile()
             return max((i for i, v in enumerate(prof) if v != 0), default=0)
-        lifted = self.lift(exact=hc.is_exact(self.values) if self.form == "dense" else False)
+        lifted = self.lift(exact=self.values is not None and hc.is_exact(self.values))
         return int(hc.weights_table(self.n)[lifted != 0].max(initial=0))
 
     def renyi_entropy(self, alpha) -> float:
@@ -165,19 +159,13 @@ class Kernel:
         profile when radial, so no 2^n array is built."""
         if self.is_radial():
             return renyi_entropy_radial(self.n, self.radial_profile(), alpha)
-        if self.form == "subcube":
+        if self.coords is not None:
             free = 1 << (self.n - len(self.coords))
             return exact_renyi({Fraction(1, free): free}, alpha)
         return renyi_entropy(self.values, alpha)
 
     def spec_string(self) -> str:
-        if self.form == "bernoulli":
-            return f"bernoulli:{float(self.delta)}"
-        if self.form in ("ball", "sphere"):
-            return f"{self.form}:{self.t}"
-        if self.form == "subcube":
-            return "subcube:" + ",".join(map(str, self.coords))
-        return self.form
+        return self._spec
 
     def __repr__(self):
         return f"Kernel({self.spec_string()}, n={self.n})"

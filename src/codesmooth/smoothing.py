@@ -1,15 +1,18 @@
 """Noisy code distributions and their distance to uniform.
 
 The central object is T_r f_C: the uniform distribution on a code pushed
-through a noise kernel.  Under a radial kernel it is constant on each coset
-of a linear code, so it is computed, and every report reads it, as a pmf on
-the 2^(n-k) syndromes (`cell_pmf`); only `smooth` spreads it over the 2^n
+through a noise kernel.  Under a radial kernel it is constant on each cell
+of the code (a coset of a linear code, a point of an explicit one), so it
+is computed, and every report reads it, as a pmf on those cells
+(`cell_pmf`); its exact values are the integer `code.radial_counts` of
+either code class, and only `smooth` spreads a coset pmf over the 2^n
 points.  This module measures how far that distribution is from uniform
 (Renyi divergence of any order), provides the closed-form second-moment
 identities that express the L2 case through distance spectra, the rate
 lower bound, threshold-rate formulas for Bernoulli and ball noise families,
-and exact certificates of perfect smoothing (including recovery of the
-smoothing kernel for uniformly packed codes).
+and exact certificates of perfect smoothing, which hold when all cell
+masses are equal (including recovery of the smoothing kernel for uniformly
+packed codes).
 """
 
 from __future__ import annotations
@@ -35,20 +38,25 @@ INF = math.inf
 
 def cell_pmf(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
     """The noisy code distribution r * f_C as a pmf on the cells it is
-    constant on.  Under a radial kernel that is a coset of a linear code:
-    P(s) = sum_i r(i) N_i(s), a sum of nonnegative terms, on the 2^(n-k)
-    syndromes, with every divergence to uniform and every norm of
-    `divergence_to_uniform` equal to those of the dense pmf.  Other pairs
+    constant on.  Under a radial kernel those are the cells of the code
+    (cosets of a linear code, points otherwise), where the exact pmf is the
+    integer `code.radial_counts` of the scaled profile over one common
+    denominator; a linear code's float pmf is P(s) = sum_i r(i) N_i(s) on
+    the 2^(n-k) syndromes.  Every divergence to uniform and every norm of
+    `divergence_to_uniform` equals that of the dense pmf.  Other pairs
     convolve dense arrays, and a float result is zeroed off the exact
     support."""
     if kernel.n != code.n:
         raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={code.n}")
-    if isinstance(code, cd.LinearCode) and kernel.is_radial():
+    if kernel.is_radial() and (exact or isinstance(code, cd.LinearCode)):
         hc.admit("exact smoothing" if exact else "coset smoothing",
                  nbytes=(_exact_cell_bytes(kernel) if exact else 8) * code.cells)
         if not exact:
             return code.coset_weights() @ np.array(kernel.radial_profile(exact=False))
         scaled, denom = _scaled_profile(kernel)
+        # a point counts denom |C| (r * f_C)(x) and its cell holds 2^n / cells
+        # points, so the denominator gains |C| cells / 2^n: 1 on cosets, |C| on points
+        denom *= code.size * code.cells >> code.n
         out = np.empty(code.cells, dtype=object)
         out[:] = [Fraction(int(c), denom) for c in code.radial_counts([scaled])[0]]
         return out
@@ -59,13 +67,9 @@ def cell_pmf(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
     if exact:
         return noisy
     # transform round-off lands on points of zero mass: zero every x where
-    # (1_C * 1_{supp r})(x) = 0, counted exactly (here a radial kernel meets
-    # an ExplicitCode, whose cells are points; a float convolution of 0/1
-    # arrays is off its integers by far less than 1/2)
-    if kernel.is_radial():
-        noisy[code.radial_counts([[int(v > 0) for v in kernel.radial_profile()]])[0] == 0] = 0.0
-    else:
-        noisy[hc.convolve(code.indicator() * 1.0, (kernel.lift() > 0) * 1.0) < 0.5] = 0.0
+    # (1_C * 1_{supp r})(x) = 0 (a float convolution of 0/1 arrays is off
+    # its integers by far less than 1/2)
+    noisy[hc.convolve(code.indicator() * 1.0, (kernel.lift() > 0) * 1.0) < 0.5] = 0.0
     return noisy
 
 
@@ -103,25 +107,23 @@ def _exact_cell_bytes(kernel: kn.Kernel) -> int:
 def is_perfectly_smoothed(code, kernel: kn.Kernel) -> bool:
     """Exact test of T_r f_C == U_n.
 
-    A radial kernel is scaled to integers by its common denominator and
-    evaluated once per cell by `code.radial_counts` (int64 when it fits,
-    Python ints otherwise), so no per-point Fraction is built; other
-    kernels compare every entry of the exact rational smoothing with 2^{-n}.
+    Every cell of `cell_pmf` holds 2^n / cells points, so T_r f_C is uniform
+    iff all cell masses are equal.  A radial kernel compares the integer
+    cell counts of `code.radial_counts` under its scaled profile, after an
+    O(1) exit: a uniform count |C| denom / 2^n must be an integer.  Other
+    kernels compare the exact cell pmf.
     """
-    n = code.n
-    if kernel.n != n:
-        raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={n}")
+    if kernel.n != code.n:
+        raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={code.n}")
     if not kernel.is_radial():
-        target = Fraction(1, 1 << n)
-        return all(v == target for v in smooth(code, kernel, exact=True))
-    scaled, denom = _scaled_profile(kernel)
-    # uniform iff the scaled smoothing equals |C| * denom / 2^n everywhere
-    target = code.size * denom
-    if target % (1 << n):
-        return False
-    hc.admit("perfect-smoothing certificate", nbytes=48 * code.cells)
-    (conv,) = code.radial_counts([scaled])
-    return bool((conv == target >> n).all())
+        mass = cell_pmf(code, kernel, exact=True)
+    else:
+        scaled, denom = _scaled_profile(kernel)
+        if code.size * denom % (1 << code.n):
+            return False
+        hc.admit("perfect-smoothing certificate", nbytes=48 * code.cells)
+        (mass,) = code.radial_counts([scaled])
+    return bool((mass == mass[0]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +231,7 @@ def lower_bound_report(code, kernel: kn.Kernel, alpha) -> BoundReport:
         return lower_bound(code.n, rate, kernel, alpha), measured.d_alpha
 
     floor, measured = sides(False)
-    dense_float = kernel.form == "dense" and not hc.is_exact(kernel.values)
+    dense_float = kernel.values is not None and not hc.is_exact(kernel.values)
     return check_bound(
         f"rate-floor a={alpha} n={code.n}", floor, measured,
         recheck=None if dense_float else lambda: sides(True),
@@ -355,11 +357,8 @@ def ball_code_divergence(n: int, t: int, delta, alpha=1) -> float:
     The code distribution and the Bernoulli kernel are both radial, so the
     noisy pmf is radial too and the whole computation is O(n^2).
     """
-    d = Fraction(delta)
-    vol = hc.ball_volume(n, t)
-    code_prof = [Fraction(1, vol) if i <= t else Fraction(0) for i in range(n + 1)]
-    noise_prof = [d ** i * (1 - d) ** (n - i) for i in range(n + 1)]
-    noisy = hc.radial_convolve(n, code_prof, noise_prof)
+    noisy = hc.radial_convolve(n, kn.Kernel.ball(n, t).radial_profile(),
+                               kn.Kernel.bernoulli(n, delta).radial_profile())
     return n - kn.renyi_entropy_radial(n, noisy, alpha)
 
 

@@ -190,8 +190,9 @@ def check_wiretap_numbers(cfg: SuiteConfig) -> list[BoundReport]:
 
 
 def check_identities(cfg: SuiteConfig) -> list[BoundReport]:
-    """Exact identities: transform involution, matroid duality, leakage
-    decomposition, dual erasure entropy of the parity code."""
+    """Exact identities: transform involution, matroid duality, leakage as
+    a mean divergence over messages, dual erasure entropy of the parity
+    code."""
     rng = _rng(cfg, 5)
     out = []
 
@@ -213,10 +214,17 @@ def check_identities(cfg: SuiteConfig) -> list[BoundReport]:
         ok = ok and (lhs == rhs)
     out.append(BoundReport(f"matroid-identity n={code.n}", 0.0, 0.0, ok))
 
-    scheme = wt.NestedScheme(cd.parity(6), cd.full_space(6))
-    cond, leak, marg = wt.decomposition_terms(scheme, 0.2)
-    out.append(check_bound("leakage-decomposition n=6",
-                           abs(cond - leak - marg), 1e-9))
+    # I(M;Z) = mean_m D(P_{Z|m} || P_Z) on the inner cells: message m
+    # shifts the noisy inner pmf by its coset leader's syndrome
+    scheme = wt.NestedScheme(cd.reed_muller(1, 4), cd.reed_muller(2, 4))
+    de = Fraction(1, 5)
+    p = sm.cell_pmf(scheme.inner, kn.Kernel.bernoulli(scheme.n, de))
+    shifts = scheme.inner.cell_of(scheme.coset_leaders())
+    given = p[np.arange(len(p)) ^ shifts[:, None]]
+    marg = given.mean(0)
+    mutual = (given * np.log2(given / marg)).sum(1).mean()
+    out.append(check_bound("leakage-mixture rm(1,4) in rm(2,4) de=1/5",
+                           abs(mutual - wt.leakage_exact(scheme, de)), 1e-9))
 
     code = cd.parity(3)
     ok = True

@@ -89,7 +89,8 @@ def leakage_exact(scheme: NestedScheme, delta_e: float) -> float:
     and the conditional given any message is a shifted noisy inner
     distribution, whose entropy is shift invariant.
     """
-    return _leakage(*_noisy_pmfs(scheme, delta_e, False))
+    outer, inner = _noisy_pmfs(scheme, delta_e, False)
+    return _d1(inner) - _d1(outer)
 
 
 def _noisy_pmfs(scheme: NestedScheme, delta_e, exact: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -100,10 +101,9 @@ def _noisy_pmfs(scheme: NestedScheme, delta_e, exact: bool) -> tuple[np.ndarray,
             sm.cell_pmf(scheme.inner, kernel, exact))
 
 
-def _leakage(outer: np.ndarray, inner: np.ndarray):
-    """H(outer) - H(inner) = D_1(inner || U_n) - D_1(outer || U_n)."""
-    return (sm.divergence_to_uniform(inner, 1).d_alpha
-            - sm.divergence_to_uniform(outer, 1).d_alpha)
+def _d1(pmf: np.ndarray):
+    """D_1(pmf || U_n); the leakage is D_1(inner) - D_1(outer)."""
+    return sm.divergence_to_uniform(pmf, 1).d_alpha
 
 
 def secrecy_bound(scheme: NestedScheme, delta_e: float, alpha=1) -> float:
@@ -120,27 +120,20 @@ def secrecy_report(scheme: NestedScheme, delta_e: float, alpha=1) -> BoundReport
     """leakage <= smoothing bound of order alpha >= 1, with a high-precision
     recheck.
 
-    At order 1 the gap is exactly the divergence of the marginal from
+    At order 1 the bound is the leakage's own term D_1(inner), evaluated
+    once, and the gap is exactly the divergence of the marginal from
     uniform, which vanishes when the outer code fills the space; the
     recheck evaluates the same divergences on the exact rational pmfs.
     """
     def sides(exact):
         outer, inner = _noisy_pmfs(scheme, delta_e, exact)
-        return _leakage(outer, inner), sm.divergence_to_uniform(inner, alpha).d_alpha
+        bound = sm.divergence_to_uniform(inner, alpha).d_alpha
+        return (bound if alpha == 1 else _d1(inner)) - _d1(outer), bound
 
     leak, bound = sides(False)
     name = f"secrecy-bound n={scheme.n} de={delta_e}" + (f" a={alpha}" if alpha != 1 else "")
     return check_bound(name, leak, bound, recheck=lambda: sides(True),
                        details={"scheme": repr(scheme), "alpha": alpha})
-
-
-def decomposition_terms(scheme: NestedScheme, delta_e: float) -> tuple[float, float, float]:
-    """(conditional divergence, leakage, marginal divergence): the first
-    equals the sum of the other two."""
-    outer, inner = _noisy_pmfs(scheme, delta_e, False)
-    cond = sm.divergence_to_uniform(inner, 1).d_alpha
-    marg = sm.divergence_to_uniform(outer, 1).d_alpha
-    return cond, cond - marg, marg
 
 
 # ---------------------------------------------------------------------------

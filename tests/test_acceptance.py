@@ -21,7 +21,7 @@ from codesmooth import wiretap as wt
 from codesmooth.cli import main as cli_main
 
 from conftest import random_fraction_array, random_linear_code, seeded_rng
-from oracles import convolve_direct, l2_dense_oracle, mu_spectral
+from oracles import convolve_direct, l2_dense_oracle, leakage_mixture_oracle, mu_spectral
 
 INF = math.inf
 
@@ -194,7 +194,7 @@ class TestCriterion5Identities:
                 assert abs(v - bec) <= 1e-9
         report(5, "norm-expectation identity independent of order, = BEC entropy")
 
-    def test_leakage_decomposition(self):
+    def test_leakage_matches_mixture_oracle(self):
         rng = seeded_rng(96)
         for seed in range(3):
             n = int(rng.integers(8, 15))
@@ -208,9 +208,9 @@ class TestCriterion5Identities:
                     rows.append(cand)
             scheme = wt.NestedScheme(
                 inner, cd.LinearCode(np.array(rows, dtype=np.uint8)))
-            cond, leak, marg = wt.decomposition_terms(scheme, 0.15)
-            assert abs(cond - (leak + marg)) <= 1e-9
-        report(5, "conditional divergence = leakage + marginal divergence")
+            leak = wt.leakage_exact(scheme, 0.15)
+            assert abs(leak - leakage_mixture_oracle(scheme, 0.15)) <= 1e-9
+        report(5, "leakage = mean divergence of the message conditionals")
 
     def test_matroid_identity(self):
         rng = seeded_rng(97)

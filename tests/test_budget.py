@@ -92,7 +92,9 @@ def test_exact_smoothing_estimate_grows_with_the_kernel_denominator(monkeypatch)
     # an explicit code: a linear one is smoothed on its cosets, not densely
     code = cd.ExplicitCode(n, cd.random_linear(n, 5, seed=1).codeword_ints())
     small = kn.Kernel.bernoulli(n, Fraction(1, 10))
-    binary = kn.Kernel.bernoulli(n, Fraction(0.1))  # 55 denominator bits per coordinate
+    # 55 denominator bits per coordinate; dense, since a radial kernel is
+    # smoothed through the code's radial counts, not by dense convolution
+    binary = kn.Kernel.dense(kn.Kernel.bernoulli(n, Fraction(0.1)).lift(exact=True))
     per_point = sm._exact_cell_bytes(binary)
     assert per_point > hc.EXACT_CELL_BYTES > sm._exact_cell_bytes(small)
     tracemalloc.start()

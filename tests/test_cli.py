@@ -210,8 +210,22 @@ class TestMcQn:
         assert float(row["estimate"]) - 3 * float(row["stderr"]) \
             <= float(row["recursive_bound"])
 
+    def test_decimal_alpha_is_exact(self, capsys):
+        # 1.1 is read as 11/10, not as its binary value with a 2^51 denominator
+        code, out = run_cli(capsys, "mc", "qn", "--n", "8", "--rate", "0.7",
+                            "--kernel", "bernoulli:0.1", "--alpha", "1.1",
+                            "--trials", "100", "--seed", "1")
+        assert code == 0
+        assert math.isfinite(float(csv_rows(out)[0]["recursive_bound"]))
+
 
 class TestUsageErrors:
+    def test_infinite_qn_order_exits_2(self, capsys):
+        code, _ = run_cli(capsys, "mc", "qn", "--n", "8", "--rate", "0.7",
+                          "--kernel", "bernoulli:0.1", "--alpha", "inf",
+                          "--trials", "10")
+        assert code == 2
+
     def test_unknown_kernel_spec(self, capsys, tmp_path):
         path = tmp_path / "h.code"
         run_cli(capsys, "code", "gen", "--family", "hamming",

@@ -179,10 +179,15 @@ class TestBinaryRenyi:
 
 class TestKernelSpecGrammar:
     def test_parse_forms(self):
-        assert kn.parse_kernel_spec("bernoulli:0.1", 6).form == "bernoulli"
-        assert kn.parse_kernel_spec("ball:3", 6).t == 3
-        assert kn.parse_kernel_spec("sphere:2", 6).t == 2
-        assert kn.parse_kernel_spec("subcube:0,2,5", 6).coords == (0, 2, 5)
+        for spec, direct in (("bernoulli:0.1", kn.Kernel.bernoulli(6, Fraction(1, 10))),
+                             ("ball:3", kn.Kernel.ball(6, 3)),
+                             ("sphere:2", kn.Kernel.sphere(6, 2))):
+            k = kn.parse_kernel_spec(spec, 6)
+            assert k.spec_string() == spec
+            assert k.radial_profile() == direct.radial_profile()
+        k = kn.parse_kernel_spec("subcube:0,2,5", 6)
+        assert k.spec_string() == "subcube:0,2,5"
+        assert k.coords == (0, 2, 5)
 
     def test_parse_radial_file(self, tmp_path):
         n = 4

@@ -54,6 +54,20 @@ class TestSmooth:
         with pytest.raises(ValueError):
             sm.smooth(cd.repetition(4), kn.Kernel.ball(5, 1))
 
+    def test_explicit_exact_cells_match_dense_convolution(self):
+        # the exact radial path reads `radial_counts`; the oracle convolves
+        # the exact dense pmf with the exact lifted kernel
+        rng = seeded_rng(42)
+        for _ in range(20):
+            n = int(rng.integers(1, 11))
+            words = rng.integers(0, 1 << n, size=int(rng.integers(1, 1 << min(n, 6)) + 1))
+            code = cd.ExplicitCode(n, words)
+            for kernel in (kn.Kernel.bernoulli(n, Fraction(int(rng.integers(1, 50)), 100)),
+                           kn.Kernel.ball(n, int(rng.integers(0, n + 1))),
+                           kn.Kernel.sphere(n, int(rng.integers(0, n + 1)))):
+                want = hc.convolve(code.pmf(exact=True), kernel.lift(exact=True))
+                assert (sm.cell_pmf(code, kernel, exact=True) == want).all(), (code, kernel)
+
     def test_dense_float_support_is_exact(self):
         # the [10, 2] code of verify seed 0's rate-floor[59] as an explicit
         # code: transform round-off on its points of zero mass used to be
@@ -273,7 +287,7 @@ class TestPerfectSmoothingCertificate:
         def refuse(*args, **kwargs):
             raise AssertionError("radial certificate fell back to exact smoothing")
 
-        monkeypatch.setattr(sm, "smooth", refuse)
+        monkeypatch.setattr(sm, "cell_pmf", refuse)
         tiny = Fraction(1, 10**6)
         assert sm.is_perfectly_smoothed(cd.full_space(6), kn.Kernel.bernoulli(6, tiny))
         assert not sm.is_perfectly_smoothed(hamming7, kn.Kernel.bernoulli(7, tiny))
@@ -282,6 +296,41 @@ class TestPerfectSmoothingCertificate:
         code = cd.parity(5)
         assert sm.is_perfectly_smoothed(code, kn.Kernel.subcube(5, [0, 1, 2, 3]))
         assert not sm.is_perfectly_smoothed(code, kn.Kernel.subcube(5, range(5)))
+
+    def test_matches_exact_dense_uniformity(self, hamming7):
+        def uniform(code, kernel):
+            noisy = hc.convolve(code.pmf(exact=True), kernel.lift(exact=True))
+            return all(v == Fraction(1, 1 << code.n) for v in noisy)
+
+        rng = seeded_rng(43)
+        codes = [hamming7, cd.full_space(6), cd.repetition(5), cd.parity(6)]
+        codes += [random_linear_code(rng, 8, n_min=3) for _ in range(4)]
+        codes += [cd.ExplicitCode(n, rng.integers(0, 1 << n, size=1 << int(rng.integers(1, n))))
+                  for n in (4, 6, 8)]
+        seen = set()
+        for base in codes:
+            n = base.n
+            both = [base] + ([cd.ExplicitCode(n, base.codeword_ints())]
+                             if isinstance(base, cd.LinearCode) else [])
+            kernels = [
+                # |C| denom / 2^n is mostly fractional under ball(1), the
+                # certificate's early exit, and integral under the others
+                kn.Kernel.ball(n, 1), kn.Kernel.ball(n, n),
+                kn.Kernel.bernoulli(n, Fraction(1, 10)), kn.Kernel.bernoulli(n, Fraction(1, 4)),
+                kn.Kernel.subcube(n, []), kn.Kernel.subcube(n, [0]),
+                kn.Kernel.subcube(n, range(n)),
+                kn.Kernel.dense(kn.Kernel.ball(n, 1).lift(exact=True)),
+                kn.Kernel.dense(kn.Kernel.bernoulli(n, Fraction(1, 4)).lift(exact=True)),
+            ]
+            for code in both:
+                for kernel in kernels:
+                    got = sm.is_perfectly_smoothed(code, kernel)
+                    assert got == uniform(code, kernel), (code, kernel)
+                    seen.add((kernel.spec_string().split(":")[0], got))
+        assert sm.is_perfectly_smoothed(hamming7, kn.Kernel.ball(7, 1))
+        assert sm.is_perfectly_smoothed(cd.full_space(6), kn.Kernel.bernoulli(6, Fraction(1, 10)))
+        assert seen == {(form, v) for form in ("ball", "bernoulli", "subcube", "dense")
+                        for v in (False, True)}
 
 
 class TestPerfectKernelSearch:

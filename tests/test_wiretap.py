@@ -114,16 +114,6 @@ class TestSecrecyBound:
         vals = [wt.secrecy_bound(scheme, 0.2, a) for a in (1, 2, 3, INF)]
         assert all(u <= v + 1e-12 for u, v in zip(vals, vals[1:]))
 
-    def test_decomposition_identity(self):
-        # conditional divergence = leakage + marginal divergence
-        for seed in (13, 14):
-            scheme = nested_random(12, 4, 8, seed=seed)
-            cond, leak, marg = wt.decomposition_terms(scheme, 0.2)
-            assert math.isclose(cond, leak + marg, rel_tol=1e-9, abs_tol=1e-11)
-        scheme = nested_random(14, 5, 9, seed=15)
-        cond, leak, marg = wt.decomposition_terms(scheme, 0.1)
-        assert math.isclose(cond, leak + marg, rel_tol=1e-9, abs_tol=1e-11)
-
     def test_shift_invariance_across_messages(self):
         scheme = nested_random(10, 3, 6, seed=16)
         conditionals = conditional_distributions(scheme, 0.2)
