@@ -182,10 +182,24 @@ class LinearCode(_Code):
 
     def radial_counts(self, profiles) -> list[np.ndarray]:
         """Exact s -> sum_i p(i) N[s, i] for each integer profile p: the
-        value of x -> sum_c p(|x^c|) on coset s."""
-        return [self.coset_weights() @ np.array(p, dtype=np.int64 if hc._int64_exact(
-                    0, hc.radial_sum(self.n, [abs(v) for v in p])) else object)
-                for p in profiles]
+        value of x -> sum_c p(|x^c|) on coset s.
+
+        int64 when sum_i C(n,i) |p(i)| fits.  Otherwise |p| is split into
+        limbs of L = 63 - k bits, signs kept: every row of N sums to 2^k, so
+        each limb's product is below 2^k (2^L - 1) < 2^63, and the limbs
+        are recombined per coset as Python ints."""
+        table, bits = self.coset_weights(), 63 - self.k
+        out = []
+        for p in profiles:
+            if hc._int64_exact(0, hc.radial_sum(self.n, [abs(v) for v in p])):
+                out.append(table @ np.array(p, dtype=np.int64))
+                continue
+            mask, counts = (1 << bits) - 1, 0
+            for shift in reversed(range(0, max(abs(v) for v in p).bit_length(), bits)):
+                limb = [v >> shift & mask if v >= 0 else -(-v >> shift & mask) for v in p]
+                counts = (counts << bits) + (table @ np.array(limb, dtype=np.int64)).astype(object)
+            out.append(counts)
+        return out
 
     def contains(self, word: int) -> bool:
         return not self.cell_of(word)

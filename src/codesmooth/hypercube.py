@@ -15,9 +15,12 @@ so the inverse transform carries no normalization and round-trips exactly
 in rational mode.  A float64 transform is one BLAS product per Kronecker
 factor H_{2^g}, g <= 5, of H_{2^n} (Fino and Algazi, 1976).
 
-Every radial routine is built on `radial_transform`, the per-weight
-transform of a radial function; `_int64_exact` is the one rule that lets
-integer transforms run in int64 rather than Python ints.
+Integer transforms are exact in three tiers, each chosen from a bound on
+the array alone: in float64, on the same BLAS products, while every
+partial sum stays at most 2^53 (`_float64_exact`); in int64 while the
+final result fits (`_int64_exact`); on Python ints above that.  Every
+radial routine is built on `radial_transform`, the per-weight transform of
+a radial function.
 """
 
 from __future__ import annotations
@@ -130,24 +133,35 @@ def assert_pmf(values, tol: float = 1e-12) -> None:
 def wht_natural(values) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform sum_x f(x)(-1)^{x.y}.
 
-    float64 runs as BLAS products by the Kronecker factors of H_{2^n};
-    integer and object (Fraction / Python int) arrays run butterflies,
-    which keep them exact.  Self-inverse up to a factor 2^n.  A 2-D array
-    is transformed down each column.
+    float64 runs as BLAS products by the Kronecker factors of H_{2^n}, and
+    so does int64 while that is exact; other integer and object (Fraction /
+    Python int) arrays run butterflies, which keep them exact.
+    Self-inverse up to a factor 2^n.  A 2-D array is transformed down each
+    column.
     """
     return _wht_inplace(np.array(values, order="C"))
 
 
 def _wht_inplace(a: np.ndarray) -> np.ndarray:
     """`wht_natural` that overwrites its C-contiguous argument instead of
-    copying it.  numpy has no integer BLAS (on a 2-core x86 VM, int64
-    `matmul` blocks at n = 23 took 0.96-1.05 s against 0.81-0.86 s for the
-    butterfly), so only float64 is blocked; other dtypes run butterflies in
+    copying it.  float64 runs as BLAS products; so does int64 whenever
+    max|a| * 2^n <= 2^53 (`_float64_exact`), cast in place.  numpy has no
+    integer BLAS, so other int64 arrays and object arrays run butterflies in
     place, (t, b) -> (t + b, t + b - 2b), with no scratch buffer: every step
     is a ring operation, exact in int64 (mod 2^64) and on Python ints."""
-    dimension_of(a)  # validates power of two
+    n = dimension_of(a)
     if a.dtype == np.float64:
         return _wht_blocked_inplace(a)
+    if a.dtype == np.int64 and a.size and _float64_exact(n, max(int(a.max()), -int(a.min()))):
+        # the float64 view shares the buffer; casts run a scratch-sized chunk at a time
+        ints = np.reshape(a, -1, copy=False)
+        floats = ints.view(np.float64)
+        for s in range(0, ints.size, _SCRATCH_FLOATS):
+            floats[s:s + _SCRATCH_FLOATS] = ints[s:s + _SCRATCH_FLOATS]
+        _wht_blocked_inplace(a.view(np.float64))
+        for s in range(0, ints.size, _SCRATCH_FLOATS):
+            ints[s:s + _SCRATCH_FLOATS] = floats[s:s + _SCRATCH_FLOATS]
+        return a
     h = 1
     while h < a.shape[0]:
         v = a.reshape(-1, 2, h, *a.shape[1:])
@@ -218,12 +232,24 @@ def _scale_to_int(arr: np.ndarray) -> tuple[np.ndarray, int]:
     return out, denom
 
 
+def _float64_exact(n: int, bound: int) -> bool:
+    """True when a transform of size 2^n of integers of magnitude at most
+    `bound` is exact in float64.
+
+    Every intermediate value, BLAS partial sums included, is a +-sum of at
+    most 2^n inputs, and float64 holds every integer up to 2^53 exactly.
+    """
+    return bound << n <= 1 << 53
+
+
 def _int64_exact(n: int, bound: int) -> bool:
     """True when an integer transform pair of size 2^n is exact in int64.
 
     `bound` caps the magnitude of the exact result before the final inverse
     transform multiplies it by 2^n.  int64 arithmetic is a ring mod 2^64,
     so intermediates that wrap around cancel once the final value fits.
+    Above this bound transforms run on Python ints; below the tighter
+    `_float64_exact` bound an int64 transform runs in float64.
     """
     return bound << n <= _INT64_MAX
 

@@ -92,16 +92,21 @@ def _scaled_profile(kernel: kn.Kernel) -> tuple[list[int], int]:
 
 
 def _exact_cell_bytes(kernel: kn.Kernel) -> int:
-    """Peak bytes per cube point of exact smoothing under `kernel`.
+    """Peak bytes per cell of exact smoothing under `kernel`.
 
-    tracemalloc measured 126-275 at n = 10..16 for kernel denominators of
-    up to 107 bits (ball, sphere, Bernoulli(1/3), (1/10), (7/100)) and
-    482-645 for the 541-881 bits of Bernoulli kernels converted from binary
-    floats; 256 plus half a byte per bit of the common denominator covers
-    both.
+    A radial kernel runs through `radial_counts`, where each cell holds a
+    count and a Fraction of about as many bits as the common denominator:
+    tracemalloc measured 75-193 at n = 10..16 for denominators of up to
+    107 bits (ball, sphere, Bernoulli(1/10), (3/10), (7/100)) and 359-497
+    for the 551-881 bits of Bernoulli kernels converted from binary floats,
+    on explicit codes (cells are points) and linear ones (cells are
+    cosets); 160 plus half a byte per bit covers both.  Other kernels
+    convolve dense Fraction arrays: 126-275 for up to 107 bits and 482-645
+    for 541-881 bits at n = 10..16, covered by 256 plus half a byte per bit.
     """
     values = kernel.radial_profile() if kernel.is_radial() else kernel.lift(exact=True)
-    return 256 + math.lcm(*(v.denominator for v in values)).bit_length() // 2
+    bits = math.lcm(*(v.denominator for v in values)).bit_length()
+    return (160 if kernel.is_radial() else 256) + bits // 2
 
 
 def is_perfectly_smoothed(code, kernel: kn.Kernel) -> bool:
@@ -143,10 +148,13 @@ def divergence_to_uniform(f, alpha) -> SmoothnessReport:
     distribution; the pmf of `cell_pmf` on the cosets of a linear code
     gives the same three as the dense pmf.
 
-    d_alpha = n - H_alpha(f); l_alpha = ||2^n f||_alpha; the dimensionless
-    ratio is ||f - U||_alpha / ||f||_1 = ||2^n f - 1||_alpha.  The norms
-    are undefined at alpha = 0, where only the divergence is filled in.
-    An exact pmf is grouped into distinct masses, one float conversion each.
+    d_alpha = n - H_alpha(f); l_alpha = ||2^n f||_alpha, read from it as
+    2^(d_alpha (alpha - 1) / alpha) (2^d_inf at alpha = inf, 1 at alpha = 1),
+    since mean((2^n f)^alpha) = 2^(n (alpha - 1)) sum f^alpha; the
+    dimensionless ratio is ||f - U||_alpha / ||f||_1 = ||2^n f - 1||_alpha.
+    The norms are undefined at alpha = 0, where only the divergence is
+    filled in.  An exact pmf is grouped into distinct masses, one float
+    conversion each.
     """
     arr = f if isinstance(f, np.ndarray) else hc.as_dense(f)
     n = hc.dimension_of(arr)
@@ -160,19 +168,18 @@ def divergence_to_uniform(f, alpha) -> SmoothnessReport:
         d_alpha = n - kn.renyi_entropy(arr, alpha)
     if alpha == 0:
         return SmoothnessReport(alpha, d_alpha, math.nan, math.nan)
-    scaled = arr * (1 << n)
-    l_alpha = _norm(scaled, alpha)
-    dimensionless = _norm(scaled - 1.0, alpha)
+    l_alpha = 2.0 ** (float(d_alpha) * (1.0 if alpha == INF else 1 - 1 / float(alpha)))
+    centered = arr * (1 << n)
+    centered -= 1.0
+    dimensionless = _norm(centered, alpha)
     return SmoothnessReport(alpha, d_alpha, l_alpha, dimensionless)
 
 
 def _norm(values: np.ndarray, alpha) -> float:
-    """Normalized-counting-measure alpha-norm of a dense function."""
+    """Normalized-counting-measure alpha-norm of a dense function, alpha > 0."""
     a = np.abs(values)
     if alpha == INF:
         return float(a.max())
-    if alpha == 0:
-        raise ValueError("norm undefined for alpha = 0")
     # mean(|v|^alpha)^(1/alpha) in a log-safe form
     pos = np.log(a[a > 0])
     if pos.size == 0:

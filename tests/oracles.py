@@ -52,6 +52,15 @@ def l2_dense_oracle(code, kernel: kn.Kernel) -> float:
     return float(np.mean((noisy * (1 << code.n)) ** 2))
 
 
+def norm_dense(values, alpha) -> float:
+    """mean(|v|^alpha)^(1/alpha) (max |v| at alpha = inf) summed directly;
+    the oracle for the norms of `sm.divergence_to_uniform`."""
+    a = np.abs(np.asarray(values, dtype=np.float64))
+    if alpha == math.inf:
+        return float(a.max())
+    return float(np.mean(a ** float(alpha)) ** (1 / float(alpha)))
+
+
 def qn_exhaustive(n: int, m: int, kernel: kn.Kernel, alpha: float) -> float:
     """Brute-force E Q_n(alpha) over every codeword tuple (tiny n, M only)."""
     hc.admit("exhaustive ensemble expectation", steps=(1 << n) ** m)

@@ -109,3 +109,22 @@ def test_exact_smoothing_estimate_grows_with_the_kernel_denominator(monkeypatch)
     monkeypatch.setattr(hc, "MEMORY_CAP", (per_point << n) - 1)
     with pytest.raises(hc.BudgetExceeded, match="exact smoothing"):
         sm.smooth(code, binary, exact=True)
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_radial_exact_estimate_tracks_its_peak(linear):
+    # exact radial smoothing reads `radial_counts`, charged from its own
+    # measured rate per cell: at most 1.5 times the traced peak at n = 14
+    n, kernel = 14, kn.Kernel.bernoulli(14, Fraction(1, 10))
+    code = cd.random_linear(n, 3, seed=3) if linear else \
+        cd.ExplicitCode(n, cd.random_linear(n, 7, seed=3).codeword_ints())
+    if linear:
+        code.coset_weights()   # cached, and admitted on its own
+    tracemalloc.start()
+    try:
+        sm.cell_pmf(code, kernel, exact=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = sm._exact_cell_bytes(kernel) * code.cells
+    assert peak <= estimate <= 1.5 * peak, (peak, estimate)

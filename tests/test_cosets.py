@@ -130,6 +130,26 @@ def test_coset_weights_beyond_int64():
     assert (counts.sum(axis=1) == 1 << 52).all()
 
 
+def test_radial_counts_in_limbs_equal_python_ints():
+    # profiles summing past 2^63 run in int64 limbs of 63 - k bits; they must
+    # equal the product on Python ints, including negative entries
+    code = cd.reed_muller(2, 5)
+    scaled, _ = sm._scaled_profile(kn.Kernel.bernoulli(32, Fraction(3, 10)))
+    assert not hc._int64_exact(0, hc.radial_sum(32, scaled))
+    (counts,) = code.radial_counts([scaled])
+    assert counts.dtype == object
+    assert counts.tolist() == (code.coset_weights() @ np.array(scaled, dtype=object)).tolist()
+    rng = seeded_rng(79)
+    for code in [cd.random_linear(30, 14, seed=1), CODES[2], CODES[3], cd.full_space(62)]:
+        profiles = [[int(v) << int(s) for v, s in zip(rng.integers(-2 ** 62, 2 ** 62, code.n + 1),
+                                                       rng.integers(0, 130, code.n + 1))]
+                    for _ in range(2)]
+        profiles[1][0] = 0
+        got = code.radial_counts(profiles)
+        for p, counts in zip(profiles, got):
+            assert counts.tolist() == (code.coset_weights() @ np.array(p, dtype=object)).tolist()
+
+
 def test_hamming31_without_the_cube():
     code = cd.hamming(5)
     tracemalloc.start()

@@ -83,8 +83,8 @@ class TestFwht:
 
 
 class TestBlockedWht:
-    """float64 transforms run as products by H_{2^g}; the butterflies on
-    object and int64 arrays are their oracles."""
+    """float64 transforms, and int64 ones below 2^53, run as products by
+    H_{2^g}; the butterfly on object arrays is their oracle."""
 
     def test_matches_exact_transform_up_to_n13(self):
         # 52-bit numerators over 2^40: float sums of them round, while the
@@ -102,9 +102,43 @@ class TestBlockedWht:
                                        (1 << 6, 5000), (1 << 5, 9000)])
     def test_integer_values_equal_int64_butterfly(self, shape):
         # the last two shapes make a (2^g, low * cols) block wider than the
-        # scratch buffer, so the products run over slices of the trailing axis
+        # scratch buffer, so the products run over slices of the trailing axis;
+        # int64 shares the float kernel here, so the object butterfly decides
         f = seeded_rng(21).integers(-1000, 1000, size=shape)
-        assert np.array_equal(hc.wht_natural(f.astype(np.float64)), hc.wht_natural(f))
+        exact = hc.wht_natural(f.astype(object))
+        assert np.array_equal(hc.wht_natural(f.astype(np.float64)), exact)
+        assert np.array_equal(hc.wht_natural(f), exact)
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 3), (1 << 11,), (1 << 16,), (1 << 13, 3),
+                                       (1 << 11, 24), (1 << 6, 5000), (1 << 5, 9000)])
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_int64_equals_object_butterfly(self, shape, excess, monkeypatch):
+        # max|f| * 2^n == 2^53 takes the float64 products, one more takes
+        # the int64 butterfly; both must equal the exact transform bit for bit
+        n = shape[0].bit_length() - 1
+        bound = (1 << 53) >> n
+        f = seeded_rng(25).integers(-bound, bound + 1, size=shape)
+        f.flat[f.size // 2] = -bound - excess
+        blocked = []
+        monkeypatch.setattr(hc, "_wht_blocked_inplace",
+                            lambda a, run=hc._wht_blocked_inplace: blocked.append(a) or run(a))
+        out = hc.wht_natural(f)
+        assert out.dtype == np.int64
+        assert out.tolist() == hc.wht_natural(f.astype(object)).tolist()
+        assert len(blocked) == 1 - excess
+
+    def test_int64_peak_memory_at_n20(self):
+        # the casts to and from float64 run in place, a chunk at a time
+        a = seeded_rng(26).integers(-1 << 33, 1 << 33, size=1 << 20)
+        expected = hc.wht_natural(a.astype(np.float64))  # exact: |W a| < 2^53
+        tracemalloc.start()
+        try:
+            out = hc._wht_inplace(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is a and np.array_equal(a, expected)
+        assert peak < 2 << 20
 
     def test_columns_transform_independently(self):
         f = seeded_rng(22).standard_normal((1 << 7, 4))

@@ -10,7 +10,7 @@ from codesmooth import kernels as kn
 from codesmooth import smoothing as sm
 
 from conftest import random_linear_code, seeded_rng
-from oracles import l2_dense_oracle
+from oracles import l2_dense_oracle, norm_dense
 
 INF = math.inf
 
@@ -117,19 +117,28 @@ class TestDivergenceToUniform:
         assert math.isclose(rep.d_alpha, math.log2(closed), rel_tol=1e-10)
 
     def test_report_field_consistency(self):
+        # l_alpha is read from d_alpha; both norms must equal the directly
+        # summed norm of 2^n p (and of 2^n p - 1), float and exact inputs
         rng = seeded_rng(41)
-        for _ in range(20):
+        for trial in range(20):
             n = int(rng.integers(2, 8))
             p = rng.random(1 << n)
+            p[rng.random(1 << n) < 0.3] = 0.0
             p /= p.sum()
-            for alpha in (0.5, 2, 3, 7):
-                rep = sm.divergence_to_uniform(p, alpha)
-                expected = alpha / (alpha - 1) * math.log2(rep.l_alpha)
-                assert math.isclose(rep.d_alpha, expected,
-                                    rel_tol=1e-12, abs_tol=1e-12)
-            rep = sm.divergence_to_uniform(p, INF)
-            assert math.isclose(rep.d_alpha, math.log2(rep.l_alpha),
-                                rel_tol=1e-12)
+            inputs = [p]
+            if trial < 5:
+                nums = rng.integers(0, 20, 1 << n)
+                nums[0] += 1
+                inputs.append(np.array([Fraction(int(v), int(nums.sum())) for v in nums],
+                                       dtype=object))
+            for f in inputs:
+                scaled = f.astype(np.float64) * (1 << n)
+                for alpha in (Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 7, INF):
+                    rep = sm.divergence_to_uniform(f, alpha)
+                    assert math.isclose(rep.l_alpha, norm_dense(scaled, alpha),
+                                        rel_tol=1e-12), (trial, alpha)
+                    assert math.isclose(rep.dimensionless, norm_dense(scaled - 1, alpha),
+                                        rel_tol=1e-12, abs_tol=1e-12), (trial, alpha)
 
     def test_monotone_in_alpha(self):
         rng = seeded_rng(42)
