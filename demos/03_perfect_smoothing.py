@@ -43,9 +43,9 @@ print("\nstubborn [5,2] code:", sm.perfect_kernel_search(stubborn))
 
 # --- kernel patterns for classical uniformly packed families ---------------
 print("\nshipped kernel patterns (value ratios r(2)/r(0)):")
-print("  2-error-correcting BCH length 32:",
-      kn.two_error_bch_profile(32).radial_profile()[2]
-      / kn.two_error_bch_profile(32).radial_profile()[0])
+print("  2-error-correcting BCH length 31:",
+      kn.two_error_bch_profile(31).radial_profile()[2]
+      / kn.two_error_bch_profile(31).radial_profile()[0])
 print("  Preparata length 15:",
       kn.preparata_profile(15).radial_profile()[2]
       / kn.preparata_profile(15).radial_profile()[0])

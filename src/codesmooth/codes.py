@@ -3,8 +3,9 @@
 Linear codes carry a row-reduced generator matrix (numpy uint8).  Codewords
 are materialized as integer arrays (coordinate i in bit i) by repeated
 doubling; `hypercube.admit` refuses enumerations too large to hold.
-A linear code also works on its 2^(n-k) cosets, indexed by syndrome, with
-the coset weight distribution taken from the dual code (MacWilliams).
+A linear code also works on its 2^(n-k) cosets, indexed by syndrome: a
+function whose transform vanishes off the dual code is read on them by one
+transform of its values on the dual codewords (`cell_transform`).
 Distance distributions follow the pair-count normalization A_i =
 #pairs-at-distance-i / |C|, which for linear codes is the weight
 distribution of the code itself.
@@ -89,6 +90,15 @@ class _Code:
             return self._on_codewords(Fraction(1, self.size), object)
         return self._on_codewords(1.0 / self.size, np.float64)
 
+    def radial_counts(self, profiles) -> list[np.ndarray]:
+        """Exact x -> sum_c p(|x^c|) on each cell, for integer profiles p
+        (sum_i p(i) N_i(s) on coset s, with N_i(s) weight-i words): the cell
+        transform of p's radial transform at |u|, over the number of cells."""
+        weights = np.bitwise_count(self.spectrum_points())
+        return [self.cell_transform(hc.int_array(hc.radial_transform(self.n, p))[weights],
+                                    hc.radial_sum(self.n, [abs(v) for v in p]))
+                >> self.cells.bit_length() - 1 for p in profiles]
+
     def cube_cells(self) -> np.ndarray:
         """The cell of every point, in point order: `cell_of` is linear over
         GF(2), so this is the span of the unit vectors' cells."""
@@ -120,7 +130,6 @@ class LinearCode(_Code):
         self._codewords: np.ndarray | None = None
         self._dual: LinearCode | None = None
         self._weights: np.ndarray | None = None
-        self._cosets: np.ndarray | None = None
         self._cell_tables: list[np.ndarray] | None = None
         self.rank_profile_cache: dict | None = None
 
@@ -161,45 +170,18 @@ class LinearCode(_Code):
             out ^= table[(pts >> 12 * i) & 0xFFF]
         return out
 
-    def coset_weights(self) -> np.ndarray:
-        """N[s, i] = number of weight-i words in the coset of syndrome s
-        (2^(n-k) x (n+1), int64, cached): the transform of K_i(|u|) over
-        the dual codewords u, whose index bits are the syndrome bits, over
-        2^(n-k); in int64 when 2^(n-k) max_i C(n,i) fits, else Python ints.
-        """
-        if self._cosets is None:
-            n, r = self.n, self.n - self.k
-            on_int64 = hc._int64_exact(r, math.comb(n, n // 2))
-            # measured: 20 bytes per int64 entry, 90 per Python int at ~1 us per butterfly
-            hc.admit("coset weight distribution",
-                     nbytes=(n + 1) * ((24 if on_int64 else hc.EXACT_CELL_BYTES) << r),
-                     steps=0 if on_int64 else r * (n + 1) << r)
-            kraw = np.array(hc.krawtchouk_matrix(n), dtype=np.int64 if on_int64 else object)
-            table = hc.wht_natural(kraw.T[self.dual().weights()])
-            table >>= r
-            self._cosets = table.astype(np.int64, copy=False)
-        return self._cosets
+    def code_cells(self) -> np.ndarray:
+        return np.zeros(1, dtype=np.int64)   # every codeword lies in coset 0
 
-    def radial_counts(self, profiles) -> list[np.ndarray]:
-        """Exact s -> sum_i p(i) N[s, i] for each integer profile p: the
-        value of x -> sum_c p(|x^c|) on coset s.
+    def spectrum_points(self) -> np.ndarray:
+        return self.dual().codeword_ints()
 
-        int64 when sum_i C(n,i) |p(i)| fits.  Otherwise |p| is split into
-        limbs of L = 63 - k bits, signs kept: every row of N sums to 2^k, so
-        each limb's product is below 2^k (2^L - 1) < 2^63, and the limbs
-        are recombined per coset as Python ints."""
-        table, bits = self.coset_weights(), 63 - self.k
-        out = []
-        for p in profiles:
-            if hc._int64_exact(0, hc.radial_sum(self.n, [abs(v) for v in p])):
-                out.append(table @ np.array(p, dtype=np.int64))
-                continue
-            mask, counts = (1 << bits) - 1, 0
-            for shift in reversed(range(0, max(abs(v) for v in p).bit_length(), bits)):
-                limb = [v >> shift & mask if v >= 0 else -(-v >> shift & mask) for v in p]
-                counts = (counts << bits) + (table @ np.array(limb, dtype=np.int64)).astype(object)
-            out.append(counts)
-        return out
+    def cell_transform(self, values: np.ndarray, mass: int) -> np.ndarray:
+        """s -> sum_a values[a] (-1)^{a.s} for values on the dual codewords
+        (`spectrum_points()`, index bits = syndrome bits): 2^(n-k) times g on
+        coset s, for g whose transform is `values` on the dual code and 0 off
+        it; exact for integers with sum |g| <= mass (`hc.wht_exact`)."""
+        return hc.wht_exact(values, mass << self.n - self.k)
 
     def contains(self, word: int) -> bool:
         return not self.cell_of(word)
@@ -259,9 +241,20 @@ class ExplicitCode(_Code):
     def cell_of(self, points) -> np.ndarray:
         return np.asarray(points, dtype=np.int64)
 
-    def radial_counts(self, profiles) -> list[np.ndarray]:
-        """Exact x -> sum_c p(|x^c|) at every point, for integer profiles."""
-        return hc.convolve_radial(self.indicator(), profiles)
+    def code_cells(self) -> np.ndarray:
+        return self.words
+
+    def spectrum_points(self) -> np.ndarray:
+        return np.arange(1 << self.n)
+
+    def cell_transform(self, values: np.ndarray, mass: int) -> np.ndarray:
+        """x -> sum_u W(1_C)(u) values[u] (-1)^{u.x} = 2^n (1_C * g)(x) for g with
+        transform `values`, exact for integers with sum |g| <= mass (`hc.wht_exact`)."""
+        spectrum = hc._wht_inplace(self.indicator())   # at most |C|: exact in int64
+        if not hc._int64_exact(self.n, mass):
+            spectrum = spectrum.astype(object)
+        spectrum *= values
+        return hc.wht_exact(spectrum, mass << self.n)
 
     def __repr__(self):
         return f"ExplicitCode(n={self.n}, size={self.size})"
@@ -402,21 +395,22 @@ def dual_distance_distribution(dist, size: int) -> list[Fraction]:
 
 
 def covering_radius(code) -> int:
-    """max_x min_c d(x, c): the largest coset-leader weight of a linear code;
-    for an explicit code, by breadth-first expansion over the full cube."""
-    if isinstance(code, LinearCode):
-        return int((code.coset_weights() != 0).argmax(axis=1).max())
-    n = code.n
-    hc.admit("covering radius sweep", nbytes=3 << n)
-    covered = np.zeros(1 << n, dtype=bool)
-    covered[code.codeword_ints()] = True
-    rho = 0
-    while not covered.all():
-        grown = covered.copy()
-        for i in range(n):
-            grown |= covered.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(-1)
-        covered = grown
-        rho += 1
+    """max_x min_c d(x, c): the depth of a breadth-first search over the
+    cells of the code from those of the codewords (coset 0 of a linear
+    code), each step adding the cell of one unit vector."""
+    # the reached flags, then two int64 layers and one shifted copy at most
+    hc.admit("covering radius sweep", nbytes=26 * code.cells)
+    units, reached = code.cell_of(1 << np.arange(code.n)), np.zeros(code.cells, dtype=bool)
+    layer, rho = code.code_cells(), -1
+    reached[layer] = True
+    while layer.size:
+        rho, grown = rho + 1, []
+        for unit in units:
+            step = layer ^ unit
+            step = step[~reached[step]]
+            reached[step] = True
+            grown.append(step)
+        layer = np.concatenate(grown)
     return rho
 
 

@@ -136,13 +136,6 @@ def asymptotic_bound(dist, delta: float, list_size: int,
 # Monte Carlo decoding on the BSC
 # ---------------------------------------------------------------------------
 
-def ball_counts_table(code, t: int) -> np.ndarray:
-    """F_t(y) = #codewords within distance t of y, for every y (dense)."""
-    hc.admit("codeword-count table", nbytes=48 << code.n)
-    (counts,) = code.radial_counts([[1] * (t + 1) + [0] * (code.n - t)])
-    return counts[code.cube_cells()]
-
-
 def mc_decoding_error(code, delta: float, list_size: int, t: int,
                       trials: int, seed: int = 0) -> tuple[float, float]:
     """Unbiased estimate of Pr{F_t(Y) >= L+1 or |Y| > t}, Y ~ Bernoulli(delta).

@@ -18,9 +18,9 @@ factor H_{2^g}, g <= 5, of H_{2^n} (Fino and Algazi, 1976).
 Integer transforms are exact in three tiers, each chosen from a bound on
 the array alone: in float64, on the same BLAS products, while every
 partial sum stays at most 2^53 (`_float64_exact`); in int64 while the
-final result fits (`_int64_exact`); on Python ints above that.  Every
-radial routine is built on `radial_transform`, the per-weight transform of
-a radial function.
+final result fits (`_int64_exact`); above that in int64 limbs recombined
+as Python ints (`wht_exact`) or on Python ints.  Every radial routine is
+built on `radial_transform`, the per-weight transform of a radial function.
 """
 
 from __future__ import annotations
@@ -40,11 +40,8 @@ _INT64_MAX = np.iinfo(np.int64).max
 MEMORY_CAP = 1 << 30
 STEP_CAP = 2 ** 22
 
-# Peak bytes per cube point of exact rational convolution.  tracemalloc
-# measured 130-300 at n = 10..14 for rationals with small denominators,
-# such as Bernoulli(1/10) or ball kernels; probabilities converted from
-# binary floats carry 54-bit denominators per coordinate and need more,
-# which exact smoothing charges from the kernel's denominator.
+# Peak bytes per cube point of exact rational convolution: tracemalloc
+# measured 130-300 at n = 10..14 for small denominators such as 10^n.
 EXACT_CELL_BYTES = 400
 
 
@@ -232,6 +229,28 @@ def _scale_to_int(arr: np.ndarray) -> tuple[np.ndarray, int]:
     return out, denom
 
 
+def wht_exact(values: np.ndarray, bound: int) -> np.ndarray:
+    """`wht_natural` of integers whose transform is at most `bound` in
+    magnitude, exactly: in int64 while `bound` fits (a ring mod 2^64, so the
+    values may have wrapped), and above it in signed limbs of L = 62 - n
+    bits, each limb's transform below 2^62, recombined as Python ints."""
+    n = dimension_of(values)
+    if _int64_exact(0, bound):
+        return _wht_inplace(values.astype(np.int64, copy=False))
+    bits, magnitude, negative, out = 62 - n, np.abs(values), values < 0, 0
+    for shift in reversed(range(0, int(magnitude.max()).bit_length(), bits)):
+        limb = (magnitude >> shift & (1 << bits) - 1).astype(np.int64)
+        np.negative(limb, out=limb, where=negative)
+        out = (out << bits) + _wht_inplace(limb).astype(object)
+    return out
+
+
+def int_array(values) -> np.ndarray:
+    """Integers as an int64 array when every one fits, Python ints otherwise."""
+    arr = np.array(values, dtype=object)
+    return arr.astype(np.int64) if _int64_exact(0, int(np.abs(arr).max(initial=0))) else arr
+
+
 def _float64_exact(n: int, bound: int) -> bool:
     """True when a transform of size 2^n of integers of magnitude at most
     `bound` is exact in float64.
@@ -248,7 +267,7 @@ def _int64_exact(n: int, bound: int) -> bool:
     `bound` caps the magnitude of the exact result before the final inverse
     transform multiplies it by 2^n.  int64 arithmetic is a ring mod 2^64,
     so intermediates that wrap around cancel once the final value fits.
-    Above this bound transforms run on Python ints; below the tighter
+    Above this bound transforms run in limbs or on Python ints; below the tighter
     `_float64_exact` bound an int64 transform runs in float64.
     """
     return bound << n <= _INT64_MAX
@@ -404,39 +423,6 @@ def radial_convolve(n: int, p1, p2) -> list:
     prod = [a * b for a, b in zip(radial_transform(n, p1), radial_transform(n, p2))]
     inv = Fraction(1, 1 << n) if exact else 1.0 / (1 << n)
     return [v * inv for v in radial_transform(n, prod)]
-
-
-def convolve_radial(f: np.ndarray, profiles) -> list[np.ndarray]:
-    """Exact x -> sum_z f(z) p(|x^z|) for a nonnegative int64 dense `f` and
-    each integer profile p.
-
-    W(f) is taken once; each profile then costs one product and one inverse
-    transform.  The work runs in int64 when 2^n max f sum_i C(n,i)|p(i)|
-    fits, which bounds every exact result, and on Python ints otherwise.
-    W(f) itself is taken in int64 either way, which is exact while
-    sum f < 2^63, as for any code indicator.
-    """
-    n = dimension_of(f)
-    mass = max(sum(math.comb(n, i) * abs(v) for i, v in enumerate(p))
-               for p in profiles)
-    on_int64 = _int64_exact(n, int(f.max()) * mass)
-    if not on_int64:
-        admit("exact radial convolution", nbytes=EXACT_CELL_BYTES << n)
-    wf = wht_natural(f)
-    if not on_int64:
-        wf = wf.astype(object)
-    wt = weights_table(n)
-    out = []
-    for p in profiles:
-        # one 2^n buffer per profile: lift, multiply and transform in place
-        counts = np.array(radial_transform(n, p), dtype=wf.dtype)[wt]
-        counts *= wf
-        counts = _wht_inplace(counts)
-        if np.bitwise_or.reduce(counts) & ((1 << n) - 1):
-            raise ArithmeticError("radial convolution is not integral")
-        counts >>= n
-        out.append(counts)
-    return out
 
 
 def radial_sum(n: int, profile):

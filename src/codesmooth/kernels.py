@@ -129,22 +129,38 @@ class Kernel:
                 out = np.array([float(v) for v in out])
         elif self.coords is not None:
             hc.admit("dense subcube lift", nbytes=(25 if exact else 17) << n)
-            mask = 0
-            for c in self.coords:
-                mask |= 1 << c
-            free = n - len(self.coords)
-            idx = np.arange(1 << n)
-            support = (idx & mask) == 0
-            if exact:
-                out = np.empty(1 << n, dtype=object)
-                out[:] = [Fraction(0)] * (1 << n)
-                out[support] = Fraction(1, 1 << free)
-            else:
-                out = np.where(support, 1.0 / (1 << free), 0.0)
+            support = (np.arange(1 << n) & sum(1 << c for c in self.coords)) == 0
+            mass = Fraction(1, 1 << n - len(self.coords))
+            out = np.where(support, mass, Fraction(0)) if exact else \
+                np.where(support, float(mass), 0.0)
         else:
             out = hc.lift_radial(n, self.radial_profile(exact=exact))
         self._lift_cache[key] = out
         return out
+
+    def spectrum(self, points, exact: bool = False, support: bool = False):
+        """rhat(u) = sum_x r(x)(-1)^{u.x} at each point u.  Exact: (T, D) with
+        rhat = T / D, integers (int64 when they fit) over the common
+        denominator D of the values, floats taken at their binary value.
+        Float: each distinct T / D rounded once (a float transform for a dense
+        kernel of floats).  support=True transforms the support's indicator."""
+        u = np.asarray(points, dtype=np.int64)
+        if self.values is not None and not (exact or support or hc.is_exact(self.values)):
+            return hc.wht_natural(self.values)[u]
+        if self.coords is not None:
+            # uniform on {x : x_S = 0}: rhat(u) = 1 when supp u lies inside S
+            per, denom = [0, 1 << self.n - len(self.coords) if support else 1], 1
+            at = ((u & ~sum(1 << c for c in self.coords)) == 0).view(np.uint8)
+        else:
+            values = self.values if self.profile is None else self.profile
+            ints, denom = hc._scale_to_int([int(v != 0) for v in values] if support else values)
+            if self.profile is not None:
+                per, at = hc.radial_transform(self.n, list(ints)), np.bitwise_count(u)
+            else:   # |rhat| is at most the sum of the nonnegative integer values
+                per, at = hc.wht_exact(ints, int(ints.sum())), u
+        if not exact:
+            return np.array([int(v) / denom for v in per])[at]
+        return hc.int_array(per)[at], denom
 
     def radius(self) -> int:
         """Largest weight carrying mass."""
@@ -277,12 +293,15 @@ def renyi_entropy(p, alpha) -> float:
         raise ValueError("Renyi order must be >= 0")
     if hc.is_exact(arr):
         return exact_renyi(point_masses(arr), alpha)
-    total = float(arr.sum())
-    # transform round-off can leave -1e-13-scale noise on true zeros
-    if abs(total - 1.0) > 1e-9 or float(arr.min()) < -1e-12:
-        raise ValueError("input is not a pmf")
+    check_float_pmf(arr)
     logs = np.log(arr[arr > 0])
     return entropy_from_log_terms(logs, alpha)
+
+
+def check_float_pmf(arr: np.ndarray) -> None:
+    # transform round-off can leave -1e-13-scale noise on true zeros
+    if abs(float(arr.sum()) - 1.0) > 1e-9 or float(arr.min()) < -1e-12:
+        raise ValueError("input is not a pmf")
 
 
 def renyi_entropy_radial(n: int, profile, alpha) -> float:
@@ -346,21 +365,14 @@ def binary_entropy(delta) -> float:
 # ---------------------------------------------------------------------------
 
 def two_error_bch_profile(n: int) -> Kernel:
-    """Radius-3 smoothing kernel pattern r(0)=r(1)=L, r(2)=r(3)=3L/n."""
-    w = [Fraction(1), Fraction(1), Fraction(3, n), Fraction(3, n)]
-    return _normalized_radial(n, w)
-
-
-def preparata_profile(n: int) -> Kernel:
-    """Radius-3 smoothing kernel pattern r(0)=r(1)=L, r(2)=r(3)=6L/(n-1)."""
+    """Radius-3 pattern r(0)=r(1)=L, r(2)=r(3)=6L/(n-1) of two-error-correcting BCH codes."""
     w = [Fraction(1), Fraction(1), Fraction(6, n - 1), Fraction(6, n - 1)]
     return _normalized_radial(n, w)
 
 
-def goethals_profile(n: int) -> Kernel:
-    """Radius-5 pattern r(0)=r(1)=L, r(2)=r(3)=65L/(2n), r(4)=r(5)=30L/(n(n-3))."""
-    w = [Fraction(1), Fraction(1), Fraction(65, 2 * n), Fraction(65, 2 * n),
-         Fraction(30, n * (n - 3)), Fraction(30, n * (n - 3))]
+def preparata_profile(n: int) -> Kernel:
+    """Radius-3 pattern r(0)=r(1)=L, r(2)=r(3)=3L/n of the punctured Preparata codes."""
+    w = [Fraction(1), Fraction(1), Fraction(3, n), Fraction(3, n)]
     return _normalized_radial(n, w)
 
 

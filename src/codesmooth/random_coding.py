@@ -51,14 +51,6 @@ class EnsembleSpec:
         return max(1, round(2 ** (self.n * self.rate)))
 
 
-def _kernel_transform_by_weight(kernel: kn.Kernel) -> np.ndarray:
-    """Unnormalized transform of the kernel indexed by output weight."""
-    if kernel.is_radial():
-        wr = hc.radial_transform(kernel.n, kernel.radial_profile(exact=False))
-        return np.array(wr)[hc.weights_table(kernel.n)]
-    return hc.wht_natural(kernel.lift())
-
-
 def _sample_statistics(spec: EnsembleSpec, trial_value) -> tuple[float, float]:
     """Mean and standard error of a per-code statistic over random codes.
 
@@ -68,7 +60,7 @@ def _sample_statistics(spec: EnsembleSpec, trial_value) -> tuple[float, float]:
     2^n T_r f_C when needed.
     """
     n, m = spec.n, spec.num_codewords
-    wr = _kernel_transform_by_weight(spec.kernel)
+    wr = spec.kernel.spectrum(np.arange(1 << n))
     acc = 0.0
     acc2 = 0.0
     done = 0

@@ -1,11 +1,11 @@
 """Noisy code distributions and their distance to uniform.
 
 The central object is T_r f_C: the uniform distribution on a code pushed
-through a noise kernel.  Under a radial kernel it is constant on each cell
-of the code (a coset of a linear code, a point of an explicit one), so it
-is computed, and every report reads it, as a pmf on those cells
-(`cell_pmf`); its exact values are the integer `code.radial_counts` of
-either code class, and only `smooth` spreads a coset pmf over the 2^n
+through a noise kernel.  Its transform is the kernel's spectrum times the
+code's, so for every kernel it is constant on each coset of a linear code
+(each point of an explicit one), and it is computed, and every report reads
+it, as a pmf on those cells (`cell_pmf`): one exact integer transform of the
+kernel's spectrum on the dual code.  Only `smooth` spreads it over the 2^n
 points.  This module measures how far that distribution is from uniform
 (Renyi divergence of any order), provides the closed-form second-moment
 identities that express the L2 case through distance spectra, the rate
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import xlog1py
 
 from . import codes as cd
 from . import hypercube as hc
@@ -38,28 +38,31 @@ INF = math.inf
 
 def cell_pmf(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
     """The noisy code distribution r * f_C as a pmf on the cells it is
-    constant on.  Under a radial kernel those are the cells of the code
-    (cosets of a linear code, points otherwise), where the exact pmf is the
-    integer `code.radial_counts` of the scaled profile over one common
-    denominator; a linear code's float pmf is P(s) = sum_i r(i) N_i(s) on
-    the 2^(n-k) syndromes.  Every divergence to uniform and every norm of
-    `divergence_to_uniform` equals that of the dense pmf.  Other pairs
-    convolve dense arrays, and a float result is zeroed off the exact
-    support."""
+    constant on, whose divergences and norms equal those of the dense pmf.
+
+    On the 2^(n-k) cosets of a linear code, for every kernel, 2^(n-k) P(s) =
+    sum_{u in C-dual} rhat(u) (-1)^{u.x_s}: exact integers T(s) over D
+    2^(n-k) for the kernel's denominator D.  A float pmf divides them while
+    D 2^(n-k) < 2^63; beyond, it transforms the float spectrum and zeroes
+    the cosets where the integer transform of the support's spectrum
+    counts no point.  An explicit code takes the same route on its points
+    for an exact pmf under a radial kernel; otherwise it convolves dense
+    arrays, a float result zeroed off the exact support."""
     if kernel.n != code.n:
         raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={code.n}")
-    if kernel.is_radial() and (exact or isinstance(code, cd.LinearCode)):
+    if isinstance(code, cd.LinearCode) or exact and kernel.is_radial():
         hc.admit("exact smoothing" if exact else "coset smoothing",
-                 nbytes=(_exact_cell_bytes(kernel) if exact else 8) * code.cells)
-        if not exact:
-            return code.coset_weights() @ np.array(kernel.radial_profile(exact=False))
-        scaled, denom = _scaled_profile(kernel)
-        # a point counts denom |C| (r * f_C)(x) and its cell holds 2^n / cells
-        # points, so the denominator gains |C| cells / 2^n: 1 on cosets, |C| on points
-        denom *= code.size * code.cells >> code.n
-        out = np.empty(code.cells, dtype=object)
-        out[:] = [Fraction(int(c), denom) for c in code.radial_counts([scaled])[0]]
-        return out
+                 nbytes=_smoothing_bytes(code, kernel, exact))
+        if exact or _on_int64(code, kernel):
+            counts, denom = kernel.spectrum(code.spectrum_points(), exact=True)
+            # a cell counts D |C| cells^2 / 2^n times its mass: D cells on cosets
+            return _cell_values(code.cell_transform(counts, denom),
+                                denom * code.size * code.cells ** 2 >> code.n, exact)
+        points = code.spectrum_points()
+        pmf = hc._wht_inplace(kernel.spectrum(points)) / code.cells
+        support, _ = kernel.spectrum(points, exact=True, support=True)
+        pmf[code.cell_transform(support, 1 << code.n) == 0] = 0.0
+        return pmf
     # float: tracemalloc measured 48-56 bytes per point, the support mask included
     hc.admit("exact smoothing" if exact else "dense smoothing",
              nbytes=(_exact_cell_bytes(kernel) if exact else 56) << code.n)
@@ -76,58 +79,63 @@ def cell_pmf(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
 def smooth(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
     """Dense pmf of the noisy code distribution r * f_C: the cell masses of
     `cell_pmf` spread over the points of each cell."""
-    if not (isinstance(code, cd.LinearCode) and kernel.is_radial()):
+    if not isinstance(code, cd.LinearCode):
         return cell_pmf(code, kernel, exact)
-    # the syndromes of all points and their gather, plus the coset masses
-    hc.admit("exact smoothing" if exact else "dense smoothing", nbytes=(40 << code.n)
-             + (_exact_cell_bytes(kernel) if exact else 8) * code.cells)
+    # the syndromes of all points and their gather
+    hc.admit("exact smoothing" if exact else "dense smoothing",
+             nbytes=(40 << code.n) + _smoothing_bytes(code, kernel, exact))
     return (cell_pmf(code, kernel, exact) / code.size)[code.cube_cells()]
 
 
-def _scaled_profile(kernel: kn.Kernel) -> tuple[list[int], int]:
-    """The radial profile times its common denominator, and the denominator."""
-    prof = kernel.radial_profile()
-    denom = math.lcm(*(v.denominator for v in prof))
-    return [int(v * denom) for v in prof], denom
+def _cell_values(counts: np.ndarray, denom: int, exact: bool) -> np.ndarray:
+    """counts / denom: Fractions, one built per distinct count, or floats."""
+    if not exact:
+        return (counts / denom).astype(np.float64, copy=False)
+    values, index = np.unique(counts, return_inverse=True)
+    return np.array([Fraction(int(v), denom) for v in values], dtype=object)[index]
+
+
+def _denominator(kernel: kn.Kernel) -> int:
+    """The common denominator D of the values; 1 for a subcube's 0/1 spectrum."""
+    values = kernel.profile or ([1] if kernel.values is None else kernel.values)
+    return math.lcm(*(Fraction(v).denominator for v in values))
+
+
+def _on_int64(code, kernel: kn.Kernel) -> bool:
+    """True when the integer cell counts fit int64: D cells < 2^63."""
+    return _denominator(kernel).bit_length() + code.cells.bit_length() <= 63
+
+
+def _smoothing_bytes(code, kernel: kn.Kernel, exact: bool) -> int:
+    """Peak bytes of the integer route of `cell_pmf` by tracemalloc at n =
+    10..32: per cell 49-60 exact and 17-27 float while D cells < 2^63, then
+    167-576 exact for 54-1101 bits of D; plus a dense kernel's transform."""
+    per_cell = 32 if not exact else 64 if _on_int64(code, kernel) else \
+        190 + _denominator(kernel).bit_length() // 2
+    return per_cell * code.cells + (0 if kernel.values is None else
+                                    _exact_cell_bytes(kernel) << code.n)
 
 
 def _exact_cell_bytes(kernel: kn.Kernel) -> int:
-    """Peak bytes per cell of exact smoothing under `kernel`.
-
-    A radial kernel runs through `radial_counts`, where each cell holds a
-    count and a Fraction of about as many bits as the common denominator:
-    tracemalloc measured 75-193 at n = 10..16 for denominators of up to
-    107 bits (ball, sphere, Bernoulli(1/10), (3/10), (7/100)) and 359-497
-    for the 551-881 bits of Bernoulli kernels converted from binary floats,
-    on explicit codes (cells are points) and linear ones (cells are
-    cosets); 160 plus half a byte per bit covers both.  Other kernels
-    convolve dense Fraction arrays: 126-275 for up to 107 bits and 482-645
-    for 541-881 bits at n = 10..16, covered by 256 plus half a byte per bit.
-    """
-    values = kernel.radial_profile() if kernel.is_radial() else kernel.lift(exact=True)
-    bits = math.lcm(*(v.denominator for v in values)).bit_length()
-    return (160 if kernel.is_radial() else 256) + bits // 2
+    """Peak bytes per point of exact dense convolution: 126-275 for up to 107
+    bits of D and 482-645 for 541-881 bits by tracemalloc at n = 10..16."""
+    return 256 + _denominator(kernel).bit_length() // 2
 
 
 def is_perfectly_smoothed(code, kernel: kn.Kernel) -> bool:
     """Exact test of T_r f_C == U_n.
 
     Every cell of `cell_pmf` holds 2^n / cells points, so T_r f_C is uniform
-    iff all cell masses are equal.  A radial kernel compares the integer
-    cell counts of `code.radial_counts` under its scaled profile, after an
-    O(1) exit: a uniform count |C| denom / 2^n must be an integer.  Other
-    kernels compare the exact cell pmf.
+    iff all cell masses are equal: the integer cell transform of the
+    kernel's spectrum (a linear code, or a radial kernel), or the exact pmf.
     """
     if kernel.n != code.n:
         raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={code.n}")
-    if not kernel.is_radial():
-        mass = cell_pmf(code, kernel, exact=True)
+    if isinstance(code, cd.LinearCode) or kernel.is_radial():
+        hc.admit("perfect-smoothing certificate", nbytes=_smoothing_bytes(code, kernel, True))
+        mass = code.cell_transform(*kernel.spectrum(code.spectrum_points(), exact=True))
     else:
-        scaled, denom = _scaled_profile(kernel)
-        if code.size * denom % (1 << code.n):
-            return False
-        hc.admit("perfect-smoothing certificate", nbytes=48 * code.cells)
-        (mass,) = code.radial_counts([scaled])
+        mass = cell_pmf(code, kernel, exact=True)
     return bool((mass == mass[0]).all())
 
 
@@ -151,42 +159,57 @@ def divergence_to_uniform(f, alpha) -> SmoothnessReport:
     d_alpha = n - H_alpha(f); l_alpha = ||2^n f||_alpha, read from it as
     2^(d_alpha (alpha - 1) / alpha) (2^d_inf at alpha = inf, 1 at alpha = 1),
     since mean((2^n f)^alpha) = 2^(n (alpha - 1)) sum f^alpha; the
-    dimensionless ratio is ||f - U||_alpha / ||f||_1 = ||2^n f - 1||_alpha.
-    The norms are undefined at alpha = 0, where only the divergence is
-    filled in.  An exact pmf is grouped into distinct masses, one float
-    conversion each.
+    dimensionless ratio is ||f - U||_alpha / ||f||_1 = ||e||_alpha for
+    e = 2^n f - 1.  The norms are undefined at alpha = 0, where only the
+    divergence is filled in.  An exact pmf is grouped into distinct masses,
+    one float conversion each.  A float divergence drops from each point
+    the first-order term of e, whose mean is 0, so a tiny one keeps its
+    relative precision: D_1 = mean((1 + e) log1p(e) - e) / ln 2, D_alpha =
+    log1p(mean((1 + e)^alpha - 1 - alpha e)) / ((alpha - 1) ln 2).
     """
     arr = f if isinstance(f, np.ndarray) else hc.as_dense(f)
-    n = hc.dimension_of(arr)
-    if hc.is_exact(arr):
+    n, exact = hc.dimension_of(arr), hc.is_exact(arr)
+    if exact:
         masses = kn.point_masses(arr)
         d_alpha = n - kn.exact_renyi(masses, alpha)
         # the norms need each value's multiplicity, not its position
         arr = np.zeros(len(arr))
         arr[:sum(masses.values())] = np.repeat([float(v) for v in masses], list(masses.values()))
     else:
-        d_alpha = n - kn.renyi_entropy(arr, alpha)
+        kn.check_float_pmf(arr)
+    centered = arr * (1 << n)
+    centered -= 1.0
+    np.maximum(centered, -1.0, out=centered)   # round-off below a zero mass
+    if not exact:
+        d_alpha = n - math.log2(np.count_nonzero(arr > 0)) if alpha == 0 else \
+            _centered_divergence(centered, alpha)
     if alpha == 0:
         return SmoothnessReport(alpha, d_alpha, math.nan, math.nan)
     l_alpha = 2.0 ** (float(d_alpha) * (1.0 if alpha == INF else 1 - 1 / float(alpha)))
-    centered = arr * (1 << n)
-    centered -= 1.0
-    dimensionless = _norm(centered, alpha)
-    return SmoothnessReport(alpha, d_alpha, l_alpha, dimensionless)
+    return SmoothnessReport(alpha, d_alpha, l_alpha, _norm(centered, alpha))
+
+
+def _centered_divergence(e: np.ndarray, alpha) -> float:
+    """D_alpha in bits of the pmf (1 + e) / 2^n, alpha > 0 (see above)."""
+    if alpha == INF:
+        return math.log1p(float(e.max())) / math.log(2)
+    with np.errstate(divide="ignore"):   # log1p(-1) = -inf on zero masses
+        terms = xlog1py(1.0 + e, e) if alpha == 1 else np.expm1(float(alpha) * np.log1p(e))
+    terms -= float(alpha) * e
+    mean = float(np.mean(terms))
+    return (mean if alpha == 1 else math.log1p(mean) / (float(alpha) - 1)) / math.log(2)
 
 
 def _norm(values: np.ndarray, alpha) -> float:
-    """Normalized-counting-measure alpha-norm of a dense function, alpha > 0."""
+    """Normalized-counting-measure alpha-norm of a dense function, alpha > 0:
+    max|v| mean((|v| / max|v|)^alpha)^(1/alpha), safe from overflow."""
     a = np.abs(values)
-    if alpha == INF:
-        return float(a.max())
-    # mean(|v|^alpha)^(1/alpha) in a log-safe form
-    pos = np.log(a[a > 0])
-    if pos.size == 0:
-        return 0.0
-    a = float(alpha)
-    s = logsumexp(a * pos) - math.log(len(values))
-    return float(math.exp(s / a))
+    top = float(a.max())
+    if alpha == INF or top == 0:
+        return top
+    a /= top
+    np.power(a, float(alpha), out=a)
+    return top * float(np.mean(a)) ** (1 / float(alpha))
 
 
 def smoothness_of(code, kernel: kn.Kernel, alpha) -> SmoothnessReport:
@@ -290,7 +313,7 @@ def local_weight_rows(code, radius: int) -> np.ndarray:
     """Distinct rows (N_0(x), ..., N_radius(x)) of codeword counts at each
     distance, over all x in the cube (one x per cell of the code)."""
     n = code.n
-    # the transforms and weight table, plus one int64 column per shell
+    # the shell transforms, plus one int64 column per shell
     hc.admit("local weight rows", nbytes=(72 + 8 * radius) * code.cells)
     shells = [[int(j == i) for j in range(n + 1)] for i in range(radius + 1)]
     return np.unique(np.stack(code.radial_counts(shells), axis=1), axis=0)

@@ -33,6 +33,36 @@ def convolve_direct(f, g) -> np.ndarray:
     return out
 
 
+def coset_weight_table(code) -> np.ndarray:
+    """N[s, i] = number of weight-i points in cell s (a coset of a linear
+    code, a point of an explicit one): a bincount of (cell_of(x), |x|)
+    over all 2^n points."""
+    points = np.arange(1 << code.n)
+    keys = code.cell_of(points) * (code.n + 1) + np.bitwise_count(points)
+    return np.bincount(keys, minlength=code.cells * (code.n + 1)).reshape(code.cells, -1)
+
+
+def ball_counts_table(code, t: int) -> np.ndarray:
+    """F_t(y) = #codewords within distance t of y, for every y (dense)."""
+    hc.admit("codeword-count table", nbytes=48 << code.n)
+    (counts,) = code.radial_counts([[1] * (t + 1) + [0] * (code.n - t)])
+    return counts[code.cube_cells()]
+
+
+def covering_radius_dense(code) -> int:
+    """max_x min_c d(x, c) by growing the covered set over the whole cube,
+    one coordinate flip per step."""
+    covered = code.indicator().astype(bool)
+    rho = 0
+    while not covered.all():
+        grown = covered.copy()
+        for i in range(code.n):
+            grown |= covered.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(-1)
+        covered = grown
+        rho += 1
+    return rho
+
+
 def mu_spectral(n: int, t: int, i: int) -> int:
     """The ball intersection volume `hc.mu` via 2^{-n} sum_k L_t(k)^2 K_k(i)."""
     if not (0 <= t <= n and 0 <= i <= n):

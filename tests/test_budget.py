@@ -41,7 +41,7 @@ REFUSALS = [
     ("Hamming weight table", "memory cap", lambda: cd.ball_code(40, 1)),
     ("dense ensemble trial", "memory cap",
      lambda: rc.EnsembleSpec(30, 0.5, kn.Kernel.bernoulli(30, Fraction(1, 10)), 10)),
-    ("coset weight distribution", "memory cap",   # 2^32 cosets
+    ("covering radius sweep", "memory cap",   # 2^32 cosets
      lambda: cd.covering_radius(cd.random_linear(40, 8, seed=0))),
     ("subset sweep", "step cap",   # 3^14 lattice entries > 2^22
      lambda: er.subset_expectation(np.ones(1 << 14), 0.5, 1)),
@@ -79,11 +79,11 @@ def test_subset_sweep_admits_n13():
 
 def test_decoding_scans_codewords_when_the_table_is_refused(monkeypatch, hamming7):
     table_path = dec.mc_decoding_error(hamming7, 0.05, 1, 1, 5000, seed=3)
-    # room for the 2^4 codewords but not for the coset weight distribution
-    monkeypatch.setattr(hc, "MEMORY_CAP", 1024)
+    # room for the 2^4 codewords (256 bytes) but not for the count table of
+    # the 2^3 cosets (384 bytes), which the scan must not build
+    monkeypatch.setattr(hc, "MEMORY_CAP", 300)
     fresh = cd.hamming(3)
-    with pytest.raises(hc.BudgetExceeded, match="coset weight distribution"):
-        fresh.coset_weights()
+    monkeypatch.setattr(fresh, "radial_counts", lambda profiles: pytest.fail("table built"))
     assert dec.mc_decoding_error(fresh, 0.05, 1, 1, 5000, seed=3) == table_path
 
 
@@ -113,18 +113,52 @@ def test_exact_smoothing_estimate_grows_with_the_kernel_denominator(monkeypatch)
 
 @pytest.mark.parametrize("linear", [False, True])
 def test_radial_exact_estimate_tracks_its_peak(linear):
-    # exact radial smoothing reads `radial_counts`, charged from its own
-    # measured rate per cell: at most 1.5 times the traced peak at n = 14
+    # exact radial smoothing counts cells in integers (the dual spectrum on
+    # cosets, `radial_counts` on points), charged from its own measured rate
+    # per cell: at most 1.5 times the traced peak at n = 14
     n, kernel = 14, kn.Kernel.bernoulli(14, Fraction(1, 10))
     code = cd.random_linear(n, 3, seed=3) if linear else \
         cd.ExplicitCode(n, cd.random_linear(n, 7, seed=3).codeword_ints())
     if linear:
-        code.coset_weights()   # cached, and admitted on its own
+        code.dual().codeword_ints()   # cached, and admitted on its own
     tracemalloc.start()
     try:
         sm.cell_pmf(code, kernel, exact=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = sm._exact_cell_bytes(kernel) * code.cells
+    estimate = sm._smoothing_bytes(code, kernel, True)
     assert peak <= estimate <= 1.5 * peak, (peak, estimate)
+
+
+@pytest.mark.parametrize("delta", [Fraction(7, 100), Fraction(0.1)], ids=["7/100", "binary-0.1"])
+def test_radial_counts_in_limbs_estimate_tracks_its_peak(delta):
+    # past int64, exact radial smoothing of an explicit code runs its point
+    # counts in limbs, charged from their own measured rate: at most 1.5
+    # times the traced peak at n = 14
+    n, kernel = 14, kn.Kernel.bernoulli(14, delta)
+    code = cd.ExplicitCode(n, cd.random_linear(n, 7, seed=3).codeword_ints())
+    assert not sm._on_int64(code, kernel)
+    tracemalloc.start()
+    try:
+        sm.cell_pmf(code, kernel, exact=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = sm._smoothing_bytes(code, kernel, True)
+    assert peak <= estimate <= 1.5 * peak, (peak, estimate)
+
+
+def test_explicit_exact_smoothing_admitted_at_n22(monkeypatch):
+    # charged at the measured rates, exact smoothing of a 2^22-point explicit
+    # code passes its admission and reaches the kernel's spectrum
+    class Admitted(Exception):
+        pass
+
+    def spectrum(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(kn.Kernel, "spectrum", spectrum)
+    with pytest.raises(Admitted):
+        sm.cell_pmf(cd.ExplicitCode(22, [0, 3, 5]), kn.Kernel.bernoulli(22, Fraction(1, 10)),
+                    exact=True)

@@ -19,6 +19,7 @@ from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
 from codesmooth import smoothing as sm
 
+import oracles
 from conftest import seeded_rng
 
 
@@ -39,8 +40,13 @@ def _pair(code):
 
 
 def _kernels(n):
+    # every kernel form: radial, a subcube, and a dense one that is not radial
+    # and vanishes on every third point
+    pattern = [x % 3 for x in range(1 << n)]
+    total = sum(pattern)
     return [kn.Kernel.bernoulli(n, Fraction(1, 10)), kn.Kernel.ball(n, min(2, n)),
-            kn.Kernel.sphere(n, n // 2)]
+            kn.Kernel.sphere(n, n // 2), kn.Kernel.subcube(n, range(0, n, 2)),
+            kn.Kernel.dense([Fraction(v, total) for v in pattern])]
 
 
 def _rows(rows):
@@ -80,26 +86,59 @@ def test_cell_pmf_reports_match_dense(code):
 def test_counts_match_dense(code):
     linear, explicit = _pair(code)
     n = code.n
-    assert cd.covering_radius(linear) == cd.covering_radius(explicit)
+    assert cd.covering_radius(linear) == cd.covering_radius(explicit) == \
+        oracles.covering_radius_dense(explicit)
     for radius in range(min(3, n) + 1):
         assert _rows(sm.local_weight_rows(linear, radius)) == \
             _rows(sm.local_weight_rows(explicit, radius))
     for t in range(n + 1):
-        assert (dec.ball_counts_table(linear, t) == dec.ball_counts_table(explicit, t)).all()
+        assert (oracles.ball_counts_table(linear, t)
+                == oracles.ball_counts_table(explicit, t)).all()
         ball = kn.Kernel.ball(n, t)
         assert sm.is_perfectly_smoothed(linear, ball) == sm.is_perfectly_smoothed(explicit, ball)
+    for kernel in _kernels(n)[3:]:
+        assert sm.is_perfectly_smoothed(linear, kernel) == \
+            sm.is_perfectly_smoothed(explicit, kernel)
+
+
+def _scaled(kernel):
+    """The radial profile times its common denominator."""
+    return [int(v) for v in hc._scale_to_int(kernel.radial_profile())[0]]
+
+
+def _shells(n):
+    return [[int(j == i) for j in range(n + 1)] for i in range(n + 1)]
 
 
 @pytest.mark.parametrize("code", CODES[:6], ids=repr)
 def test_python_int_path_matches_int64(monkeypatch, code):
-    expected = code.coset_weights()
-    fresh = cd.LinearCode(code.generator)
-    monkeypatch.setattr(hc, "_int64_exact", lambda n, bound: False)
-    assert (fresh.coset_weights() == expected).all()
     kernel = kn.Kernel.bernoulli(code.n, Fraction(1, 10))
+    exact = sm.cell_pmf(code, kernel, exact=True)
+    # every integer transform in limbs or on Python ints
+    monkeypatch.setattr(hc, "_int64_exact", lambda n, bound: False)
+    counts = np.stack(code.radial_counts(_shells(code.n)), axis=1)
+    assert (counts == oracles.coset_weight_table(code)).all()
+    assert (sm.cell_pmf(code, kernel, exact=True) == exact).all()
     monkeypatch.undo()
-    assert (sm.smooth(fresh, kernel, exact=True)
+    assert (sm.smooth(code, kernel, exact=True)
             == sm.smooth(cd.ExplicitCode(code.n, code.codeword_ints()), kernel, exact=True)).all()
+
+
+@pytest.mark.parametrize("code", [c for c in CODES if c.n > 1][:10], ids=repr)
+def test_radial_counts_match_the_oracle_in_every_tier(code):
+    # one profile per exactness tier of the coset transform: float64 below
+    # 2^53, int64 below 2^63, limbs above (a Fraction(0.2) Bernoulli kernel)
+    n, r = code.n, code.n - code.k
+    ball = _scaled(kn.Kernel.ball(n, min(2, n)))
+    wide = [1 << 58 - n - r] * (n + 1)
+    binary = _scaled(kn.Kernel.bernoulli(n, Fraction(0.2)))
+    bound = [hc.radial_sum(n, p) for p in (ball, wide, binary)]
+    assert hc._float64_exact(r, bound[0])
+    assert not hc._float64_exact(r, bound[1]) and hc._int64_exact(r, bound[1])
+    assert not hc._int64_exact(r, bound[2])
+    table = oracles.coset_weight_table(code).astype(object)
+    for p, counts in zip((ball, wide, binary), code.radial_counts([ball, wide, binary])):
+        assert counts.tolist() == (table @ np.array(p, dtype=object)).tolist()
 
 
 def test_cells_are_cosets():
@@ -120,25 +159,31 @@ def test_cells_are_cosets():
     assert not code.cell_of(code.codeword_ints()[:64]).any()
 
 
-def test_coset_weights_beyond_int64():
-    # 2^8 * C(60, 30) > 2^63: the transform runs on Python ints
+def test_radial_counts_beyond_int64():
+    # 2^8 * C(60, 30) > 2^63: the middle shells' transforms run in limbs
     code = cd.random_linear(60, 52, seed=3)
     assert not hc._int64_exact(8, math.comb(60, 30))
-    counts = code.coset_weights()
-    assert counts.shape == (1 << 8, 61) and counts.dtype == np.int64
+    counts = np.stack(code.radial_counts(_shells(60)), axis=1)
+    assert counts.shape == (1 << 8, 61)
     assert counts.sum(axis=0).tolist() == [math.comb(60, i) for i in range(61)]
     assert (counts.sum(axis=1) == 1 << 52).all()
 
 
+def _python_int_counts(code, p):
+    """`radial_counts` by one transform on Python ints, with no limbs."""
+    spectrum = np.array(hc.radial_transform(code.n, p), dtype=object)[code.dual().weights()]
+    return hc.wht_natural(spectrum) >> (code.n - code.k)
+
+
 def test_radial_counts_in_limbs_equal_python_ints():
-    # profiles summing past 2^63 run in int64 limbs of 63 - k bits; they must
-    # equal the product on Python ints, including negative entries
+    # profiles summing past 2^63 run in int64 limbs of 62 - (n - k) bits; they
+    # must equal one transform on Python ints, including negative entries
     code = cd.reed_muller(2, 5)
-    scaled, _ = sm._scaled_profile(kn.Kernel.bernoulli(32, Fraction(3, 10)))
-    assert not hc._int64_exact(0, hc.radial_sum(32, scaled))
+    scaled = _scaled(kn.Kernel.bernoulli(32, Fraction(3, 10)))
+    assert not hc._int64_exact(16, hc.radial_sum(32, scaled))
     (counts,) = code.radial_counts([scaled])
     assert counts.dtype == object
-    assert counts.tolist() == (code.coset_weights() @ np.array(scaled, dtype=object)).tolist()
+    assert counts.tolist() == _python_int_counts(code, scaled).tolist()
     rng = seeded_rng(79)
     for code in [cd.random_linear(30, 14, seed=1), CODES[2], CODES[3], cd.full_space(62)]:
         profiles = [[int(v) << int(s) for v, s in zip(rng.integers(-2 ** 62, 2 ** 62, code.n + 1),
@@ -147,7 +192,40 @@ def test_radial_counts_in_limbs_equal_python_ints():
         profiles[1][0] = 0
         got = code.radial_counts(profiles)
         for p, counts in zip(profiles, got):
-            assert counts.tolist() == (code.coset_weights() @ np.array(p, dtype=object)).tolist()
+            assert counts.tolist() == _python_int_counts(code, p).tolist()
+    for p in profiles:   # full_space(62): one coset holding the whole cube
+        assert code.radial_counts([p])[0].tolist() == [hc.radial_sum(62, p)]
+
+
+def _binary_ball(n, t):
+    """A radius-t radial kernel with values from the binary float 0.2, whose
+    denominator is far past int64."""
+    prof = [Fraction(0.2) ** i if i <= t else Fraction(0) for i in range(n + 1)]
+    return kn.Kernel.radial(n, [v / hc.radial_sum(n, prof) for v in prof])
+
+
+# the float pmf divides the exact int64 counts, or takes a float transform
+@pytest.mark.parametrize("kernel", [kn.Kernel.ball(32, 3), _binary_ball(32, 3)],
+                         ids=["int64", "float-transform"])
+def test_float_zero_cells_are_the_exact_ones(kernel):
+    code = cd.reed_muller(2, 5)
+    floats = sm.cell_pmf(code, kernel)
+    exact = sm.cell_pmf(code, kernel, exact=True)
+    assert ((floats == 0) == (exact == 0)).all()
+    assert (floats == 0).sum() > 50000
+    assert np.allclose(floats, [float(v) for v in exact], rtol=1e-9, atol=1e-18)
+
+
+def test_float_report_on_4m_cosets_runs_under_the_caps():
+    # a [30, 8] code has 2^22 cosets; the peak includes its dual codewords
+    code = cd.random_linear(30, 8, seed=4)
+    tracemalloc.start()
+    try:
+        report = sm.smoothness_of(code, kn.Kernel.ball(30, 3), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < report.d_alpha < 30 and peak < 192 << 20
 
 
 def test_hamming31_without_the_cube():

@@ -11,7 +11,7 @@ from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
 
 from conftest import random_linear_code, seeded_rng
-from oracles import l2_dense_oracle
+from oracles import ball_counts_table, l2_dense_oracle
 
 
 class TestListErrorBound:
@@ -149,7 +149,7 @@ class TestMonteCarloDecoding:
 
     def test_table_free_path_matches_table(self):
         code = cd.reed_muller(1, 3)
-        table = dec.ball_counts_table(code, 2)
+        table = ball_counts_table(code, 2)
         words = code.codeword_ints()
         for y in range(256):
             direct = int(np.count_nonzero(
@@ -159,10 +159,10 @@ class TestMonteCarloDecoding:
 
 class TestBallCountsTable:
     def test_counts_on_perfect_code(self, hamming7):
-        table = dec.ball_counts_table(hamming7, 1)
+        table = ball_counts_table(hamming7, 1)
         assert (table == 1).all()  # radius-1 balls tile the space
 
     def test_counts_total(self):
         code = cd.reed_muller(1, 3)
-        table = dec.ball_counts_table(code, 3)
+        table = ball_counts_table(code, 3)
         assert table.sum() == code.size * hc.ball_volume(8, 3)

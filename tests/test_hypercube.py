@@ -355,10 +355,13 @@ def _scaled_profile(kernel: kn.Kernel) -> list[int]:
 
 
 class TestConvolveRadial:
+    """The exact radial convolution of a code indicator: the radial counts
+    of an explicit code."""
+
     @staticmethod
     def _check(code, profiles):
         f = code.indicator()
-        outs = hc.convolve_radial(f, profiles)
+        outs = cd.ExplicitCode(code.n, code.codeword_ints()).radial_counts(profiles)
         for p, out in zip(profiles, outs):
             assert out.tolist() == hc.convolve(f, hc.lift_radial(code.n, p)).tolist()
         return outs

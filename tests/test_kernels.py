@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codesmooth import codes as cd
 from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
+from codesmooth import smoothing as sm
 
 from conftest import seeded_rng
 
@@ -204,23 +206,97 @@ class TestKernelSpecGrammar:
             kn.parse_kernel_spec("radial:inline", 4)
 
 
+class TestSpectrum:
+    def test_matches_the_transform_of_the_lift(self):
+        # every kernel form, exact and float, and the support's transform
+        n, points = 6, np.arange(64)
+        pattern = [Fraction(x % 3, 63) for x in range(64)]
+        for k in (kn.Kernel.bernoulli(n, Fraction(1, 10)), kn.Kernel.ball(n, 2),
+                  kn.Kernel.sphere(n, 3), kn.Kernel.subcube(n, [0, 2]), kn.Kernel.dense(pattern),
+                  kn.Kernel.dense(kn.Kernel.bernoulli(n, Fraction(1, 10)).lift())):
+            values = [Fraction(v) for v in k.lift(exact=k.values is None or hc.is_exact(k.values))]
+            want = hc.wht_natural(hc.as_dense(values))
+            counts, denom = k.spectrum(points, exact=True)
+            assert [Fraction(int(t), denom) for t in counts] == want.tolist(), k
+            assert np.allclose(k.spectrum(points), want.astype(float), rtol=1e-14, atol=1e-15), k
+            support, one = k.spectrum(points, exact=True, support=True)
+            assert one == 1 and support.tolist() == \
+                hc.wht_natural((k.lift() > 0).astype(np.int64)).tolist(), k
+
+
+def _gf32_minimal_poly(power: int) -> int:
+    """Minimal polynomial over GF(2) of a^power, a a root of x^5 + x^2 + 1,
+    as a bit mask (coefficient of x^i in bit i)."""
+    exp = [1]
+    for _ in range(30):
+        v = exp[-1] << 1
+        exp.append(v ^ 0b100101 if v & 32 else v)
+    log = {v: i for i, v in enumerate(exp)}
+    poly = [1]   # coefficients in GF(32), lowest first: the product of (x + conjugate)
+    for c in {power * 2 ** j % 31 for j in range(5)}:
+        beta = exp[c]
+        times = [0 if v == 0 else exp[(log[v] + log[beta]) % 31] for v in poly]
+        poly = [a ^ b for a, b in zip([0] + poly, times + [0])]
+    assert set(poly) <= {0, 1}
+    return sum(b << i for i, b in enumerate(poly))
+
+
+def _bch_31_21() -> cd.LinearCode:
+    """The cyclic [31, 21] two-error-correcting BCH code, g = m1 m3."""
+    m1, m3, g = _gf32_minimal_poly(1), _gf32_minimal_poly(3), 0
+    for i in range(m3.bit_length()):
+        g ^= m1 << i if m3 >> i & 1 else 0
+    return cd.LinearCode(np.array([[(g << i) >> j & 1 for j in range(31)] for i in range(21)],
+                                  dtype=np.uint8))
+
+
+def _punctured_nordstrom_robinson() -> cd.ExplicitCode:
+    """The (15, 256, 5) punctured Preparata code of length 15: the extended
+    Golay words that restrict to 0 or e_i + e_j0 on one octad (j0 fixed),
+    with the octad deleted and one more coordinate punctured."""
+    words = cd.golay23().codeword_ints()
+    ext = words | (np.bitwise_count(words).astype(np.int64) & 1) << 23
+    octad = int(ext[np.bitwise_count(ext) == 8][0])
+    coords = [j for j in range(24) if octad >> j & 1]
+    allowed = {0} | {1 << i | 1 << coords[0] for i in coords[1:]}
+    rest = [j for j in range(24) if not octad >> j & 1][1:]
+    return cd.ExplicitCode(15, [sum((int(w) >> j & 1) << t for t, j in enumerate(rest))
+                                for w in ext if int(w) & octad in allowed])
+
+
 class TestPackedFamilyKernels:
     def test_profiles_are_pmfs_with_expected_support(self):
-        k = kn.two_error_bch_profile(32)
+        k = kn.two_error_bch_profile(31)
         prof = k.radial_profile()
-        assert sum(math.comb(32, i) * prof[i] for i in range(33)) == 1
+        assert sum(math.comb(31, i) * prof[i] for i in range(32)) == 1
         assert prof[0] == prof[1] and prof[2] == prof[3]
-        assert prof[2] == prof[0] * Fraction(3, 32)
+        assert prof[2] == prof[0] * Fraction(6, 30)
         assert all(v == 0 for v in prof[4:])
         assert k.radius() == 3
 
         kp = kn.preparata_profile(15)
         pp = kp.radial_profile()
-        assert pp[2] == pp[0] * Fraction(6, 14)
+        assert pp[2] == pp[0] * Fraction(3, 15)
         assert kp.radius() == 3
 
-        kg = kn.goethals_profile(31)
-        pg = kg.radial_profile()
-        assert pg[2] == pg[0] * Fraction(65, 62)
-        assert pg[4] == pg[0] * Fraction(30, 31 * 28)
-        assert kg.radius() == 5
+    @pytest.mark.parametrize("build, right, wrong, rho, spectrum", [
+        (_bch_31_21, kn.two_error_bch_profile, kn.preparata_profile, 3, {12, 16, 20}),
+        (_punctured_nordstrom_robinson, kn.preparata_profile, kn.two_error_bch_profile, 3,
+         {6, 8, 10}),
+    ], ids=["bch-31-21", "nordstrom-robinson-15"])
+    def test_each_profile_smooths_its_code(self, build, right, wrong, rho, spectrum):
+        code = build()
+        n = code.n
+        assert cd.covering_radius(code) == rho
+        dist = cd.distance_distribution(code)
+        if isinstance(code, cd.ExplicitCode):
+            assert {i: int(v) for i, v in enumerate(dist) if v} == \
+                {0: 1, 5: 42, 6: 70, 7: 15, 8: 15, 9: 70, 10: 42, 15: 1}
+        dual = cd.dual_distance_distribution(dist, code.size)
+        assert {j for j in range(1, n + 1) if dual[j]} == spectrum
+        # the cell certificate, and the spectral one: rhat vanishes on the dual support
+        assert sm.is_perfectly_smoothed(code, right(n))
+        assert not sm.is_perfectly_smoothed(code, wrong(n))
+        for profile, smooths in ((right(n), True), (wrong(n), False)):
+            rhat = hc.radial_transform(n, profile.radial_profile())
+            assert all(rhat[j] == 0 for j in spectrum) == smooths

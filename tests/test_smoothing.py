@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -139,6 +140,17 @@ class TestDivergenceToUniform:
                                         rel_tol=1e-12), (trial, alpha)
                     assert math.isclose(rep.dimensionless, norm_dense(scaled - 1, alpha),
                                         rel_tol=1e-12, abs_tol=1e-12), (trial, alpha)
+
+    def test_tiny_divergence_keeps_its_relative_precision(self):
+        # RM(3,5) under Bernoulli(3/10): D_1 = 8.25e-12, where n - H(f) would
+        # lose about four digits; the 50-digit exact value is the reference
+        code, kernel = cd.reed_muller(3, 5), kn.Kernel.bernoulli(32, Fraction(3, 10))
+        floats, exact = sm.cell_pmf(code, kernel), sm.cell_pmf(code, kernel, exact=True)
+        for alpha in (1, 2):
+            with mpmath.workdps(50):
+                want = sm.divergence_to_uniform(exact, alpha).d_alpha
+            got = sm.divergence_to_uniform(floats, alpha).d_alpha
+            assert abs(got - want) <= 1e-9 * want, (alpha, got, want)
 
     def test_monotone_in_alpha(self):
         rng = seeded_rng(42)
