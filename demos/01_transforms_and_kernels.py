@@ -27,7 +27,7 @@ print("transform of a point mass:", hc.fwht(delta0)[:4], "...")
 
 wt = hc.weights_table(n)
 sphere2 = (wt == 2).astype(float)
-krow = np.array(hc.krawtchouk_row(n, 2))
+krow = np.array(hc.krawtchouk_matrix(n)[2])
 print("sphere(2) transform == K_2 row / 2^n:",
       np.allclose(hc.fwht(sphere2), krow[wt] / 2**n))
 

@@ -5,7 +5,9 @@ are materialized as integer arrays (coordinate i in bit i) by repeated
 doubling; `hypercube.admit` refuses enumerations too large to hold.
 A linear code also works on its 2^(n-k) cosets, indexed by syndrome: a
 function whose transform vanishes off the dual code is read on them by one
-transform of its values on the dual codewords (`cell_transform`).
+transform of its values on the dual codewords (`cell_transform`); an
+explicit code's cells are its points, and its `cell_transform` weighs the
+values by W(1_C) first.  Both take exact integers or floats.
 Distance distributions follow the pair-count normalization A_i =
 #pairs-at-distance-i / |C|, which for linear codes is the weight
 distribution of the code itself.
@@ -79,6 +81,8 @@ class _Code:
     """Dense 2^n arrays over the codewords, shared by both representations,
     which also split the cube into `cells` (cosets of a linear code, points
     otherwise) on which `radial_counts` is constant; `cell_of` finds them."""
+
+    transform_bytes = 0   # per cell, built by each `cell_transform` call
 
     def indicator(self) -> np.ndarray:
         """Dense int64 0/1 indicator of the code."""
@@ -180,7 +184,8 @@ class LinearCode(_Code):
         """s -> sum_a values[a] (-1)^{a.s} for values on the dual codewords
         (`spectrum_points()`, index bits = syndrome bits): 2^(n-k) times g on
         coset s, for g whose transform is `values` on the dual code and 0 off
-        it; exact for integers with sum |g| <= mass (`hc.wht_exact`)."""
+        it; a float64 transform of float64 values, exact for integers with
+        sum |g| <= mass (`hc.wht_exact`)."""
         return hc.wht_exact(values, mass << self.n - self.k)
 
     def contains(self, word: int) -> bool:
@@ -212,6 +217,8 @@ class LinearCode(_Code):
 
 class ExplicitCode(_Code):
     """A code given by an explicit list of codewords (not necessarily linear)."""
+
+    transform_bytes = 8   # W(1_C), one int64 per point
 
     def __init__(self, n: int, words):
         _check_length(n)
@@ -249,10 +256,11 @@ class ExplicitCode(_Code):
 
     def cell_transform(self, values: np.ndarray, mass: int) -> np.ndarray:
         """x -> sum_u W(1_C)(u) values[u] (-1)^{u.x} = 2^n (1_C * g)(x) for g with
-        transform `values`, exact for integers with sum |g| <= mass (`hc.wht_exact`)."""
+        transform `values`: a float64 transform of float64 values, exact for
+        integers with sum |g| <= mass (`hc.wht_exact`)."""
         spectrum = hc._wht_inplace(self.indicator())   # at most |C|: exact in int64
-        if not hc._int64_exact(self.n, mass):
-            spectrum = spectrum.astype(object)
+        if values.dtype != np.int64 or not hc._int64_exact(self.n, mass):
+            spectrum = spectrum.astype(values.dtype if values.dtype == np.float64 else object)
         spectrum *= values
         return hc.wht_exact(spectrum, mass << self.n)
 
@@ -384,8 +392,7 @@ def dual_distance_distribution(dist, size: int) -> list[Fraction]:
     """
     n = len(dist) - 1
     out = []
-    for j in range(n + 1):
-        row = hc.krawtchouk_row(n, j)
+    for j, row in enumerate(hc.krawtchouk_matrix(n)):
         acc = sum(Fraction(dist[i]) * row[i] for i in range(n + 1))
         val = acc / size
         if val < 0:

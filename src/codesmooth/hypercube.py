@@ -233,8 +233,11 @@ def wht_exact(values: np.ndarray, bound: int) -> np.ndarray:
     """`wht_natural` of integers whose transform is at most `bound` in
     magnitude, exactly: in int64 while `bound` fits (a ring mod 2^64, so the
     values may have wrapped), and above it in signed limbs of L = 62 - n
-    bits, each limb's transform below 2^62, recombined as Python ints."""
+    bits, each limb's transform below 2^62, recombined as Python ints.
+    float64 values take the float64 transform, in place."""
     n = dimension_of(values)
+    if values.dtype == np.float64:
+        return _wht_inplace(values)
     if _int64_exact(0, bound):
         return _wht_inplace(values.astype(np.int64, copy=False))
     bits, magnitude, negative, out = 62 - n, np.abs(values), values < 0, 0
@@ -247,6 +250,8 @@ def wht_exact(values: np.ndarray, bound: int) -> np.ndarray:
 
 def int_array(values) -> np.ndarray:
     """Integers as an int64 array when every one fits, Python ints otherwise."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values
     arr = np.array(values, dtype=object)
     return arr.astype(np.int64) if _int64_exact(0, int(np.abs(arr).max(initial=0))) else arr
 
@@ -309,30 +314,8 @@ def convolve(f, g) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Krawtchouk and Lloyd polynomials, ball volumes
+# Ball volumes and intersections
 # ---------------------------------------------------------------------------
-
-def krawtchouk(n: int, t: int, x: int) -> int:
-    """K_t(x) = sum_j (-1)^j C(x,j) C(n-x,t-j), exact integer arithmetic."""
-    if not (0 <= t <= n and 0 <= x <= n):
-        raise ValueError(f"krawtchouk indices out of range: n={n}, t={t}, x={x}")
-    return sum(
-        (-1) ** j * math.comb(x, j) * math.comb(n - x, t - j)
-        for j in range(t + 1)
-    )
-
-
-def krawtchouk_row(n: int, t: int) -> list[int]:
-    """[K_t(0), ..., K_t(n)]."""
-    return [krawtchouk(n, t, x) for x in range(n + 1)]
-
-
-def lloyd(n: int, t: int, x: int) -> int:
-    """L_t(x) = sum_{s<=t} K_s(x): transform of the radius-t ball indicator."""
-    if not (0 <= t <= n and 0 <= x <= n):
-        raise ValueError(f"lloyd indices out of range: n={n}, t={t}, x={x}")
-    return sum(krawtchouk(n, s, x) for s in range(t + 1))
-
 
 def ball_volume(n: int, t: int) -> int:
     """Number of points within Hamming distance t of a fixed point."""

@@ -19,6 +19,7 @@ radial computation reads the profile.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import operator
 import sys
@@ -138,6 +139,16 @@ class Kernel:
         self._lift_cache[key] = out
         return out
 
+    @functools.cached_property
+    def denominator(self) -> int:
+        """The common denominator D of exact values, 1 for a subcube's 0/1
+        spectrum; for floats a multiple of it: every float of at least
+        2^(e-1) is a multiple of 2^(e-53), so 2^(53-e) for the least value."""
+        values = self.profile or ([1] if self.values is None else self.values)
+        if hc.is_exact(values):
+            return math.lcm(*{Fraction(v).denominator for v in values})
+        return 1 << 53 - math.frexp(np.min(values, where=values > 0, initial=1.0))[1]
+
     def spectrum(self, points, exact: bool = False, support: bool = False):
         """rhat(u) = sum_x r(x)(-1)^{u.x} at each point u.  Exact: (T, D) with
         rhat = T / D, integers (int64 when they fit) over the common
@@ -153,9 +164,10 @@ class Kernel:
             at = ((u & ~sum(1 << c for c in self.coords)) == 0).view(np.uint8)
         else:
             values = self.values if self.profile is None else self.profile
-            ints, denom = hc._scale_to_int([int(v != 0) for v in values] if support else values)
+            ints, denom = ((np.asarray(values) != 0).astype(np.int64), 1) if support else \
+                hc._scale_to_int(values)
             if self.profile is not None:
-                per, at = hc.radial_transform(self.n, list(ints)), np.bitwise_count(u)
+                per, at = hc.radial_transform(self.n, ints.tolist()), np.bitwise_count(u)
             else:   # |rhat| is at most the sum of the nonnegative integer values
                 per, at = hc.wht_exact(ints, int(ints.sum())), u
         if not exact:

@@ -4,8 +4,9 @@ The central object is T_r f_C: the uniform distribution on a code pushed
 through a noise kernel.  Its transform is the kernel's spectrum times the
 code's, so for every kernel it is constant on each coset of a linear code
 (each point of an explicit one), and it is computed, and every report reads
-it, as a pmf on those cells (`cell_pmf`): one exact integer transform of the
-kernel's spectrum on the dual code.  Only `smooth` spreads it over the 2^n
+it, as a pmf on those cells (`cell_pmf`): one transform of the kernel's
+spectrum by the code's `cell_transform`, the same route for both code
+classes and every kernel form.  Only `smooth` spreads it over the 2^n
 points.  This module measures how far that distribution is from uniform
 (Renyi divergence of any order), provides the closed-form second-moment
 identities that express the L2 case through distance spectra, the rate
@@ -38,104 +39,90 @@ INF = math.inf
 
 def cell_pmf(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
     """The noisy code distribution r * f_C as a pmf on the cells it is
-    constant on, whose divergences and norms equal those of the dense pmf.
+    constant on (the 2^(n-k) cosets of a linear code, the points of an
+    explicit one), whose divergences and norms equal those of the dense pmf.
 
-    On the 2^(n-k) cosets of a linear code, for every kernel, 2^(n-k) P(s) =
-    sum_{u in C-dual} rhat(u) (-1)^{u.x_s}: exact integers T(s) over D
-    2^(n-k) for the kernel's denominator D.  A float pmf divides them while
-    D 2^(n-k) < 2^63; beyond, it transforms the float spectrum and zeroes
-    the cosets where the integer transform of the support's spectrum
-    counts no point.  An explicit code takes the same route on its points
-    for an exact pmf under a radial kernel; otherwise it convolves dense
-    arrays, a float result zeroed off the exact support."""
-    if kernel.n != code.n:
-        raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={code.n}")
-    if isinstance(code, cd.LinearCode) or exact and kernel.is_radial():
-        hc.admit("exact smoothing" if exact else "coset smoothing",
-                 nbytes=_smoothing_bytes(code, kernel, exact))
-        if exact or _on_int64(code, kernel):
-            counts, denom = kernel.spectrum(code.spectrum_points(), exact=True)
-            # a cell counts D |C| cells^2 / 2^n times its mass: D cells on cosets
-            return _cell_values(code.cell_transform(counts, denom),
-                                denom * code.size * code.cells ** 2 >> code.n, exact)
-        points = code.spectrum_points()
-        pmf = hc._wht_inplace(kernel.spectrum(points)) / code.cells
-        support, _ = kernel.spectrum(points, exact=True, support=True)
-        pmf[code.cell_transform(support, 1 << code.n) == 0] = 0.0
-        return pmf
-    # float: tracemalloc measured 48-56 bytes per point, the support mask included
-    hc.admit("exact smoothing" if exact else "dense smoothing",
-             nbytes=(_exact_cell_bytes(kernel) if exact else 56) << code.n)
-    noisy = hc.convolve(code.pmf(exact=exact), kernel.lift(exact=exact))
-    if exact:
-        return noisy
-    # transform round-off lands on points of zero mass: zero every x where
-    # (1_C * 1_{supp r})(x) = 0 (a float convolution of 0/1 arrays is off
-    # its integers by far less than 1/2)
-    noisy[hc.convolve(code.indicator() * 1.0, (kernel.lift() > 0) * 1.0) < 0.5] = 0.0
-    return noisy
+    For every kernel, the code's `cell_transform` of the kernel's spectrum
+    at its spectrum points gives |C| cells^2 / 2^n times each cell's mass:
+    exact integers T(s) over D |C| cells^2 / 2^n for the kernel's
+    denominator D.  A float pmf divides them while D cells < 2^63; beyond,
+    it transforms the float spectrum and zeroes the cells where the integer
+    transform of the support's spectrum counts no point."""
+    return _cell_masses(code, kernel, exact, 1)
 
 
 def smooth(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
     """Dense pmf of the noisy code distribution r * f_C: the cell masses of
-    `cell_pmf` spread over the points of each cell."""
-    if not isinstance(code, cd.LinearCode):
-        return cell_pmf(code, kernel, exact)
-    # the syndromes of all points and their gather
+    `cell_pmf` spread over the 2^n / cells points of each cell."""
     hc.admit("exact smoothing" if exact else "dense smoothing",
-             nbytes=(40 << code.n) + _smoothing_bytes(code, kernel, exact))
-    return (cell_pmf(code, kernel, exact) / code.size)[code.cube_cells()]
+             nbytes=_smoothing_bytes(code, kernel, exact, dense=True))
+    share = (1 << code.n) // code.cells
+    return _cell_masses(code, kernel, exact, share)[code.cube_cells()]
+
+
+def _cell_masses(code, kernel: kn.Kernel, exact: bool, share: int) -> np.ndarray:
+    """`cell_pmf` divided by `share`."""
+    if kernel.n != code.n:
+        raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={code.n}")
+    hc.admit("exact smoothing" if exact else "cell smoothing",
+             nbytes=_smoothing_bytes(code, kernel, exact))
+    scale = share * (code.size * code.cells ** 2 >> code.n)
+    if exact or _on_int64(code, kernel):
+        counts, denom = kernel.spectrum(code.spectrum_points(), exact=True)
+        return _cell_values(code.cell_transform(counts, denom), denom * scale, exact)
+    pmf = code.cell_transform(kernel.spectrum(code.spectrum_points()), 1) / scale
+    support, _ = kernel.spectrum(code.spectrum_points(), exact=True, support=True)
+    pmf[code.cell_transform(support, 1 << code.n) == 0] = 0.0
+    return pmf
 
 
 def _cell_values(counts: np.ndarray, denom: int, exact: bool) -> np.ndarray:
     """counts / denom: Fractions, one built per distinct count, or floats."""
     if not exact:
-        return (counts / denom).astype(np.float64, copy=False)
+        return (counts / float(denom)).astype(np.float64, copy=False)
     values, index = np.unique(counts, return_inverse=True)
     return np.array([Fraction(int(v), denom) for v in values], dtype=object)[index]
 
 
-def _denominator(kernel: kn.Kernel) -> int:
-    """The common denominator D of the values; 1 for a subcube's 0/1 spectrum."""
-    values = kernel.profile or ([1] if kernel.values is None else kernel.values)
-    return math.lcm(*(Fraction(v).denominator for v in values))
-
-
 def _on_int64(code, kernel: kn.Kernel) -> bool:
     """True when the integer cell counts fit int64: D cells < 2^63."""
-    return _denominator(kernel).bit_length() + code.cells.bit_length() <= 63
+    return kernel.denominator.bit_length() + code.cells.bit_length() <= 63
 
 
-def _smoothing_bytes(code, kernel: kn.Kernel, exact: bool) -> int:
-    """Peak bytes of the integer route of `cell_pmf` by tracemalloc at n =
-    10..32: per cell 49-60 exact and 17-27 float while D cells < 2^63, then
-    167-576 exact for 54-1101 bits of D; plus a dense kernel's transform."""
-    per_cell = 32 if not exact else 64 if _on_int64(code, kernel) else \
-        190 + _denominator(kernel).bit_length() // 2
-    return per_cell * code.cells + (0 if kernel.values is None else
-                                    _exact_cell_bytes(kernel) << code.n)
-
-
-def _exact_cell_bytes(kernel: kn.Kernel) -> int:
-    """Peak bytes per point of exact dense convolution: 126-275 for up to 107
-    bits of D and 482-645 for 541-881 bits by tracemalloc at n = 10..16."""
-    return 256 + _denominator(kernel).bit_length() // 2
+def _smoothing_bytes(code, kernel: kn.Kernel, exact: bool, dense: bool = False) -> int:
+    """Peak bytes of `cell_pmf`, with `dense` of `smooth`: the largest of its
+    phases, by tracemalloc at n = 12..20.  The cell transform: per cell
+    17-24 float while D cells < 2^63 and 24-28 beyond, 49 exact, then
+    190-575 for 67-1101 bits of D, plus the code's own `transform_bytes`.  A
+    dense kernel's spectrum, per point: 13-17 on the float route; from
+    exact values 105-114 for 47-60 bits of D and 573-698 for 771-991 bits;
+    from floats 143-260 for 77-107 bits of the bound D on their
+    denominator.  The gather of `smooth`: 16-18 per point plus the cell pmf."""
+    bits = kernel.denominator.bit_length()
+    per_cell = (22 if _on_int64(code, kernel) else 28) if not exact else \
+        64 if _on_int64(code, kernel) else 190 + bits // 2
+    phases = [(per_cell + code.transform_bytes) * code.cells]
+    if kernel.values is not None:
+        # float values take the float route, or become Fractions at 96 bytes more
+        floats = not hc.is_exact(kernel.values)
+        phases.append((18 if floats and not (exact or _on_int64(code, kernel)) else
+                       100 + 3 * bits // 4 + 96 * floats) << code.n)
+    if dense:
+        phases.append((20 << code.n) + 8 * code.cells)
+    return max(phases)
 
 
 def is_perfectly_smoothed(code, kernel: kn.Kernel) -> bool:
     """Exact test of T_r f_C == U_n.
 
     Every cell of `cell_pmf` holds 2^n / cells points, so T_r f_C is uniform
-    iff all cell masses are equal: the integer cell transform of the
-    kernel's spectrum (a linear code, or a radial kernel), or the exact pmf.
+    iff all cell masses are equal: all integers of the cell transform of the
+    kernel's exact spectrum.
     """
     if kernel.n != code.n:
         raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={code.n}")
-    if isinstance(code, cd.LinearCode) or kernel.is_radial():
-        hc.admit("perfect-smoothing certificate", nbytes=_smoothing_bytes(code, kernel, True))
-        mass = code.cell_transform(*kernel.spectrum(code.spectrum_points(), exact=True))
-    else:
-        mass = cell_pmf(code, kernel, exact=True)
+    hc.admit("perfect-smoothing certificate", nbytes=_smoothing_bytes(code, kernel, True))
+    mass = code.cell_transform(*kernel.spectrum(code.spectrum_points(), exact=True))
     return bool((mass == mass[0]).all())
 
 

@@ -33,6 +33,13 @@ def convolve_direct(f, g) -> np.ndarray:
     return out
 
 
+def smooth_dense(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
+    """The noisy code distribution r * f_C as one transform convolution of
+    the dense code pmf with the lifted kernel, independent of the kernel's
+    spectrum and the codes' cell transforms; the oracle for `sm.smooth`."""
+    return hc.convolve(code.pmf(exact=exact), kernel.lift(exact=exact))
+
+
 def coset_weight_table(code) -> np.ndarray:
     """N[s, i] = number of weight-i points in cell s (a coset of a linear
     code, a point of an explicit one): a bincount of (cell_of(x), |x|)
@@ -63,6 +70,29 @@ def covering_radius_dense(code) -> int:
     return rho
 
 
+def krawtchouk(n: int, t: int, x: int) -> int:
+    """K_t(x) = sum_j (-1)^j C(x,j) C(n-x,t-j) by its direct sum; the
+    reference for `hc.krawtchouk_matrix` and the radial transforms."""
+    if not (0 <= t <= n and 0 <= x <= n):
+        raise ValueError(f"krawtchouk indices out of range: n={n}, t={t}, x={x}")
+    return sum(
+        (-1) ** j * math.comb(x, j) * math.comb(n - x, t - j)
+        for j in range(t + 1)
+    )
+
+
+def krawtchouk_row(n: int, t: int) -> list[int]:
+    """[K_t(0), ..., K_t(n)] by direct sums."""
+    return [krawtchouk(n, t, x) for x in range(n + 1)]
+
+
+def lloyd(n: int, t: int, x: int) -> int:
+    """L_t(x) = sum_{s<=t} K_s(x): transform of the radius-t ball indicator."""
+    if not (0 <= t <= n and 0 <= x <= n):
+        raise ValueError(f"lloyd indices out of range: n={n}, t={t}, x={x}")
+    return sum(krawtchouk(n, s, x) for s in range(t + 1))
+
+
 def mu_spectral(n: int, t: int, i: int) -> int:
     """The ball intersection volume `hc.mu` via 2^{-n} sum_k L_t(k)^2 K_k(i)."""
     if not (0 <= t <= n and 0 <= i <= n):
@@ -78,8 +108,7 @@ def l2_dense_oracle(code, kernel: kn.Kernel) -> float:
     """||2^n T_r f_C||_2^2 from a dense transform convolution of the code
     pmf with the lifted kernel; the oracle for the closed form and the
     coset masses."""
-    noisy = hc.convolve(code.pmf(), kernel.lift())
-    return float(np.mean((noisy * (1 << code.n)) ** 2))
+    return float(np.mean((smooth_dense(code, kernel) * (1 << code.n)) ** 2))
 
 
 def norm_dense(values, alpha) -> float:

@@ -87,28 +87,47 @@ def test_decoding_scans_codewords_when_the_table_is_refused(monkeypatch, hamming
     assert dec.mc_decoding_error(fresh, 0.05, 1, 1, 5000, seed=3) == table_path
 
 
-def test_exact_smoothing_estimate_grows_with_the_kernel_denominator(monkeypatch):
-    n = 10
-    # an explicit code: a linear one is smoothed on its cosets, not densely
-    code = cd.ExplicitCode(n, cd.random_linear(n, 5, seed=1).codeword_ints())
-    small = kn.Kernel.bernoulli(n, Fraction(1, 10))
-    # 55 denominator bits per coordinate; dense, since a radial kernel is
-    # smoothed through the code's radial counts, not by dense convolution
-    binary = kn.Kernel.dense(kn.Kernel.bernoulli(n, Fraction(0.1)).lift(exact=True))
-    per_point = sm._exact_cell_bytes(binary)
-    assert per_point > hc.EXACT_CELL_BYTES > sm._exact_cell_bytes(small)
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        sm.smooth(code, binary, exact=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert hc.EXACT_CELL_BYTES << n < peak <= per_point << n
-    monkeypatch.setattr(hc, "MEMORY_CAP", per_point << n)
+
+
+def test_exact_smoothing_estimate_grows_with_the_kernel_denominator(monkeypatch):
+    # a dense exact kernel's spectrum is built from Fractions, charged by the
+    # bits of its denominator: 55 per coordinate at binary 0.1, 3.3 at 1/10
+    n = 10
+    code = cd.ExplicitCode(n, cd.random_linear(n, 5, seed=1).codeword_ints())
+    small = kn.Kernel.dense(kn.Kernel.bernoulli(n, Fraction(1, 10)).lift(exact=True))
+    binary = kn.Kernel.dense(kn.Kernel.bernoulli(n, Fraction(0.1)).lift(exact=True))
+    estimate = sm._smoothing_bytes(code, binary, True, dense=True)
+    assert estimate > 2 * sm._smoothing_bytes(code, small, True, dense=True)
+    peak = _traced_peak(lambda: sm.smooth(code, binary, exact=True))
+    assert peak <= estimate <= 1.5 * peak, (peak, estimate)
+    monkeypatch.setattr(hc, "MEMORY_CAP", estimate)
     sm.smooth(code, binary, exact=True)
-    monkeypatch.setattr(hc, "MEMORY_CAP", (per_point << n) - 1)
+    monkeypatch.setattr(hc, "MEMORY_CAP", estimate - 1)
     with pytest.raises(hc.BudgetExceeded, match="exact smoothing"):
         sm.smooth(code, binary, exact=True)
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_float_smoothing_estimate_tracks_its_peak(linear):
+    # float smoothing is charged by its largest phase: the cell transform,
+    # which builds W(1_C) on an explicit code, or the gather over the cube
+    n, kernel = 14, kn.Kernel.bernoulli(14, Fraction(1, 10))
+    code = cd.random_linear(n, 7, seed=3)
+    if linear:
+        code.dual().codeword_ints()   # cached, and admitted on their own
+        code.cube_cells()             # builds the cached syndrome tables
+    else:
+        code = cd.ExplicitCode(n, code.codeword_ints())
+    peak = _traced_peak(lambda: sm.smooth(code, kernel))
+    estimate = sm._smoothing_bytes(code, kernel, False, dense=True)
+    assert peak <= estimate <= 1.5 * peak, (peak, estimate)
 
 
 @pytest.mark.parametrize("linear", [False, True])
@@ -121,12 +140,7 @@ def test_radial_exact_estimate_tracks_its_peak(linear):
         cd.ExplicitCode(n, cd.random_linear(n, 7, seed=3).codeword_ints())
     if linear:
         code.dual().codeword_ints()   # cached, and admitted on its own
-    tracemalloc.start()
-    try:
-        sm.cell_pmf(code, kernel, exact=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: sm.cell_pmf(code, kernel, exact=True))
     estimate = sm._smoothing_bytes(code, kernel, True)
     assert peak <= estimate <= 1.5 * peak, (peak, estimate)
 
@@ -139,12 +153,7 @@ def test_radial_counts_in_limbs_estimate_tracks_its_peak(delta):
     n, kernel = 14, kn.Kernel.bernoulli(14, delta)
     code = cd.ExplicitCode(n, cd.random_linear(n, 7, seed=3).codeword_ints())
     assert not sm._on_int64(code, kernel)
-    tracemalloc.start()
-    try:
-        sm.cell_pmf(code, kernel, exact=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: sm.cell_pmf(code, kernel, exact=True))
     estimate = sm._smoothing_bytes(code, kernel, True)
     assert peak <= estimate <= 1.5 * peak, (peak, estimate)
 
@@ -162,3 +171,17 @@ def test_explicit_exact_smoothing_admitted_at_n22(monkeypatch):
     with pytest.raises(Admitted):
         sm.cell_pmf(cd.ExplicitCode(22, [0, 3, 5]), kn.Kernel.bernoulli(22, Fraction(1, 10)),
                     exact=True)
+
+
+def test_explicit_float_smoothing_admitted_at_n24(monkeypatch):
+    # the dense float pmf of a 2^24-point explicit code passes both
+    # admissions of `smooth` and reaches the code's spectrum points
+    class Admitted(Exception):
+        pass
+
+    def spectrum_points(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(cd.ExplicitCode, "spectrum_points", spectrum_points)
+    with pytest.raises(Admitted):
+        sm.smooth(cd.ExplicitCode(24, [0, 3, 5]), kn.Kernel.bernoulli(24, Fraction(1, 10)))

@@ -1,9 +1,12 @@
-"""The coset domain of linear codes, checked against the dense path.
+"""The cells of both code classes, checked against dense oracles.
 
-Every linear code below is also given as `ExplicitCode(n, codewords)`, which
-smooths, certifies and counts on dense 2^n arrays; the coset results must
-agree with it exactly (float smoothing to 1e-12 relative per point, and the
-reports read from the syndrome pmf to 1e-12).
+Every linear code below is also given as `ExplicitCode(n, codewords)`.  Both
+smooth through the kernel's spectrum and their own cell transform, so both
+are held to `oracles.smooth_dense`, one transform convolution of the dense
+code pmf with the lifted kernel, under every kernel form: exactly, float
+smoothing to 1e-12 relative per point, and the reports read from the cell
+pmfs to 1e-12.  Counts and certificates are compared between the two
+classes and with brute-force tables.
 """
 
 import math
@@ -55,23 +58,22 @@ def _rows(rows):
 
 @pytest.mark.parametrize("code", CODES, ids=repr)
 def test_smoothing_matches_dense(code):
-    linear, explicit = _pair(code)
     for kernel in _kernels(code.n):
-        exact = sm.smooth(explicit, kernel, exact=True)
-        assert (sm.smooth(linear, kernel, exact=True) == exact).all()
+        exact = oracles.smooth_dense(code, kernel, exact=True)
         reference = np.array([float(v) for v in exact])
-        floats = sm.smooth(linear, kernel)
-        assert np.all(np.abs(floats - reference) <= 1e-12 * reference)
+        for c in _pair(code):
+            assert (sm.smooth(c, kernel, exact=True) == exact).all(), (c, kernel)
+            floats = sm.smooth(c, kernel)
+            assert np.all(np.abs(floats - reference) <= 1e-12 * reference), (c, kernel)
 
 
 @pytest.mark.parametrize("code", CODES, ids=repr)
 def test_cell_pmf_reports_match_dense(code):
-    # the syndrome pmf has the divergences and norms of the dense pmf
-    linear, explicit = _pair(code)
+    # the cell pmfs have the divergences and norms of the dense pmf
     for kernel in _kernels(code.n):
-        dense = sm.smooth(explicit, kernel, exact=True)
-        cells = [sm.cell_pmf(linear, kernel), sm.cell_pmf(linear, kernel, exact=True)]
-        assert all(len(p) == code.cells for p in cells)
+        dense = oracles.smooth_dense(code, kernel, exact=True)
+        cells = [sm.cell_pmf(c, kernel, exact) for c in _pair(code) for exact in (False, True)]
+        assert [len(p) for p in cells] == [code.cells] * 2 + [1 << code.n] * 2
         for alpha in (0, 0.5, 1, 2, 3, math.inf):
             want = sm.divergence_to_uniform(dense, alpha)
             for p in cells:
@@ -112,16 +114,15 @@ def _shells(n):
 
 @pytest.mark.parametrize("code", CODES[:6], ids=repr)
 def test_python_int_path_matches_int64(monkeypatch, code):
-    kernel = kn.Kernel.bernoulli(code.n, Fraction(1, 10))
-    exact = sm.cell_pmf(code, kernel, exact=True)
+    kernels = _kernels(code.n)
+    dense = [oracles.smooth_dense(code, kernel, exact=True) for kernel in kernels]
     # every integer transform in limbs or on Python ints
     monkeypatch.setattr(hc, "_int64_exact", lambda n, bound: False)
     counts = np.stack(code.radial_counts(_shells(code.n)), axis=1)
     assert (counts == oracles.coset_weight_table(code)).all()
-    assert (sm.cell_pmf(code, kernel, exact=True) == exact).all()
-    monkeypatch.undo()
-    assert (sm.smooth(code, kernel, exact=True)
-            == sm.smooth(cd.ExplicitCode(code.n, code.codeword_ints()), kernel, exact=True)).all()
+    for c in _pair(code):
+        for kernel, want in zip(kernels, dense):
+            assert (sm.smooth(c, kernel, exact=True) == want).all(), (c, kernel)
 
 
 @pytest.mark.parametrize("code", [c for c in CODES if c.n > 1][:10], ids=repr)

@@ -12,7 +12,7 @@ from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
 
 from conftest import random_fraction_array, random_linear_code, seeded_rng
-from oracles import convolve_direct, mu_spectral
+from oracles import convolve_direct, krawtchouk, krawtchouk_row, lloyd, mu_spectral
 
 
 def direct_transform(f):
@@ -40,7 +40,7 @@ class TestFwht:
         n, t = 6, 2
         wt = hc.weights_table(n)
         sphere = (wt == t).astype(float)
-        expected = np.array(hc.krawtchouk_row(n, t), dtype=float)[wt] / 2**n
+        expected = np.array(krawtchouk_row(n, t), dtype=float)[wt] / 2**n
         assert np.allclose(hc.fwht(sphere), expected)
 
     def test_roundtrip_exact_100_random(self):
@@ -229,27 +229,27 @@ class TestConvolve:
 class TestKrawtchouk:
     def test_degree_one_is_linear(self):
         n = 10
-        assert all(hc.krawtchouk(n, 1, x) == n - 2 * x for x in range(n + 1))
+        assert all(krawtchouk(n, 1, x) == n - 2 * x for x in range(n + 1))
 
     def test_value_at_zero_is_binomial(self):
         n = 12
-        assert all(hc.krawtchouk(n, t, 0) == math.comb(n, t)
+        assert all(krawtchouk(n, t, 0) == math.comb(n, t)
                    for t in range(n + 1))
 
     def test_orthogonality_exact(self):
         n = 9
         for s in range(n + 1):
             for t in range(n + 1):
-                acc = sum(math.comb(n, x) * hc.krawtchouk(n, s, x)
-                          * hc.krawtchouk(n, t, x) for x in range(n + 1))
+                acc = sum(math.comb(n, x) * krawtchouk(n, s, x)
+                          * krawtchouk(n, t, x) for x in range(n + 1))
                 expected = (1 << n) * math.comb(n, t) if s == t else 0
                 assert acc == expected
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            hc.krawtchouk(5, 6, 0)
+            krawtchouk(5, 6, 0)
         with pytest.raises(ValueError):
-            hc.lloyd(5, 2, 7)
+            lloyd(5, 2, 7)
 
 
 class TestBallGeometry:
@@ -257,8 +257,8 @@ class TestBallGeometry:
         n = 8
         for t in range(n + 1):
             for x in range(n + 1):
-                assert hc.lloyd(n, t, x) == sum(
-                    hc.krawtchouk(n, s, x) for s in range(t + 1))
+                assert lloyd(n, t, x) == sum(
+                    krawtchouk(n, s, x) for s in range(t + 1))
 
     def test_ball_volume(self):
         assert hc.ball_volume(7, 1) == 8
@@ -345,7 +345,7 @@ class TestRadial:
         for n in (3, 8):
             for i in range(n + 1):
                 shell = [int(j == i) for j in range(n + 1)]
-                assert hc.radial_transform(n, shell) == hc.krawtchouk_row(n, i)
+                assert hc.radial_transform(n, shell) == krawtchouk_row(n, i)
 
 
 def _scaled_profile(kernel: kn.Kernel) -> list[int]:

@@ -11,7 +11,7 @@ from codesmooth import kernels as kn
 from codesmooth import smoothing as sm
 
 from conftest import random_linear_code, seeded_rng
-from oracles import l2_dense_oracle, norm_dense
+from oracles import l2_dense_oracle, lloyd, norm_dense, smooth_dense
 
 INF = math.inf
 
@@ -56,8 +56,7 @@ class TestSmooth:
             sm.smooth(cd.repetition(4), kn.Kernel.ball(5, 1))
 
     def test_explicit_exact_cells_match_dense_convolution(self):
-        # the exact radial path reads `radial_counts`; the oracle convolves
-        # the exact dense pmf with the exact lifted kernel
+        # the exact cell pmf of an explicit code is the exact dense pmf
         rng = seeded_rng(42)
         for _ in range(20):
             n = int(rng.integers(1, 11))
@@ -66,7 +65,7 @@ class TestSmooth:
             for kernel in (kn.Kernel.bernoulli(n, Fraction(int(rng.integers(1, 50)), 100)),
                            kn.Kernel.ball(n, int(rng.integers(0, n + 1))),
                            kn.Kernel.sphere(n, int(rng.integers(0, n + 1)))):
-                want = hc.convolve(code.pmf(exact=True), kernel.lift(exact=True))
+                want = smooth_dense(code, kernel, exact=True)
                 assert (sm.cell_pmf(code, kernel, exact=True) == want).all(), (code, kernel)
 
     def test_dense_float_support_is_exact(self):
@@ -210,7 +209,7 @@ class TestL2ClosedForm:
             hc.mu(n, t, i) * dist[i] for i in range(n + 1))
         dual = cd.dual_distance_distribution(dist, hamming7.size)
         spectral = Fraction(1, vt * vt) * sum(
-            hc.lloyd(n, t, k) ** 2 * dual[k] for k in range(n + 1))
+            lloyd(n, t, k) ** 2 * dual[k] for k in range(n + 1))
         closed = sm.l2_closed_form(dist, hamming7.size, kn.Kernel.ball(n, t),
                                    exact=True)
         assert primal == spectral == closed
@@ -320,8 +319,7 @@ class TestPerfectSmoothingCertificate:
 
     def test_matches_exact_dense_uniformity(self, hamming7):
         def uniform(code, kernel):
-            noisy = hc.convolve(code.pmf(exact=True), kernel.lift(exact=True))
-            return all(v == Fraction(1, 1 << code.n) for v in noisy)
+            return all(v == Fraction(1, 1 << code.n) for v in smooth_dense(code, kernel, True))
 
         rng = seeded_rng(43)
         codes = [hamming7, cd.full_space(6), cd.repetition(5), cd.parity(6)]
