@@ -15,6 +15,7 @@ distribution of the code itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -218,7 +219,7 @@ class LinearCode(_Code):
 class ExplicitCode(_Code):
     """A code given by an explicit list of codewords (not necessarily linear)."""
 
-    transform_bytes = 8   # W(1_C), one int64 per point
+    transform_bytes = 8   # W(1_C), one int64 per point, built by the first call
 
     def __init__(self, n: int, words):
         _check_length(n)
@@ -257,12 +258,19 @@ class ExplicitCode(_Code):
     def cell_transform(self, values: np.ndarray, mass: int) -> np.ndarray:
         """x -> sum_u W(1_C)(u) values[u] (-1)^{u.x} = 2^n (1_C * g)(x) for g with
         transform `values`: a float64 transform of float64 values, exact for
-        integers with sum |g| <= mass (`hc.wht_exact`)."""
-        spectrum = hc._wht_inplace(self.indicator())   # at most |C|: exact in int64
-        if values.dtype != np.int64 or not hc._int64_exact(self.n, mass):
-            spectrum = spectrum.astype(values.dtype if values.dtype == np.float64 else object)
-        spectrum *= values
-        return hc.wht_exact(spectrum, mass << self.n)
+        integers with sum |g| <= mass (`hc.wht_exact`).  Like the linear
+        class, it may overwrite `values`."""
+        if values.dtype == np.int64 and not hc._int64_exact(self.n, mass):
+            values = values.astype(object)
+        values *= self._indicator_spectrum
+        return hc.wht_exact(values, mass << self.n)
+
+    @functools.cached_property
+    def _indicator_spectrum(self) -> np.ndarray:
+        """W(1_C), read-only, built once per code: at most |C|, so exact in int64."""
+        spectrum = hc._wht_inplace(self.indicator())
+        spectrum.flags.writeable = False
+        return spectrum
 
     def __repr__(self):
         return f"ExplicitCode(n={self.n}, size={self.size})"

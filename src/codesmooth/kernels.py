@@ -182,15 +182,26 @@ class Kernel:
         lifted = self.lift(exact=self.values is not None and hc.is_exact(self.values))
         return int(hc.weights_table(self.n)[lifted != 0].max(initial=0))
 
-    def renyi_entropy(self, alpha) -> float:
-        """H_alpha of the kernel from its exact values: the per-weight
-        profile when radial, so no 2^n array is built."""
+    def masses(self) -> dict:
+        """{exact point value: number of points} over the kernel's support:
+        C(n, i) points per shell of a radial profile, the 2^(n-|S|) free
+        points of a subcube, the grouped values of an exact dense pmf; no
+        2^n array is built for the first two."""
         if self.is_radial():
-            return renyi_entropy_radial(self.n, self.radial_profile(), alpha)
+            return radial_masses(self.n, self.profile)
         if self.coords is not None:
             free = 1 << (self.n - len(self.coords))
-            return exact_renyi({Fraction(1, free): free}, alpha)
-        return renyi_entropy(self.values, alpha)
+            return {Fraction(1, free): free}
+        if not hc.is_exact(self.values):
+            raise ValueError("dense kernel built from floats has no exact values")
+        return point_masses(self.values)
+
+    def renyi_entropy(self, alpha) -> float:
+        """H_alpha of the kernel from its exact values (`masses`); a dense
+        kernel of floats in the log domain."""
+        if self.values is not None and not hc.is_exact(self.values):
+            return renyi_entropy(self.values, alpha)
+        return exact_renyi(self.masses(), alpha)
 
     def spec_string(self) -> str:
         return self._spec
@@ -324,11 +335,16 @@ def renyi_entropy_radial(n: int, profile, alpha) -> float:
     and must not be raised to alpha.  Float entries are taken at their
     exact binary value, so only the logs round.
     """
+    return exact_renyi(radial_masses(n, profile), alpha)
+
+
+def radial_masses(n: int, profile) -> Counter:
+    """{exact point mass: number of points} of a radial pmf, zero excluded."""
     masses = Counter()
     for i, v in enumerate(profile):
         if v > 0:
             masses[Fraction(v)] += math.comb(n, i)
-    return exact_renyi(masses, alpha)
+    return masses
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,16 @@ distribution,
 
     Q_n(alpha) = E_C ||2^n T_r f_C||_alpha^alpha,
 
-estimated by Monte Carlo, together with a recursive finite-n upper bound
-driven by the Renyi entropies of the kernel, and a Chernoff-type bound on
-the expected sup norm.
+estimated by Monte Carlo at any order and computed exactly, as a finite
+sum over set partitions, at integer orders; together with a recursive
+finite-n upper bound driven by the Renyi entropies of the kernel, and a
+Chernoff-type bound on the expected sup norm.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,15 +42,18 @@ class EnsembleSpec:
             raise hc.DimensionMismatch("kernel dimension differs from n")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.num_codewords < 1:
-            raise ValueError("ensemble needs at least one codeword")
         # per trial: the draws, their histogram and two transforms of it
         hc.admit("dense ensemble trial",
                  nbytes=(48 << self.n) + 8 * self.num_codewords)
 
     @property
     def num_codewords(self) -> int:
-        return max(1, round(2 ** (self.n * self.rate)))
+        return num_codewords(self.n, self.rate)
+
+
+def num_codewords(n: int, rate: float) -> int:
+    """M = 2^(nR) rounded, at least 1: the codewords an ensemble draws."""
+    return max(1, round(2 ** (n * rate)))
 
 
 def _sample_statistics(spec: EnsembleSpec, trial_value) -> tuple[float, float]:
@@ -115,15 +120,48 @@ def sup_norm_estimate(spec: EnsembleSpec) -> tuple[float, float]:
     return _sample_statistics(spec, lambda s: float(_scaled_noisy(s).max()))
 
 
-def qn_exact_pairwise(n: int, m: int, kernel: kn.Kernel) -> float:
-    """Closed-form E Q_n(2) = 1 + (2^n sum_z r(z)^2 - 1) / M.
+def qn_exact(n: int, m: int, kernel: kn.Kernel, alpha: int) -> Fraction:
+    """E Q_n(alpha) over M i.i.d. uniform codewords, exactly, for integer
+    alpha >= 1.
 
-    The second moment only sees pairwise codeword collisions, whose
-    expectation is exact for i.i.d. uniform draws.
+    2^n T_r f_C(x) = (2^n / M) sum_j r(x + c_j), so its alpha-th power sums
+    over index tuples (j_1, ..., j_alpha).  The equal indices of a tuple
+    partition [alpha] into blocks pi; (M)_{|pi|} tuples share that pattern,
+    their |pi| codewords are independent, and a block B contributes
+    E r(x + c)^|B| = S_|B| / 2^n with S_j = sum_z r(z)^j:
+
+        E Q_n(alpha) = M^-alpha sum_pi (M)_{|pi|} prod_{B in pi} 2^(n(|B|-1)) S_|B|.
+
+    The alpha! / prod_i (i!^m_i m_i!) partitions with m_i blocks of size i
+    give equal terms, so one term per integer partition of alpha is summed,
+    in rationals; S_j reads the kernel's distinct values (`Kernel.masses`).
     """
-    lifted = kernel.lift(exact=True)
-    l2 = (1 << n) * sum(Fraction(v) ** 2 for v in lifted)
-    return float(1 + (l2 - 1) / m)
+    if kernel.n != n:
+        raise hc.DimensionMismatch("kernel dimension differs from n")
+    if alpha != int(alpha) or alpha < 1:
+        raise ValueError(f"exact Q_n needs an integer order >= 1, got {alpha}")
+    alpha = int(alpha)
+    masses = kernel.masses()
+    scaled = [None] + [sum(count * v ** j for v, count in masses.items()) * (1 << n * (j - 1))
+                       for j in range(1, alpha + 1)]   # 2^(n(j-1)) S_j
+    total = Fraction(0)
+    for shape in _integer_partitions(alpha, alpha):
+        ways = math.factorial(alpha) // math.prod(
+            math.factorial(size) ** mult * math.factorial(mult)
+            for size, mult in Counter(shape).items())
+        total += ways * math.perm(m, len(shape)) * math.prod(scaled[size] for size in shape)
+    return total / m ** alpha
+
+
+def _integer_partitions(total: int, largest: int):
+    """The partitions of `total` into parts of at most `largest`, as
+    nonincreasing tuples."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest), 0, -1):
+        for rest in _integer_partitions(total - part, part):
+            yield (part,) + rest
 
 
 # ---------------------------------------------------------------------------

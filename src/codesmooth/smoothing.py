@@ -57,7 +57,8 @@ def smooth(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
     hc.admit("exact smoothing" if exact else "dense smoothing",
              nbytes=_smoothing_bytes(code, kernel, exact, dense=True))
     share = (1 << code.n) // code.cells
-    return _cell_masses(code, kernel, exact, share)[code.cube_cells()]
+    masses = _cell_masses(code, kernel, exact, share)
+    return masses if share == 1 else masses[code.cube_cells()]   # one cell per point, in order
 
 
 def _cell_masses(code, kernel: kn.Kernel, exact: bool, share: int) -> np.ndarray:
@@ -70,9 +71,13 @@ def _cell_masses(code, kernel: kn.Kernel, exact: bool, share: int) -> np.ndarray
     if exact or _on_int64(code, kernel):
         counts, denom = kernel.spectrum(code.spectrum_points(), exact=True)
         return _cell_values(code.cell_transform(counts, denom), denom * scale, exact)
-    pmf = code.cell_transform(kernel.spectrum(code.spectrum_points()), 1) / scale
+    # both spectra first: an explicit code's W(1_C), built by the first cell
+    # transform and kept for the second, is then not held beside them
+    values = kernel.spectrum(code.spectrum_points())
     support, _ = kernel.spectrum(code.spectrum_points(), exact=True, support=True)
+    pmf = code.cell_transform(values, 1)
     pmf[code.cell_transform(support, 1 << code.n) == 0] = 0.0
+    pmf /= scale
     return pmf
 
 
@@ -97,7 +102,8 @@ def _smoothing_bytes(code, kernel: kn.Kernel, exact: bool, dense: bool = False) 
     dense kernel's spectrum, per point: 13-17 on the float route; from
     exact values 105-114 for 47-60 bits of D and 573-698 for 771-991 bits;
     from floats 143-260 for 77-107 bits of the bound D on their
-    denominator.  The gather of `smooth`: 16-18 per point plus the cell pmf."""
+    denominator.  The gather of `smooth`, which a cell per point skips:
+    16-18 per point plus the cell pmf."""
     bits = kernel.denominator.bit_length()
     per_cell = (22 if _on_int64(code, kernel) else 28) if not exact else \
         64 if _on_int64(code, kernel) else 190 + bits // 2
@@ -107,7 +113,7 @@ def _smoothing_bytes(code, kernel: kn.Kernel, exact: bool, dense: bool = False) 
         floats = not hc.is_exact(kernel.values)
         phases.append((18 if floats and not (exact or _on_int64(code, kernel)) else
                        100 + 3 * bits // 4 + 96 * floats) << code.n)
-    if dense:
+    if dense and code.cells < 1 << code.n:
         phases.append((20 << code.n) + 8 * code.cells)
     return max(phases)
 

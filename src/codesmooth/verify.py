@@ -2,8 +2,10 @@
 
 Runs named checks that each yield BoundReports, prints one line per
 report, and summarizes.  The quick profile trims repetition counts and
-Monte Carlo trials to keep the whole sweep well under five minutes; the
-full profile matches the sizes used by the acceptance tests.
+sizes to keep the whole sweep well under five minutes; the full profile
+matches the sizes used by the acceptance tests.  The decoding and ensemble
+groups hold their bounds to exact values (`dec.decoding_error_exact`,
+`rc.qn_exact`), not to Monte Carlo estimates.
 """
 
 from __future__ import annotations
@@ -46,14 +48,6 @@ class SuiteConfig:
     @property
     def secrecy_schemes(self) -> int:
         return 4 if self.quick else 10
-
-    @property
-    def mc_trials(self) -> int:
-        return 10_000 if self.quick else 100_000
-
-    @property
-    def qn_trials(self) -> int:
-        return 200 if self.quick else 1000
 
 
 def _rng(cfg: SuiteConfig, tag: int) -> np.random.Generator:
@@ -146,7 +140,7 @@ def check_secrecy(cfg: SuiteConfig) -> list[BoundReport]:
 
 
 def check_decoding(cfg: SuiteConfig) -> list[BoundReport]:
-    """List-decoding error bound dominates the Monte Carlo estimate."""
+    """List-decoding error bound dominates the exact decoding error."""
     out = []
     cases = [
         (cd.hamming(3), "hamming(3)", 2),
@@ -156,13 +150,10 @@ def check_decoding(cfg: SuiteConfig) -> list[BoundReport]:
         dist = cd.distance_distribution(code)
         for delta in (0.01, 0.05):
             bound = dec.list_error_bound(dist, Fraction(delta), 1, t)
-            est, sigma = dec.mc_decoding_error(
-                code, delta, 1, t, cfg.mc_trials, seed=cfg.seed)
+            error = dec.decoding_error_exact(code, Fraction(delta), 1, t)
             out.append(check_bound(
-                f"decode-bound {name} d={delta} t={t}", est - 3 * sigma,
-                bound.total,
-                details={"estimate": est, "sigma": sigma,
-                         "energy": bound.energy_term, "tail": bound.tail_term}))
+                f"decode-bound {name} d={delta} t={t}", error, bound.total,
+                details={"energy": bound.energy_term, "tail": bound.tail_term}))
     return out
 
 
@@ -237,20 +228,17 @@ def check_identities(cfg: SuiteConfig) -> list[BoundReport]:
 
 
 def check_qn(cfg: SuiteConfig) -> list[BoundReport]:
-    """Ensemble moments respect the recursive bound and the Q >= 1 floor."""
+    """Exact ensemble moments respect the recursive bound and the Q >= 1 floor."""
     out = []
     delta = 0.1
     rate = 1 - kn.binary_renyi(2, delta) + 0.1
     ns = (8, 12) if cfg.quick else (12, 16)
     for n in ns:
         kernel = kn.Kernel.bernoulli(n, Fraction(1, 10))
-        spec = rc.EnsembleSpec(n, rate, kernel, cfg.qn_trials, seed=cfg.seed)
-        est, sigma = rc.qn_estimate(spec, 2)
+        q = rc.qn_exact(n, rc.num_codewords(n, rate), kernel, 2)
         bound = rc.qn_recursive_bound(n, rate, kernel, 1, 1)
-        out.append(check_bound(f"qn-recursive-bound n={n}", est - 3 * sigma, bound,
-                               details={"estimate": est, "sigma": sigma}))
-        out.append(check_bound(f"qn-floor n={n}", 1.0, est + 3 * sigma,
-                               details={"estimate": est, "sigma": sigma}))
+        out.append(check_bound(f"qn-recursive-bound n={n}", q, bound))
+        out.append(check_bound(f"qn-floor n={n}", 1, q, recheck=lambda q=q: (1, q)))
     return out
 
 

@@ -120,16 +120,29 @@ def norm_dense(values, alpha) -> float:
     return float(np.mean(a ** float(alpha)) ** (1 / float(alpha)))
 
 
-def qn_exhaustive(n: int, m: int, kernel: kn.Kernel, alpha: float) -> float:
-    """Brute-force E Q_n(alpha) over every codeword tuple (tiny n, M only)."""
+def qn_exhaustive(n: int, m: int, kernel: kn.Kernel, alpha: int) -> Fraction:
+    """Brute-force E Q_n(alpha) in rationals over every codeword tuple, for
+    integer alpha (tiny n, M only)."""
     hc.admit("exhaustive ensemble expectation", steps=(1 << n) ** m)
-    lifted = kernel.lift()
+    lifted = kernel.lift(exact=True)
     idx = np.arange(1 << n)
-    total = 0.0
+    total = Fraction(0)
     for tup in product(range(1 << n), repeat=m):
-        noisy = sum(lifted[idx ^ c] for c in tup) / m
-        total += float(np.mean((noisy * (1 << n)) ** alpha))
-    return total / (1 << n) ** m
+        scaled = sum(lifted[idx ^ c] for c in tup) * Fraction(1 << n, m)
+        total += sum(v ** alpha for v in scaled)
+    return total / (1 << n) ** (m + 1)
+
+
+def decoding_error_dense(code, delta, list_size: int, t: int) -> Fraction:
+    """Pr{F_t(Y) >= L+1 or |Y| > t} for the zero codeword sent, summed over
+    all 2^n error words Y with F_t(Y) counted against every codeword; the
+    oracle for `dec.decoding_error_exact`."""
+    d = Fraction(delta)
+    points = np.arange(1 << code.n)
+    weights = np.bitwise_count(points)
+    near = sum((np.bitwise_count(points ^ c) <= t).astype(np.int64) for c in code.codeword_ints())
+    fails = np.bincount(weights[(near >= list_size + 1) | (weights > t)], minlength=code.n + 1)
+    return sum(int(f) * d ** w * (1 - d) ** (code.n - w) for w, f in enumerate(fails))
 
 
 def collision_count_direct(code, coords) -> int:

@@ -45,6 +45,8 @@ REFUSALS = [
      lambda: cd.covering_radius(cd.random_linear(40, 8, seed=0))),
     ("subset sweep", "step cap",   # 3^14 lattice entries > 2^22
      lambda: er.subset_expectation(np.ones(1 << 14), 0.5, 1)),
+    ("coset weight counts", "memory cap",   # 2^32 cosets
+     lambda: dec.decoding_error_exact(cd.random_linear(40, 8, seed=0), Fraction(1, 20), 1, 3)),
 ]
 
 
@@ -85,6 +87,16 @@ def test_decoding_scans_codewords_when_the_table_is_refused(monkeypatch, hamming
     fresh = cd.hamming(3)
     monkeypatch.setattr(fresh, "radial_counts", lambda profiles: pytest.fail("table built"))
     assert dec.mc_decoding_error(fresh, 0.05, 1, 1, 5000, seed=3) == table_path
+
+
+@pytest.mark.parametrize("t", [0, 2, 5])
+def test_exact_decoding_estimate_tracks_its_peak(t):
+    # 2^16 cosets: the charge per coset leaves out a fixed ~115 KB
+    code = cd.random_linear(20, 4, seed=2)
+    code.dual().codeword_ints()   # cached, and admitted on their own
+    peak = _traced_peak(lambda: dec.decoding_error_exact(code, Fraction(1, 20), 1, t))
+    estimate = (24 + 8 * t) * code.cells
+    assert peak <= estimate <= 1.5 * peak, (peak, estimate)
 
 
 def _traced_peak(call) -> int:

@@ -180,6 +180,29 @@ class TestDecodeBound:
         assert code == 0
         assert "mc_estimate" in out
 
+    def test_mc_on_linear_code_reports_exact_error(self, capsys, tmp_path):
+        path = tmp_path / "r.code"
+        run_cli(capsys, "code", "gen", "--family", "rm",
+                "--params", "1,4", "--out", str(path))
+        code, out = run_cli(capsys, "decode-bound", "--code", str(path),
+                            "--delta", "0.05", "--list", "1", "--t", "4",
+                            "--mc", "20000")
+        assert code == 0
+        lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+        row = dict(zip(lines[2].split(","), lines[3].split(",")))
+        assert row["bound_holds"] == "1"
+        assert math.isclose(float(row["exact_error"]), 0.00700390765621, rel_tol=1e-11)
+
+    def test_mc_on_explicit_code_has_no_exact_error(self, capsys, tmp_path):
+        path = tmp_path / "e.code"
+        cd.save_code(str(path), cd.ExplicitCode(7, cd.hamming(3).codeword_ints()))
+        code, out = run_cli(capsys, "decode-bound", "--code", str(path),
+                            "--delta", "0.02", "--list", "1", "--t", "2",
+                            "--mc", "5000")
+        assert code == 0
+        assert "mc_estimate,mc_stderr,bound_holds" in out
+        assert "exact_error" not in out
+
     def test_asymptotic_form(self, capsys, tmp_path):
         path = tmp_path / "r.code"
         run_cli(capsys, "code", "gen", "--family", "random_linear",
@@ -209,6 +232,21 @@ class TestMcQn:
         row = csv_rows(out)[0]
         assert float(row["estimate"]) - 3 * float(row["stderr"]) \
             <= float(row["recursive_bound"])
+
+    def test_integer_alpha_reports_exact_moment(self, capsys):
+        code, out = run_cli(capsys, "mc", "qn", "--n", "8", "--rate", "0.7",
+                            "--kernel", "bernoulli:0.1", "--alpha", "3",
+                            "--trials", "200", "--seed", "1")
+        assert code == 0
+        row = csv_rows(out)[0]
+        assert float(row["exact"]) <= float(row["recursive_bound"])
+        assert abs(float(row["estimate"]) - float(row["exact"])) <= 4 * float(row["stderr"])
+
+    def test_fractional_alpha_has_no_exact_column(self, capsys):
+        _, out = run_cli(capsys, "mc", "qn", "--n", "8", "--rate", "0.7",
+                         "--kernel", "bernoulli:0.1", "--alpha", "3/2",
+                         "--trials", "50", "--seed", "1")
+        assert "exact" not in csv_rows(out)[0]
 
     def test_decimal_alpha_is_exact(self, capsys):
         # 1.1 is read as 11/10, not as its binary value with a 2^51 denominator

@@ -11,7 +11,7 @@ from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
 
 from conftest import random_linear_code, seeded_rng
-from oracles import ball_counts_table, l2_dense_oracle
+from oracles import ball_counts_table, decoding_error_dense, l2_dense_oracle
 
 
 class TestListErrorBound:
@@ -155,6 +155,39 @@ class TestMonteCarloDecoding:
             direct = int(np.count_nonzero(
                 np.bitwise_count(words ^ y) <= 2))
             assert table[y] == direct
+
+
+class TestExactDecodingError:
+    @pytest.mark.parametrize("name", ["hamming(3)", "rm(1,4)"])
+    def test_equals_brute_force(self, name):
+        code = cd.hamming(3) if name == "hamming(3)" else cd.reed_muller(1, 4)
+        for t in range(code.n + 1):
+            for list_size in (1, 2, 3):
+                for delta in (Fraction(1, 100), Fraction(1, 20), 0.05):
+                    assert dec.decoding_error_exact(code, delta, list_size, t) == \
+                        decoding_error_dense(code, delta, list_size, t), (t, list_size, delta)
+
+    def test_perfect_code_fails_only_outside_the_radius(self):
+        # radius-3 balls around the Golay codewords tile the cube
+        error = dec.decoding_error_exact(cd.golay23(), Fraction(1, 20), 1, 3)
+        assert error == dec.binomial_tail(23, Fraction(1, 20), 4, 23)
+
+    @pytest.mark.parametrize("name, t", [("hamming(3)", 2), ("rm(1,4)", 4), ("golay23", 3)])
+    def test_monte_carlo_agrees(self, name, t):
+        code = {"hamming(3)": cd.hamming(3), "rm(1,4)": cd.reed_muller(1, 4),
+                "golay23": cd.golay23()}[name]
+        trials = 100_000
+        for delta in (0.01, 0.05):
+            exact = float(dec.decoding_error_exact(code, delta, 1, t))
+            sigma = math.sqrt(exact * (1 - exact) / trials)
+            for seed in (0, 1, 2):
+                est, _ = dec.mc_decoding_error(code, delta, 1, t, trials, seed=seed)
+                assert abs(est - exact) <= 4 * sigma, (delta, seed, est, exact)
+
+    def test_explicit_code_refused(self):
+        code = cd.ExplicitCode(7, cd.hamming(3).codeword_ints())
+        with pytest.raises(ValueError):
+            dec.decoding_error_exact(code, Fraction(1, 20), 1, 2)
 
 
 class TestBallCountsTable:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from codesmooth import kernels as kn
@@ -27,7 +28,7 @@ class TestQnEstimate:
         n = 8
         spec = spec_for(n, 1.0, 0.1, trials=400)
         est, sigma = rc.qn_estimate(spec, 2)
-        exact = rc.qn_exact_pairwise(n, spec.num_codewords, spec.kernel)
+        exact = rc.qn_exact(n, spec.num_codewords, spec.kernel, 2)
         assert abs(est - exact) <= 3 * sigma + 1e-9
 
     def test_exhaustive_expectation_tiny_case(self):
@@ -35,8 +36,7 @@ class TestQnEstimate:
         n = 4
         kernel = kn.Kernel.bernoulli(n, Fraction(1, 4))
         exact2 = qn_exhaustive(n, 2, kernel, 2)
-        closed = rc.qn_exact_pairwise(n, 2, kernel)
-        assert math.isclose(exact2, closed, rel_tol=1e-12)
+        assert rc.qn_exact(n, 2, kernel, 2) == exact2
         spec = rc.EnsembleSpec(n, 0.25, kernel, 3000, seed=2)  # M = 2
         assert spec.num_codewords == 2
         est, sigma = rc.qn_estimate(spec, 2)
@@ -72,6 +72,61 @@ class TestQnEstimate:
             rc.qn_estimate(spec, INF)
         with pytest.raises(ValueError):
             rc.qn_estimate(spec, -1)
+
+
+def _tiny_kernels():
+    dense = np.array([Fraction(v, 36) for v in (9, 1, 4, 0, 6, 2, 3, 11)], dtype=object)
+    return [kn.Kernel.bernoulli(3, Fraction(1, 4)), kn.Kernel.ball(3, 1),
+            kn.Kernel.sphere(3, 2), kn.Kernel.subcube(3, [1]), kn.Kernel.dense(dense)]
+
+
+class TestQnExact:
+    @pytest.mark.parametrize("alpha", [2, 3, 4])
+    def test_equals_exhaustive_enumeration(self, alpha):
+        for kernel in _tiny_kernels():
+            for m in (1, 2, 3):
+                assert rc.qn_exact(3, m, kernel, alpha) == qn_exhaustive(3, m, kernel, alpha), \
+                    (kernel, m)
+
+    def test_order_two_closed_form(self):
+        # only pairwise collisions enter: 1 + (2^n S_2 - 1) / M
+        for kernel in _tiny_kernels() + [kn.Kernel.bernoulli(10, Fraction(1, 10))]:
+            s2 = sum(v * v for v in kernel.lift(exact=True))
+            for m in (1, 5, 1 << 20):
+                assert rc.qn_exact(kernel.n, m, kernel, 2) == 1 + ((1 << kernel.n) * s2 - 1) / m
+
+    def test_order_one_and_bad_orders(self):
+        kernel = kn.Kernel.bernoulli(6, Fraction(1, 10))
+        assert rc.qn_exact(6, 7, kernel, 1) == 1
+        for alpha in (0, 1.5, -2):
+            with pytest.raises(ValueError):
+                rc.qn_exact(6, 7, kernel, alpha)
+        with pytest.raises(Exception):
+            rc.qn_exact(7, 7, kernel, 2)
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_estimates_agree_with_exact(self, n):
+        kernel = kn.Kernel.bernoulli(n, Fraction(1, 10))
+        for seed in (0, 1, 2):
+            spec = rc.EnsembleSpec(n, 0.6, kernel, 500, seed=seed)
+            for alpha in (2, 3, 4):
+                est, sigma = rc.qn_estimate(spec, alpha)
+                exact = rc.qn_exact(n, spec.num_codewords, kernel, alpha)
+                assert abs(est - exact) <= 4 * sigma, (seed, alpha, est, float(exact), sigma)
+
+    def test_recursive_bound_dominates_exact(self):
+        # above the order-(1+p) threshold the bound and the moment both
+        # approach 1; the least relative slack on this grid is about 6e-10,
+        # and at n = 128 the two agree to the float's last bit
+        for n in range(8, 33, 4):
+            for delta in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 4)):
+                kernel = kn.Kernel.bernoulli(n, delta)
+                for p in (1, 2, 3):
+                    for gap in (0.02, 0.1):
+                        m = rc.num_codewords(n, 1 - kn.binary_renyi(1 + p, delta) + gap)
+                        rate = math.log2(m) / n
+                        bound = rc.qn_recursive_bound(n, rate, kernel, p, 1)
+                        assert bound >= rc.qn_exact(n, m, kernel, 1 + p), (n, delta, p, gap)
 
 
 class TestRecursiveBound:
@@ -159,6 +214,7 @@ class TestEnsembleSpec:
         kernel = kn.Kernel.bernoulli(8, Fraction(1, 10))
         assert rc.EnsembleSpec(8, 0.5, kernel, 1).num_codewords == 16
         assert rc.EnsembleSpec(8, 0.0, kernel, 1).num_codewords == 1
+        assert rc.num_codewords(64, 0.5) == 1 << 32   # no 2^n admission
 
     def test_validation(self):
         kernel = kn.Kernel.bernoulli(8, Fraction(1, 10))

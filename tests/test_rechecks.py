@@ -11,6 +11,7 @@ from codesmooth import erasure as er
 from codesmooth import kernels as kn
 from codesmooth import reports
 from codesmooth import smoothing as sm
+from codesmooth import verify as vf
 from codesmooth import wiretap as wt
 
 from conftest import seeded_rng
@@ -49,6 +50,7 @@ CASES = (
         lambda alpha=alpha: wt.secrecy_report(
             wt.NestedScheme(cd.reed_muller(1, 3), cd.full_space(N)), Fraction(1, 5), alpha))
        for alpha in (1, 2, INF)]
+    + [("qn-floor", lambda: vf.check_qn(vf.SuiteConfig())[1])]
 )
 
 
