@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 # Exact perfect-smoothing certificates: perfect codes become exactly
 # uniform under ball noise at the covering radius, and the smoothing
-# kernel can be recovered from the code's local weight distributions.
+# kernel is recovered from the code's dual weights: its transform is the
+# polynomial that vanishes on them.
 
 import time
 

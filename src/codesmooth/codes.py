@@ -181,6 +181,10 @@ class LinearCode(_Code):
     def spectrum_points(self) -> np.ndarray:
         return self.dual().codeword_ints()
 
+    def dual_weights(self) -> list[int]:
+        """The distinct nonzero weights of the dual codewords."""
+        return [int(w) for w in np.unique(np.bitwise_count(self.spectrum_points())) if w]
+
     def cell_transform(self, values: np.ndarray, mass: int) -> np.ndarray:
         """s -> sum_a values[a] (-1)^{a.s} for values on the dual codewords
         (`spectrum_points()`, index bits = syndrome bits): 2^(n-k) times g on
@@ -254,6 +258,12 @@ class ExplicitCode(_Code):
 
     def spectrum_points(self) -> np.ndarray:
         return np.arange(1 << self.n)
+
+    def dual_weights(self) -> list[int]:
+        """The distinct weights of the points u != 0 where W(1_C)(u) != 0:
+        the support of the dual distance distribution, zero excluded."""
+        return [int(w) for w in np.unique(np.bitwise_count(
+            np.flatnonzero(self._indicator_spectrum))) if w]
 
     def cell_transform(self, values: np.ndarray, mass: int) -> np.ndarray:
         """x -> sum_u W(1_C)(u) values[u] (-1)^{u.x} = 2^n (1_C * g)(x) for g with
@@ -431,9 +441,7 @@ def covering_radius(code) -> int:
 
 def external_distance(code) -> int:
     """Number of nonzero weights in the dual spectrum (zero excluded)."""
-    dist = distance_distribution(code)
-    dual = dual_distance_distribution(dist, code.size)
-    return sum(1 for j in range(1, len(dual)) if dual[j] != 0)
+    return len(code.dual_weights())
 
 
 # ---------------------------------------------------------------------------

@@ -212,27 +212,8 @@ def smoothing_erasure_report(code: cd.LinearCode, delta: float, alpha) -> BoundR
 
 
 # ---------------------------------------------------------------------------
-# Conditional averaging and the subcube-average inequalities
+# The subcube-average inequalities
 # ---------------------------------------------------------------------------
-
-def conditional_average(f, coords) -> np.ndarray:
-    """E(f | G): average f over the coordinates outside G.
-
-    Equals convolution with the uniform pmf on the subcube {x : x|_G = 0};
-    computed here by direct fiber averaging.
-    """
-    arr = f if isinstance(f, np.ndarray) else hc.as_dense(f)
-    n = hc.dimension_of(arr)
-    coords = sorted(set(coords))
-    free = [c for c in range(n) if c not in coords]
-    # accumulate fiber sums by folding the free coordinates one at a time
-    result = arr.copy()
-    for c in free:
-        result = result + result.reshape(-1, 2, 1 << c)[:, ::-1, :].reshape(-1)
-    if hc.is_exact(arr):
-        return result * Fraction(1, 1 << len(free))
-    return result / (1 << len(free))
-
 
 def statistic(f, order):
     """Ent[f] = ||f log2(f / ||f||_1)||_1 at order 1, log2 ||f||_a at integer
@@ -352,15 +333,3 @@ def _noisy_report(name: str, f, delta, order, details) -> BoundReport:
                               erasure_noise_level(order, Fraction(delta))),
         details={"delta": delta, **details, "lambda": lam})
 
-
-def conditional_norm_expectation(code: cd.LinearCode, lam: float, alpha: int) -> float:
-    """(alpha/(alpha-1)) E_G log ||E(2^n f_C | G)||_alpha, over the subset lattice.
-
-    For a linear code this is independent of alpha and coincides with the
-    BEC conditional entropy of the dual; evaluated directly so the
-    identity can be checked numerically.
-    """
-    f = code.pmf()
-    scaled = f * (1 << code.n)
-    a = int(alpha)
-    return subset_expectation(scaled, lam, a) * a / (a - 1)

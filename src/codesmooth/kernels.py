@@ -37,7 +37,7 @@ INF = math.inf
 
 
 class Kernel:
-    """Immutable noise kernel; lifts are cached per scalar mode.
+    """Immutable noise kernel.
 
     A radial kernel stores its exact per-weight value profile, a subcube
     kernel its coordinates and a dense kernel its values; each keeps the
@@ -52,7 +52,6 @@ class Kernel:
         self.coords = tuple(sorted(coords)) if coords is not None else None
         self.profile = list(profile) if profile is not None else None
         self.values = values
-        self._lift_cache: dict[bool, np.ndarray] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -117,27 +116,21 @@ class Kernel:
         return self.profile if exact else [float(v) for v in self.profile]
 
     def lift(self, exact: bool = False) -> np.ndarray:
-        """Dense pmf of the kernel (cached)."""
-        key = bool(exact)
-        if key in self._lift_cache:
-            return self._lift_cache[key]
+        """Dense pmf of the kernel."""
         n = self.n
         if self.values is not None:
-            out = self.values
-            if exact and not hc.is_exact(out):
+            if exact and not hc.is_exact(self.values):
                 raise ValueError("dense kernel built from floats has no exact lift")
-            if not exact and hc.is_exact(out):
-                out = np.array([float(v) for v in out])
-        elif self.coords is not None:
+            if not exact and hc.is_exact(self.values):
+                return np.array([float(v) for v in self.values])
+            return self.values
+        if self.coords is not None:
             hc.admit("dense subcube lift", nbytes=(25 if exact else 17) << n)
             support = (np.arange(1 << n) & sum(1 << c for c in self.coords)) == 0
             mass = Fraction(1, 1 << n - len(self.coords))
-            out = np.where(support, mass, Fraction(0)) if exact else \
+            return np.where(support, mass, Fraction(0)) if exact else \
                 np.where(support, float(mass), 0.0)
-        else:
-            out = hc.lift_radial(n, self.radial_profile(exact=exact))
-        self._lift_cache[key] = out
-        return out
+        return hc.lift_radial(n, self.radial_profile(exact=exact))
 
     @functools.cached_property
     def denominator(self) -> int:

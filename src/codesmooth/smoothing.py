@@ -316,58 +316,26 @@ def perfect_kernel_search(code) -> kn.Kernel | None:
     """Recover a radial kernel of radius = covering radius that smooths the
     code perfectly, when one exists.
 
-    Solves sum_{i<=rho} w_i N_i(x) = 1 over the distinct local count rows
-    in exact rationals.  Free variables (underdetermined systems) are set
-    to zero starting from the largest radius, which prefers the
-    minimal-radius solution.  Any solution must be nonnegative and is
-    re-verified by the exact uniformity certificate before being returned.
+    T_r f_C is uniform iff rhat vanishes at the code's nonzero dual weights
+    W (`dual_weights`).  As a function of the weight, the rhat of a kernel
+    of radius rho is a polynomial of degree rho with rhat(0) = 1, so it
+    vanishes on W only if rho >= |W|; Delsarte's bound, covering radius <=
+    |W|, then leaves a kernel at the covering radius only when that radius
+    is |W|, and one only: rhat(w) = prod_{j in W} (1 - w/j), the radial
+    transform of prod_j (j - w) over 2^n prod_j j.  It must be nonnegative,
+    and is re-verified by the exact uniformity certificate.
     """
-    rho = cd.covering_radius(code)
-    rows = local_weight_rows(code, rho)
-    sol = _solve_exact_nonneg(rows, rho + 1)
-    if sol is None:
+    weights = code.dual_weights()
+    if len(weights) != cd.covering_radius(code):
         return None
-    # w_i = (2^n / |C|) r(i); normalize the value pattern to a pmf
     n = code.n
-    prof = [Fraction(0)] * (n + 1)
-    for i, w in enumerate(sol):
-        prof[i] = w
-    total = hc.radial_sum(n, prof)
-    if total <= 0:
+    annihilator = [math.prod(j - w for j in weights) for w in range(n + 1)]
+    scale = math.prod(weights) << n
+    profile = [Fraction(v, scale) for v in hc.radial_transform(n, annihilator)]
+    if any(v < 0 for v in profile):
         return None
-    kernel = kn.Kernel.radial(n, [v / total for v in prof])
-    if not is_perfectly_smoothed(code, kernel):
-        return None
-    return kernel
-
-
-def _solve_exact_nonneg(rows: np.ndarray, width: int) -> list[Fraction] | None:
-    """Exact rational Gaussian elimination of rows * w = 1, w >= 0."""
-    aug = [[Fraction(int(v)) for v in row] + [Fraction(1)] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][width] != 0:
-            return None  # inconsistent
-    sol = [Fraction(0)] * width
-    for row_idx, c in enumerate(pivots):
-        sol[c] = aug[row_idx][width]  # free columns stay zero
-    if any(v < 0 for v in sol):
-        return None
-    return sol
+    kernel = kn.Kernel.radial(n, profile)
+    return kernel if is_perfectly_smoothed(code, kernel) else None
 
 
 # ---------------------------------------------------------------------------

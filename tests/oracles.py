@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 
+from codesmooth import codes as cd
+from codesmooth import erasure as er
 from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
 from codesmooth import smoothing as sm
@@ -253,3 +255,61 @@ def conditional_distributions(scheme, delta_e: float) -> np.ndarray:
     base = sm.smooth(scheme.inner, kernel)
     idx = np.arange(1 << scheme.n)
     return np.stack([base[idx ^ int(c)] for c in scheme.coset_leaders()])
+
+
+def perfect_kernel_rows(code) -> kn.Kernel | None:
+    """`sm.perfect_kernel_search` by the local weights: sum_{i<=rho} w_i N_i(x)
+    = 1 over the distinct rows of `sm.local_weight_rows` at the covering
+    radius rho, solved by exact rational elimination with free unknowns
+    set to zero.  A nonnegative solution, w_i = (2^n / |C|) r(i), is
+    normalized to a pmf and kept if the exact certificate accepts it."""
+    rho = cd.covering_radius(code)
+    width = rho + 1
+    aug = [[Fraction(int(v)) for v in row] + [Fraction(1)]
+           for row in sm.local_weight_rows(code, rho)]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        aug[r] = [v / aug[r][c] for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                aug[i] = [a - aug[i][c] * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+    if any(row[width] != 0 for row in aug[len(pivots):]):
+        return None   # inconsistent
+    sol = [Fraction(0)] * (code.n + 1)
+    for r, c in enumerate(pivots):
+        sol[c] = aug[r][width]
+    if any(v < 0 for v in sol):
+        return None
+    total = hc.radial_sum(code.n, sol)
+    kernel = kn.Kernel.radial(code.n, [v / total for v in sol])
+    return kernel if sm.is_perfectly_smoothed(code, kernel) else None
+
+
+def conditional_average(f, coords) -> np.ndarray:
+    """E(f | G): f averaged over the coordinates outside G, by folding the
+    free coordinates one at a time; the oracle for convolution with the
+    uniform pmf on the subcube {x : x|_G = 0}."""
+    arr = f if isinstance(f, np.ndarray) else hc.as_dense(f)
+    n = hc.dimension_of(arr)
+    kept = set(coords)
+    free = [c for c in range(n) if c not in kept]
+    result = arr.copy()
+    for c in free:
+        result = result + result.reshape(-1, 2, 1 << c)[:, ::-1, :].reshape(-1)
+    if hc.is_exact(arr):
+        return result * Fraction(1, 1 << len(free))
+    return result / (1 << len(free))
+
+
+def conditional_norm_expectation(code, lam: float, alpha: int) -> float:
+    """(alpha/(alpha-1)) E_G log ||E(2^n f_C | G)||_alpha over the subset
+    lattice: for a linear code independent of alpha and equal to the BEC
+    conditional entropy of the dual."""
+    a = int(alpha)
+    return er.subset_expectation(code.pmf() * (1 << code.n), lam, a) * a / (a - 1)

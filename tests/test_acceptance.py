@@ -21,7 +21,8 @@ from codesmooth import wiretap as wt
 from codesmooth.cli import main as cli_main
 
 from conftest import random_fraction_array, random_linear_code, seeded_rng
-from oracles import convolve_direct, l2_dense_oracle, leakage_mixture_oracle, mu_spectral
+from oracles import (conditional_norm_expectation, convolve_direct, l2_dense_oracle,
+                     leakage_mixture_oracle, mu_spectral)
 
 INF = math.inf
 
@@ -188,7 +189,7 @@ class TestCriterion5Identities:
             code = random_linear_code(rng, 10)
             lam = float(rng.uniform(0.1, 0.9))
             bec, _ = er.bec_conditional_entropy(er.ErasureContext(code, lam))
-            vals = [er.conditional_norm_expectation(code, lam, a)
+            vals = [conditional_norm_expectation(code, lam, a)
                     for a in (2, 3, 4)]
             for v in vals:
                 assert abs(v - bec) <= 1e-9

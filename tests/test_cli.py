@@ -1,9 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from codesmooth import codes as cd
+from codesmooth import decoding as dec
 from codesmooth.cli import main
 
 
@@ -192,6 +194,43 @@ class TestDecodeBound:
         row = dict(zip(lines[2].split(","), lines[3].split(",")))
         assert row["bound_holds"] == "1"
         assert math.isclose(float(row["exact_error"]), 0.00700390765621, rel_tol=1e-11)
+
+    def test_linear_code_without_mc_reports_exact_error(self, capsys, tmp_path):
+        path = tmp_path / "r.code"
+        run_cli(capsys, "code", "gen", "--family", "rm",
+                "--params", "1,4", "--out", str(path))
+        code, out = run_cli(capsys, "decode-bound", "--code", str(path),
+                            "--delta", "0.05", "--list", "1", "--t", "4")
+        assert code == 0
+        assert "mc_estimate" not in out
+        lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+        assert lines[2] == "exact_error,bound_holds"
+        row = dict(zip(lines[2].split(","), lines[3].split(",")))
+        assert row["bound_holds"] == "1"
+        assert math.isclose(float(row["exact_error"]), 0.00700390765621, rel_tol=1e-11)
+
+    def test_refused_exact_error_leaves_the_bound(self, capsys, tmp_path):
+        # 2^32 cosets: the budget refuses the exact error, not the bound
+        path = tmp_path / "r.code"
+        run_cli(capsys, "code", "gen", "--family", "random_linear",
+                "--params", "40,8,0", "--out", str(path))
+        code, out = run_cli(capsys, "decode-bound", "--code", str(path),
+                            "--delta", "0.05", "--t", "3")
+        assert code == 0
+        rows = csv_rows(out)
+        assert len(rows) == 1 and "exact_total" in rows[0]
+        assert math.isclose(float(rows[0]["total"]), 0.722328304375, rel_tol=1e-11)
+
+    def test_exit_status_follows_the_exact_error(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "r.code"
+        run_cli(capsys, "code", "gen", "--family", "rm",
+                "--params", "1,4", "--out", str(path))
+        # the bound is 0.725 here: an error of 1 breaks it
+        monkeypatch.setattr(dec, "decoding_error_exact", lambda *args: Fraction(1))
+        code, out = run_cli(capsys, "decode-bound", "--code", str(path),
+                            "--delta", "0.1", "--list", "1", "--t", "3")
+        assert code == 1
+        assert out.rstrip().endswith("1,0")
 
     def test_mc_on_explicit_code_has_no_exact_error(self, capsys, tmp_path):
         path = tmp_path / "e.code"

@@ -147,6 +147,11 @@ class TestCoveringAndExternal:
         assert cd.covering_radius(hamming7) == 1
         assert cd.external_distance(hamming7) == 1
 
+    def test_hamming5_reads_the_dual_words(self):
+        # the 32 simplex words, where the distance distribution would
+        # enumerate all 2^26 codewords
+        assert cd.external_distance(cd.hamming(5)) == 1
+
     def test_golay_covering_radius(self, golay):
         assert cd.covering_radius(golay) == 3
         assert cd.external_distance(golay) == 3

@@ -294,6 +294,8 @@ class TestPackedFamilyKernels:
                 {0: 1, 5: 42, 6: 70, 7: 15, 8: 15, 9: 70, 10: 42, 15: 1}
         dual = cd.dual_distance_distribution(dist, code.size)
         assert {j for j in range(1, n + 1) if dual[j]} == spectrum
+        assert code.dual_weights() == sorted(spectrum)
+        assert sm.perfect_kernel_search(code).radial_profile() == right(n).radial_profile()
         # the cell certificate, and the spectral one: rhat vanishes on the dual support
         assert sm.is_perfectly_smoothed(code, right(n))
         assert not sm.is_perfectly_smoothed(code, wrong(n))

@@ -11,7 +11,7 @@ from codesmooth import kernels as kn
 from codesmooth import smoothing as sm
 
 from conftest import random_linear_code, seeded_rng
-from oracles import l2_dense_oracle, lloyd, norm_dense, smooth_dense
+from oracles import l2_dense_oracle, lloyd, norm_dense, perfect_kernel_rows, smooth_dense
 
 INF = math.inf
 
@@ -376,11 +376,28 @@ class TestPerfectKernelSearch:
         assert kernel.radial_profile() == kn.Kernel.ball(23, 3).radial_profile()
 
     def test_unsmoothable_code_returns_none(self):
-        # a [5,2] code with inconsistent local weight rows: no nonnegative
+        # a [5,2] code with covering radius 3 and four dual weights: no
         # radial kernel of covering-radius support can flatten it
         code = cd.LinearCode(np.array([[0, 1, 0, 0, 0],
                                        [0, 0, 1, 1, 0]], dtype=np.uint8))
         assert sm.perfect_kernel_search(code) is None
+
+    def test_matches_local_weight_solve(self):
+        rng = seeded_rng(72)
+        codes = [cd.random_linear(n, int(rng.integers(1, n + 1)), int(rng.integers(0, 2**31)))
+                 for n in rng.integers(3, 11, 70)]
+        for n in rng.integers(3, 9, 35):
+            size = int(rng.integers(1, 1 << (n - 1)))
+            codes.append(cd.ExplicitCode(int(n), rng.choice(1 << int(n), size, replace=False)))
+        codes += [cd.ball_code(n, t) for n in range(3, 8) for t in range(n)]
+        found = 0
+        for code in codes:
+            kernel, want = sm.perfect_kernel_search(code), perfect_kernel_rows(code)
+            assert (kernel is None) == (want is None), code
+            if kernel is not None:
+                found += 1
+                assert kernel.radial_profile() == want.radial_profile(), code
+        assert 0 < found < len(codes)
 
 
 class TestStrongConverseDemo:

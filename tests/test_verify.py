@@ -19,3 +19,9 @@ def test_exact_groups_sample_nothing(monkeypatch, quick):
         reports = check(cfg)
         assert len(reports) == 4
         assert all(r.passed and not r.rechecked for r in reports), [r.line() for r in reports]
+
+
+def test_decoding_bounds_are_below_one():
+    # a bound of 1 or more holds for any probability and checks nothing
+    reports = vf.check_decoding(vf.SuiteConfig(quick=False))
+    assert all(r.rhs < 1 for r in reports), [r.line() for r in reports]
