@@ -12,19 +12,26 @@ The Fourier transform convention used everywhere in this package puts the
     fhat(y) = 2^{-n} * sum_x f(x) * (-1)^{x.y}
 
 so the inverse transform carries no normalization and round-trips exactly
-in rational mode.  A float64 transform is one BLAS product per Kronecker
-factor H_{2^g}, g <= 5, of H_{2^n} (Fino and Algazi, 1976).
+in rational mode.  A float32 or float64 transform is one BLAS product per
+Kronecker factor H_{2^g}, g <= 5, of H_{2^n} (Fino and Algazi, 1976); the
+same products apply any Kronecker power of a 2x2 factor, such as the bit
+flip [[1-d, d], [d, 1-d]] whose n-th power is Bernoulli(d) noise.
 
-Integer transforms are exact in three tiers, each chosen from a bound on
-the array alone: in float64, on the same BLAS products, while every
-partial sum stays at most 2^53 (`_float64_exact`); in int64 while the
-final result fits (`_int64_exact`); above that in int64 limbs recombined
-as Python ints (`wht_exact`) or on Python ints.  Every radial routine is
-built on `radial_transform`, the per-weight transform of a radial function.
+Integer transforms are exact in four tiers, each chosen from a bound on
+the array alone.  Every partial sum, in any BLAS summation order, is an
+integer of magnitude at most sum|a| <= max|a| * 2^n, so an int64 array
+transforms on the same BLAS products, cast inside its own buffer: in
+float32 while that bound is at most 2^24 (`_float32_exact`), in float64
+while it is at most 2^53 (`_float64_exact`).  Beyond those, in int64
+while the final result fits (`_int64_exact`), and above that in int64
+limbs recombined as Python ints (`wht_exact`) or on Python ints.  Every
+radial routine is built on `radial_transform`, the per-weight transform of
+a radial function.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -139,26 +146,28 @@ def wht_natural(values) -> np.ndarray:
     return _wht_inplace(np.array(values, order="C"))
 
 
+_HADAMARD = ((1, 1), (1, -1))
+_SCRATCH_FLOATS = 1 << 17  # reused by every product of one transform
+
+
 def _wht_inplace(a: np.ndarray) -> np.ndarray:
     """`wht_natural` that overwrites its C-contiguous argument instead of
-    copying it.  float64 runs as BLAS products; so does int64 whenever
-    max|a| * 2^n <= 2^53 (`_float64_exact`), cast in place.  numpy has no
-    integer BLAS, so other int64 arrays and object arrays run butterflies in
-    place, (t, b) -> (t + b, t + b - 2b), with no scratch buffer: every step
-    is a ring operation, exact in int64 (mod 2^64) and on Python ints."""
+    copying it.  float32 and float64 run as BLAS products; int64 does too,
+    cast inside its own buffer, in float32 whenever max|a| * 2^n <= 2^24
+    (`_float32_exact`) and in float64 whenever it is at most 2^53
+    (`_float64_exact`).  numpy has no integer BLAS, so other int64 arrays
+    and object arrays run butterflies in place, (t, b) -> (t + b, t + b - 2b),
+    with no scratch buffer: every step is a ring operation, exact in int64
+    (mod 2^64) and on Python ints."""
     n = dimension_of(a)
-    if a.dtype == np.float64:
+    if a.dtype in (np.float32, np.float64):
         return _wht_blocked_inplace(a)
-    if a.dtype == np.int64 and a.size and _float64_exact(n, max(int(a.max()), -int(a.min()))):
-        # the float64 view shares the buffer; casts run a scratch-sized chunk at a time
-        ints = np.reshape(a, -1, copy=False)
-        floats = ints.view(np.float64)
-        for s in range(0, ints.size, _SCRATCH_FLOATS):
-            floats[s:s + _SCRATCH_FLOATS] = ints[s:s + _SCRATCH_FLOATS]
-        _wht_blocked_inplace(a.view(np.float64))
-        for s in range(0, ints.size, _SCRATCH_FLOATS):
-            ints[s:s + _SCRATCH_FLOATS] = floats[s:s + _SCRATCH_FLOATS]
-        return a
+    if a.dtype == np.int64 and a.size:
+        bound = max(int(a.max()), -int(a.min()))
+        for dtype, exact in ((np.float32, _float32_exact), (np.float64, _float64_exact)):
+            if exact(n, bound):
+                _int64_from(_wht_blocked_inplace(_float_in_place(a, dtype)), a)
+                return a
     h = 1
     while h < a.shape[0]:
         v = a.reshape(-1, 2, h, *a.shape[1:])
@@ -170,24 +179,56 @@ def _wht_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# H_{2^g} for g = 0..5: entry (i, j) is (-1)^{|i & j|}
-_HADAMARD = [1.0 - 2.0 * (np.bitwise_count(np.arange(1 << g)[:, None] & np.arange(1 << g)) & 1)
-             for g in range(6)]
-_SCRATCH_FLOATS = 1 << 17  # 1 MiB, reused by every product of one transform
+def _float_in_place(ints: np.ndarray, dtype) -> np.ndarray:
+    """Cast an int64 array to float32 or float64 inside its own buffer and
+    return that view of the buffer's head.  Chunks run bottom up, so each
+    write lands on inputs already read."""
+    flat = np.reshape(ints, -1, copy=False)
+    floats = flat.view(dtype)[:flat.size]
+    for s in range(0, flat.size, _SCRATCH_FLOATS):
+        floats[s:s + _SCRATCH_FLOATS] = flat[s:s + _SCRATCH_FLOATS]
+    return floats.reshape(ints.shape)
 
 
-def _wht_blocked_inplace(a: np.ndarray) -> np.ndarray:
-    """float64 transform as one product by H_{2^g} per group of index bits.
+def _int64_from(floats: np.ndarray, ints: np.ndarray) -> None:
+    """Undo `_float_in_place`: cast `floats`, the head of `ints`' buffer,
+    back into `ints`.  Chunks run top down; numpy does not buffer an
+    overlapping assignment that widens float32, so the lowest chunk, the
+    only one that overlaps itself, goes through a copy."""
+    flat, src = np.reshape(ints, -1, copy=False), np.reshape(floats, -1, copy=False)
+    for s in reversed(range(0, flat.size, _SCRATCH_FLOATS)):
+        chunk = src[s:s + _SCRATCH_FLOATS]
+        flat[s:s + _SCRATCH_FLOATS] = chunk if s else chunk.copy()
+
+
+@functools.lru_cache(maxsize=32)
+def _kronecker_powers(factor: tuple, dtype) -> tuple[np.ndarray, ...]:
+    """F^{(x)g} for g = 0..5 of a 2x2 factor F, read-only: entry (i, j) is
+    the product over the bits b of F[i_b, j_b]; for H, (-1)^{|i & j|}."""
+    powers = [np.ones((1, 1))]
+    for _ in range(5):
+        powers.append(np.kron(np.array(factor, dtype=np.float64), powers[-1]))
+    powers = [p.astype(dtype) for p in powers]
+    for p in powers:
+        p.flags.writeable = False
+    return tuple(powers)
+
+
+def _wht_blocked_inplace(a: np.ndarray, factor: tuple = _HADAMARD) -> np.ndarray:
+    """Multiply a float32 or float64 array by F^{(x)n} for a 2x2 `factor`
+    F given as nested tuples, H by default, as one product by F^{(x)g} per
+    group of index bits.
 
     The n bits split into ceil(n/5) near-equal groups.  The group of g bits
     above the lowest `lo` views the array as (high, 2^g, 2^lo * columns)
-    and multiplies the middle axis by H_{2^g}, through the scratch buffer
-    a slab of `high` (or of the last axis, when one slab exceeds it) at a
-    time, so no 2^n-sized temporary is allocated.
+    and multiplies the middle axis by F^{(x)g}, through a scratch buffer of
+    the array's dtype a slab of `high` (or of the last axis, when one slab
+    exceeds it) at a time, so no 2^n-sized temporary is allocated.
     """
     n = dimension_of(a)
+    powers = _kronecker_powers(factor, a.dtype)
     flat = a.reshape(1 << n, -1)
-    scratch = np.empty(min(a.size, _SCRATCH_FLOATS))
+    scratch = np.empty(min(a.size, _SCRATCH_FLOATS), dtype=a.dtype)
     groups, lo = -(-n // 5), 0
     for j in range(groups):
         g = (n - lo) // (groups - j)
@@ -199,7 +240,7 @@ def _wht_blocked_inplace(a: np.ndarray) -> np.ndarray:
             for c in range(0, width, cols):
                 block = v[h:h + rows, :, c:c + cols]
                 out = scratch[:block.size].reshape(block.shape)
-                np.matmul(_HADAMARD[g], block, out=out)
+                np.matmul(powers[g], block, out=out)
                 block[...] = out
         lo += g
     return a
@@ -254,6 +295,13 @@ def int_array(values) -> np.ndarray:
         return values
     arr = np.array(values, dtype=object)
     return arr.astype(np.int64) if _int64_exact(0, int(np.abs(arr).max(initial=0))) else arr
+
+
+def _float32_exact(n: int, bound: int) -> bool:
+    """True when a transform of size 2^n of integers of magnitude at most
+    `bound` is exact in float32: as `_float64_exact`, with float32's
+    2^24 in place of 2^53."""
+    return bound << n <= 1 << 24
 
 
 def _float64_exact(n: int, bound: int) -> bool:
@@ -374,14 +422,16 @@ def radial_transform(n: int, profile) -> list:
     return [sum(profile[i] * rows[i][k] for i in range(n + 1)) for k in range(n + 1)]
 
 
-def krawtchouk_matrix(n: int) -> list[list[int]]:
-    """Rows [K_t(0), ..., K_t(n)] for t = 0..n in O(n^2), by the recurrence
-    (t+1) K_{t+1}(x) = (n-2x) K_t(x) - (n-t+1) K_{t-1}(x)."""
-    rows = [[1] * (n + 1), [n - 2 * x for x in range(n + 1)]]
+@functools.lru_cache(maxsize=64)
+def krawtchouk_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows (K_t(0), ..., K_t(n)) for t = 0..n in O(n^2), by the recurrence
+    (t+1) K_{t+1}(x) = (n-2x) K_t(x) - (n-t+1) K_{t-1}(x); kept for the
+    last 64 values of n, as tuples so no caller can alter the shared table."""
+    rows = [(1,) * (n + 1), tuple(n - 2 * x for x in range(n + 1))]
     for t in range(1, n):
-        rows.append([((n - 2 * x) * a - (n - t + 1) * b) // (t + 1)
-                     for x, (a, b) in enumerate(zip(rows[t], rows[t - 1]))])
-    return rows[:n + 1]
+        rows.append(tuple(((n - 2 * x) * a - (n - t + 1) * b) // (t + 1)
+                          for x, (a, b) in enumerate(zip(rows[t], rows[t - 1]))))
+    return tuple(rows[:n + 1])
 
 
 def radial_hat(n: int, profile) -> list:

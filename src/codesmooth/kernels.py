@@ -41,10 +41,13 @@ class Kernel:
 
     A radial kernel stores its exact per-weight value profile, a subcube
     kernel its coordinates and a dense kernel its values; each keeps the
-    spec text it was built from.
+    spec text it was built from.  A kernel built by `bernoulli`, the product
+    of n independent bit flips, also keeps its flip probability `delta`
+    (None on every other kernel).
     """
 
-    def __init__(self, n: int, spec: str, *, coords=None, profile=None, values=None):
+    def __init__(self, n: int, spec: str, *, coords=None, profile=None, values=None,
+                 delta=None):
         if n < 1:
             raise ValueError(f"kernel dimension {n} out of range")
         self.n = n
@@ -52,6 +55,7 @@ class Kernel:
         self.coords = tuple(sorted(coords)) if coords is not None else None
         self.profile = list(profile) if profile is not None else None
         self.values = values
+        self.delta = delta
 
     # -- constructors ------------------------------------------------------
 
@@ -60,7 +64,7 @@ class Kernel:
         d = Fraction(delta)
         if not 0 <= d <= 1:
             raise ValueError(f"flip probability {delta} outside [0,1]")
-        return cls(n, f"bernoulli:{float(d)}",
+        return cls(n, f"bernoulli:{float(d)}", delta=d,
                    profile=[d ** i * (1 - d) ** (n - i) for i in range(n + 1)])
 
     @classmethod

@@ -42,9 +42,12 @@ class EnsembleSpec:
             raise hc.DimensionMismatch("kernel dimension differs from n")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        # per trial: the draws, their histogram and two transforms of it
+        # the kernel's float64 spectrum, a trial's counts and their float64
+        # product, the draws, and numpy's cast buffers: tracemalloc measured
+        # (24 << n) + 8 M + 70 KB at n = 14..20 on the spectrum route, and at
+        # most (17 << n) + 8 M on the Bernoulli one
         hc.admit("dense ensemble trial",
-                 nbytes=(48 << self.n) + 8 * self.num_codewords)
+                 nbytes=(24 << self.n) + 8 * self.num_codewords + (1 << 17))
 
     @property
     def num_codewords(self) -> int:
@@ -56,42 +59,54 @@ def num_codewords(n: int, rate: float) -> int:
     return max(1, round(2 ** (n * rate)))
 
 
-def _sample_statistics(spec: EnsembleSpec, trial_value) -> tuple[float, float]:
+def _sample_statistics(spec: EnsembleSpec, trial_value,
+                       parseval: bool = False) -> tuple[float, float]:
     """Mean and standard error of a per-code statistic over random codes.
 
-    `trial_value(spectrum)` receives the unnormalized transform of the
-    scaled noisy distribution, i.e. W(f_C) * W(r) evaluated pointwise, and
-    may overwrite it; one more transform divided by 2^n recovers
-    2^n T_r f_C when needed.
+    A trial bins its M draws into counts, which sum to M and so transform
+    exactly in float32 while M <= 2^24 (`hc._float32_exact`), in float64
+    above.  With `parseval`, `trial_value(spectrum)` receives
+    W(counts) * W(r) / M in float64, the unnormalized transform of 2^n T_r f_C.
+    Otherwise it receives 2^n T_r f_C itself, nonnegative: for a Bernoulli
+    kernel one float64 pass of the factor [[1-d, d], [d, 1-d]] over
+    counts * 2^n / M, whose terms are all nonnegative; for any other kernel
+    the spectrum's float64 inverse transform, with round-off below 0
+    clamped.  `trial_value` may overwrite its argument.
     """
     n, m = spec.n, spec.num_codewords
-    wr = spec.kernel.spectrum(np.arange(1 << n))
-    acc = 0.0
-    acc2 = 0.0
-    done = 0
+    delta = None if parseval else spec.kernel.delta
+    if delta is None:
+        wr = spec.kernel.spectrum(np.arange(1 << n))
+        wr /= m
+        counts_dtype = np.float32 if hc._float32_exact(0, m) else np.float64
+    else:
+        flip = ((float(1 - delta), float(delta)), (float(delta), float(1 - delta)))
+
+    def trial(rng) -> float:
+        counts = np.bincount(rng.integers(0, 1 << n, size=m), minlength=1 << n)
+        if delta is not None:
+            noisy = hc._float_in_place(counts, np.float64)
+            noisy *= (1 << n) / m
+            return trial_value(hc._wht_blocked_inplace(noisy, flip))
+        spectrum = hc._wht_blocked_inplace(hc._float_in_place(counts, counts_dtype)) * wr
+        del counts   # free its buffer before the inverse transform
+        if parseval:
+            return trial_value(spectrum)
+        # 2^n T_r f_C = W(W(f) W(r)) / 2^n scaled back up by 2^n
+        return trial_value(np.maximum(hc._wht_inplace(spectrum), 0.0, out=spectrum))
+
+    values = []
     shard = 0
-    while done < spec.trials:
-        count = min(MC_SHARD, spec.trials - done)
+    while len(values) < spec.trials:
         rng = np.random.Generator(
             np.random.Philox(key=[spec.seed, (3 << 32) | shard]))
-        for _ in range(count):
-            draws = rng.integers(0, 1 << n, size=m)
-            spectrum = hc._wht_inplace(np.bincount(draws, minlength=1 << n) / m)
-            spectrum *= wr
-            val = trial_value(spectrum)
-            acc += val
-            acc2 += val * val
-        done += count
+        values += [trial(rng) for _ in range(min(MC_SHARD, spec.trials - len(values)))]
         shard += 1
-    mean = acc / spec.trials
-    var = max(acc2 / spec.trials - mean * mean, 0.0)
+    # two passes: the one-pass E[v^2] - E[v]^2 cancels most digits when
+    # the trials barely differ
+    mean = math.fsum(values) / spec.trials
+    var = math.fsum((v - mean) ** 2 for v in values) / spec.trials
     return mean, math.sqrt(var / spec.trials)
-
-
-def _scaled_noisy(spectrum: np.ndarray) -> np.ndarray:
-    # 2^n T_r f_C = W(W(f) W(r)) / 2^n scaled back up by 2^n, computed in
-    # the spectrum's own buffer
-    return hc._wht_inplace(spectrum)
 
 
 def qn_estimate(spec: EnsembleSpec, alpha) -> tuple[float, float]:
@@ -104,20 +119,13 @@ def qn_estimate(spec: EnsembleSpec, alpha) -> tuple[float, float]:
     if a == 2.0:
         # Parseval: mean over x of (2^n T f)^2 equals sum over y of
         # (W(f) W(r))^2, saving the second transform
-        def trial_value(spectrum: np.ndarray) -> float:
-            return float(spectrum @ spectrum)
-    else:
-        def trial_value(spectrum: np.ndarray) -> float:
-            scaled = _scaled_noisy(spectrum)
-            np.maximum(scaled, 0.0, out=scaled)  # round-off can dip below 0
-            return float(np.mean(scaled ** a))
-
-    return _sample_statistics(spec, trial_value)
+        return _sample_statistics(spec, lambda s: float(s @ s), parseval=True)
+    return _sample_statistics(spec, lambda s: float(np.mean(np.power(s, a, out=s))))
 
 
 def sup_norm_estimate(spec: EnsembleSpec) -> tuple[float, float]:
     """Monte Carlo estimate of E ||2^n T_r f_C||_inf."""
-    return _sample_statistics(spec, lambda s: float(_scaled_noisy(s).max()))
+    return _sample_statistics(spec, lambda s: float(s.max()))
 
 
 def qn_exact(n: int, m: int, kernel: kn.Kernel, alpha: int) -> Fraction:

@@ -197,3 +197,23 @@ def test_explicit_float_smoothing_admitted_at_n24(monkeypatch):
     monkeypatch.setattr(cd.ExplicitCode, "spectrum_points", spectrum_points)
     with pytest.raises(Admitted):
         sm.smooth(cd.ExplicitCode(24, [0, 3, 5]), kn.Kernel.bernoulli(24, Fraction(1, 10)))
+
+
+@pytest.mark.parametrize("n", [14, 17, 20])
+def test_ensemble_trial_estimate_covers_both_routes(n):
+    # the estimate charges the spectrum route (a ball kernel, or the
+    # Parseval order 2), at most 1.5 times its traced peak; the Bernoulli
+    # kernel's Kronecker pass peaks lower
+    admitted = []
+    ball, bernoulli = kn.Kernel.ball(n, 2), kn.Kernel.bernoulli(n, Fraction(1, 10))
+    for rate in (0.5, 1.0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hc, "admit", lambda what, nbytes=0, steps=0: admitted.append(nbytes))
+            specs = [rc.EnsembleSpec(n, rate, k, 2) for k in (ball, bernoulli)]
+        estimate = admitted[-1]
+        assert admitted[-2] == estimate
+        spectrum_peaks = [_traced_peak(lambda: rc.qn_estimate(specs[0], 1.5)),
+                          _traced_peak(lambda: rc.qn_estimate(specs[1], 2))]
+        product_peak = _traced_peak(lambda: rc.qn_estimate(specs[1], 3))
+        assert product_peak < max(spectrum_peaks) <= estimate <= 1.5 * max(spectrum_peaks), \
+            (rate, spectrum_peaks, product_peak, estimate)

@@ -164,6 +164,72 @@ class TestBlockedWht:
         assert peak < 2 << 20
 
 
+class TestFloat32Tier:
+    """int64 transforms with max|a| * 2^n <= 2^24 run in float32 inside the
+    array's own buffer; the object butterfly decides them bit for bit."""
+
+    @staticmethod
+    def _record_dtypes(monkeypatch) -> list:
+        seen = []
+        monkeypatch.setattr(hc, "_wht_blocked_inplace",
+                            lambda a, run=hc._wht_blocked_inplace: seen.append(a.dtype) or run(a))
+        return seen
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 17, 18, 20])
+    def test_equals_object_butterfly(self, n, monkeypatch):
+        # n = 17, 18, 20 sit at, one and three above the 2^17-element cast
+        # chunk; one entry at -bound puts max|a| * 2^n exactly at 2^24
+        bound = (1 << 24) >> n
+        a = seeded_rng(27).integers(-bound, bound + 1, size=1 << n)
+        a[a.size // 2] = -bound
+        before = a.copy()
+        seen = self._record_dtypes(monkeypatch)
+        out = hc.wht_natural(a)
+        assert seen == [np.float32] and out.dtype == np.int64
+        assert out.tolist() == hc.wht_natural(a.astype(object)).tolist()
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("top, dtype", [(1 << 23, np.float32), (1 << 24, np.float64)])
+    def test_just_past_the_bound_takes_float64(self, top, dtype, monkeypatch):
+        # max|a| * 2 for [2^23, 1] sits at the bound; [2^24, 1] is past it,
+        # and its 2^24 + 1 has no float32 (a float32 transform reads 2^24)
+        a = np.array([top, 1], dtype=np.int64)
+        seen = self._record_dtypes(monkeypatch)
+        out = hc.wht_natural(a)
+        assert seen == [dtype]
+        assert out.tolist() == hc.wht_natural(a.astype(object)).tolist()
+        assert out[0] == top + 1
+
+    def test_columns_and_peak_memory(self):
+        # 2-D arrays cast the same way; the cast needs no 2^n buffer
+        a = seeded_rng(28).integers(-4, 5, size=(1 << 10, 3))
+        assert hc.wht_natural(a).tolist() == hc.wht_natural(a.astype(object)).tolist()
+        a = seeded_rng(29).integers(-16, 17, size=1 << 20)
+        expected = hc.wht_natural(a.astype(np.float64))
+        tracemalloc.start()
+        try:
+            out = hc._wht_inplace(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is a and np.array_equal(a, expected)
+        assert peak < 2 << 20
+
+
+class TestKroneckerPass:
+    @pytest.mark.parametrize("n", [1, 5, 8, 12])
+    def test_bit_flip_factor_is_bernoulli_convolution(self, n):
+        # [[1-d, d], [d, 1-d]]^(x)n is the matrix of x -> r(x + y) for
+        # r = Bernoulli(d); on nonnegative input every term is nonnegative
+        d = Fraction(1, 10)
+        f = seeded_rng(30).random(1 << n)
+        f[::3] = 0.0
+        want = hc.convolve(f, kn.Kernel.bernoulli(n, d).lift())
+        got = hc._wht_blocked_inplace(f.copy(), ((0.9, 0.1), (0.1, 0.9)))
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+        assert got.min() >= 0
+
+
 class TestConvolve:
     def test_uniform_absorbing(self):
         rng = seeded_rng(13)
@@ -244,6 +310,13 @@ class TestKrawtchouk:
                           * krawtchouk(n, t, x) for x in range(n + 1))
                 expected = (1 << n) * math.comb(n, t) if s == t else 0
                 assert acc == expected
+
+    def test_matrix_is_built_once_and_read_only(self):
+        n = 11
+        rows = hc.krawtchouk_matrix(n)
+        assert rows is hc.krawtchouk_matrix(n)
+        assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+        assert [list(row) for row in rows] == [krawtchouk_row(n, t) for t in range(n + 1)]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

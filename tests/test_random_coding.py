@@ -12,6 +12,11 @@ from oracles import qn_exhaustive
 
 INF = math.inf
 
+# qn_estimate and sup_norm_estimate at n = 10, R = 0.6, 20 trials, seed 4,
+# from the float64 trial route (see TestTrialRoutes)
+PINNED = {"bernoulli a2": 3.1855775927464944, "bernoulli a3": 18.554802035917813,
+          "bernoulli sup": 11.487641200640002, "ball a1.5": 1.100223799832701}
+
 
 def spec_for(n, rate, delta, trials, seed=0):
     kernel = kn.Kernel.bernoulli(n, Fraction(delta).limit_denominator(1000))
@@ -222,3 +227,44 @@ class TestEnsembleSpec:
             rc.EnsembleSpec(8, 0.5, kernel, 0)
         with pytest.raises(Exception):
             rc.EnsembleSpec(9, 0.5, kernel, 5)
+
+
+class TestTrialRoutes:
+    """A Bernoulli kernel's trial is one Kronecker pass of the bit-flip
+    factor over the counts; the same profile as a plain radial kernel takes
+    the spectrum route (float32 forward transform, float64 inverse)."""
+
+    @staticmethod
+    def _both_routes(n, seed, trials=60):
+        bernoulli = kn.Kernel.bernoulli(n, Fraction(1, 10))
+        radial = kn.Kernel.radial(n, bernoulli.profile)
+        assert bernoulli.delta == Fraction(1, 10) and radial.delta is None
+        return [rc.EnsembleSpec(n, 0.6, k, trials, seed=seed) for k in (bernoulli, radial)]
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_product_route_equals_spectrum_route(self, n):
+        product, spectrum = self._both_routes(n, seed=7)
+        for estimate in (lambda s: rc.qn_estimate(s, 1.5), lambda s: rc.qn_estimate(s, 3),
+                         rc.sup_norm_estimate):
+            (a, sa), (b, sb) = estimate(product), estimate(spectrum)
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0), (a, b)
+            assert math.isclose(sa, sb, rel_tol=1e-9, abs_tol=0), (sa, sb)
+
+    def test_product_route_has_no_negative_entry(self):
+        # its terms are all nonnegative, so it skips the round-off clamp
+        product, _ = self._both_routes(12, seed=8, trials=20)
+        least = []
+        rc._sample_statistics(product, lambda s: least.append(float(s.min())) or 0.0)
+        assert len(least) == 20 and min(least) >= 0
+
+    def test_values_of_the_float64_route(self):
+        # computed before the trial moved to float32 counts and the
+        # Kronecker pass: W(counts / M) in float64, times W(r), inverted
+        bernoulli = kn.Kernel.bernoulli(10, Fraction(1, 10))
+        spec = rc.EnsembleSpec(10, 0.6, bernoulli, 20, seed=4)
+        ball = rc.EnsembleSpec(10, 0.6, kn.Kernel.ball(10, 2), 20, seed=4)
+        for got, want in ((rc.qn_estimate(spec, 2)[0], PINNED["bernoulli a2"]),
+                          (rc.qn_estimate(spec, 3)[0], PINNED["bernoulli a3"]),
+                          (rc.sup_norm_estimate(spec)[0], PINNED["bernoulli sup"]),
+                          (rc.qn_estimate(ball, 1.5)[0], PINNED["ball a1.5"])):
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0), (got, want)
