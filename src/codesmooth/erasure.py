@@ -119,11 +119,6 @@ def bec_conditional_entropy(ctx: ErasureContext) -> tuple[float, float]:
     return _bec_entropy_mc(code, lam, ctx.trials, ctx.seed)
 
 
-def bec_conditional_entropy_exact_fraction(code: cd.LinearCode, lam) -> Fraction:
-    """Exact rational value of the conditional entropy for rational lambda."""
-    return _rank_expectation(code, Fraction(lam))
-
-
 def _rank_expectation(code: cd.LinearCode, lam):
     """E[|G| - rank(G columns)] for G ~ lambda, summed over the rank profile.
 

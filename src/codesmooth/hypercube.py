@@ -12,21 +12,19 @@ The Fourier transform convention used everywhere in this package puts the
     fhat(y) = 2^{-n} * sum_x f(x) * (-1)^{x.y}
 
 so the inverse transform carries no normalization and round-trips exactly
-in rational mode.  A float32 or float64 transform is one BLAS product per
-Kronecker factor H_{2^g}, g <= 5, of H_{2^n} (Fino and Algazi, 1976); the
-same products apply any Kronecker power of a 2x2 factor, such as the bit
-flip [[1-d, d], [d, 1-d]] whose n-th power is Bernoulli(d) noise.
+in rational mode.
 
-Integer transforms are exact in four tiers, each chosen from a bound on
-the array alone.  Every partial sum, in any BLAS summation order, is an
-integer of magnitude at most sum|a| <= max|a| * 2^n, so an int64 array
-transforms on the same BLAS products, cast inside its own buffer: in
-float32 while that bound is at most 2^24 (`_float32_exact`), in float64
-while it is at most 2^53 (`_float64_exact`).  Beyond those, in int64
-while the final result fits (`_int64_exact`), and above that in int64
-limbs recombined as Python ints (`wht_exact`) or on Python ints.  Every
-radial routine is built on `radial_transform`, the per-weight transform of
-a radial function.
+Every transform is one BLAS product per Kronecker factor H_{2^g}, g <= 5,
+of H_{2^n} (Fino and Algazi, 1976), on float32 or float64
+(`_wht_blocked_inplace`), which also applies any Kronecker power of a 2x2
+factor, such as the bit flip [[1-d, d], [d, 1-d]] whose n-th power is
+Bernoulli(d) noise.  Integers take it exactly: every partial sum, in any
+order, is an integer of magnitude at most max|a| * 2^n, exact in a float
+whose mantissa holds that bound.  Wider integers are sums of limbs of
+53 - n bits, recombined in int64 (a ring mod 2^64) or as Python ints, and
+Fractions are integers over their common denominator.  Every radial
+routine is built on `radial_transform`, the per-weight transform of a
+radial function.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ MEMORY_CAP = 1 << 30
 STEP_CAP = 2 ** 22
 
 # Peak bytes per cube point of exact rational convolution: tracemalloc
-# measured 130-300 at n = 10..14 for small denominators such as 10^n.
+# measured 212-259 at n = 10..14 for small denominators such as 10^n.
 EXACT_CELL_BYTES = 400
 
 
@@ -82,11 +80,6 @@ def dimension_of(values) -> int:
     if size != 1 << n:
         raise ValueError(f"dense array length {size} is not a power of two")
     return n
-
-
-def weight(x: int) -> int:
-    """Hamming weight of a point."""
-    return int(x).bit_count()
 
 
 def weights_table(n: int) -> np.ndarray:
@@ -137,46 +130,60 @@ def assert_pmf(values, tol: float = 1e-12) -> None:
 def wht_natural(values) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform sum_x f(x)(-1)^{x.y}.
 
-    float64 runs as BLAS products by the Kronecker factors of H_{2^n}, and
-    so does int64 while that is exact; other integer and object (Fraction /
-    Python int) arrays run butterflies, which keep them exact.
-    Self-inverse up to a factor 2^n.  A 2-D array is transformed down each
-    column.
+    float32 and float64 keep their dtype.  Other numpy integers transform
+    in int64, exactly while the result fits and mod 2^64 beyond it, like
+    any int64 arithmetic; object arrays of Python ints and Fractions stay
+    exact.  Self-inverse up to a factor 2^n.  A 2-D array is transformed
+    down each column.
     """
-    return _wht_inplace(np.array(values, order="C"))
+    a = np.asarray(values)
+    if a.dtype != object:   # a copy, in the dtype the transform runs in
+        a = a.astype(np.float32 if a.dtype == np.float32 else
+                     np.float64 if a.dtype.kind == "f" else np.int64, order="C")
+    return _wht_inplace(a)
 
 
 _HADAMARD = ((1, 1), (1, -1))
 _SCRATCH_FLOATS = 1 << 17  # reused by every product of one transform
+_OBJECT_CHUNK = 1 << 8     # Python ints per step of the limb loop
 
 
 def _wht_inplace(a: np.ndarray) -> np.ndarray:
-    """`wht_natural` that overwrites its C-contiguous argument instead of
-    copying it.  float32 and float64 run as BLAS products; int64 does too,
-    cast inside its own buffer, in float32 whenever max|a| * 2^n <= 2^24
-    (`_float32_exact`) and in float64 whenever it is at most 2^53
-    (`_float64_exact`).  numpy has no integer BLAS, so other int64 arrays
-    and object arrays run butterflies in place, (t, b) -> (t + b, t + b - 2b),
-    with no scratch buffer: every step is a ring operation, exact in int64
-    (mod 2^64) and on Python ints."""
+    """`wht_natural` of a C-contiguous float32, float64, int64 or object
+    array, which overwrites a float or int64 argument with its transform.
+
+    An int64 array is cast to float32 or float64 inside its own buffer
+    while that is exact (`_float_exact`).  Past that, its low 53 - n bits,
+    within the float64 bound, and its high bits, recursively, transform
+    apart and recombine as W(a) = W(low) + 2^(53-n) W(high), a ring
+    identity mod 2^64.  Python ints and Fractions transform exactly into a
+    new array, as integer numerators over their common denominator
+    (`wht_exact`).
+    """
     n = dimension_of(a)
-    if a.dtype in (np.float32, np.float64):
+    if a.dtype == object:
+        ints, denom = _scale_to_int(a)
+        out = wht_exact(ints, _max_abs(ints) << n).astype(object, copy=False)
+        return out if denom == 1 else out * Fraction(1, denom)
+    if a.dtype != np.int64:
         return _wht_blocked_inplace(a)
-    if a.dtype == np.int64 and a.size:
-        bound = max(int(a.max()), -int(a.min()))
-        for dtype, exact in ((np.float32, _float32_exact), (np.float64, _float64_exact)):
-            if exact(n, bound):
-                _int64_from(_wht_blocked_inplace(_float_in_place(a, dtype)), a)
-                return a
-    h = 1
-    while h < a.shape[0]:
-        v = a.reshape(-1, 2, h, *a.shape[1:])
-        top, bot = v[:, 0], v[:, 1]
-        top += bot
-        bot *= -2
-        bot += top
-        h *= 2
+    bound = _max_abs(a)
+    for dtype in (np.float32, np.float64):
+        if _float_exact(dtype, n, bound):
+            _int64_from(_wht_blocked_inplace(_float_in_place(a, dtype)), a)
+            return a
+    bits = 53 - n
+    low = a & (1 << bits) - 1
+    a >>= bits
+    _wht_inplace(a)
+    a <<= bits
+    a += _wht_inplace(low)
     return a
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """max |a| of an integer array as a Python int, 0 when it is empty."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 def _float_in_place(ints: np.ndarray, dtype) -> np.ndarray:
@@ -260,33 +267,52 @@ def ifwht(values) -> np.ndarray:
     return wht_natural(values)
 
 
-def _scale_to_int(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """Common-denominator rescaling of exact values to integer numerators."""
-    fracs = [Fraction(v) for v in arr]
-    denom = math.lcm(*(f.denominator for f in fracs)) if len(fracs) else 1
-    nums = [int(f.numerator * (denom // f.denominator)) for f in fracs]
-    out = np.empty(len(nums), dtype=object)
-    out[:] = nums
+def _scale_to_int(values) -> tuple[np.ndarray, int]:
+    """Exact values (Python ints, Fractions, floats at their binary value)
+    as integer numerators over their common denominator: an object array
+    of Python ints in the shape of `values`, and that denominator."""
+    arr = np.asarray(values, dtype=object)
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in arr.flat]
+    denom = math.lcm(*{f.denominator for f in fracs})
+    out = np.empty(arr.shape, dtype=object)
+    out.ravel()[:] = [f.numerator if denom == 1 else f.numerator * (denom // f.denominator)
+                      for f in fracs]
     return out, denom
 
 
 def wht_exact(values: np.ndarray, bound: int) -> np.ndarray:
     """`wht_natural` of integers whose transform is at most `bound` in
     magnitude, exactly: in int64 while `bound` fits (a ring mod 2^64, so the
-    values may have wrapped), and above it in signed limbs of L = 62 - n
-    bits, each limb's transform below 2^62, recombined as Python ints.
+    values may have wrapped), and above it as Python ints (`_wht_limbs`).
     float64 values take the float64 transform, in place."""
-    n = dimension_of(values)
     if values.dtype == np.float64:
         return _wht_inplace(values)
     if _int64_exact(0, bound):
         return _wht_inplace(values.astype(np.int64, copy=False))
-    bits, magnitude, negative, out = 62 - n, np.abs(values), values < 0, 0
-    for shift in reversed(range(0, int(magnitude.max()).bit_length(), bits)):
-        limb = (magnitude >> shift & (1 << bits) - 1).astype(np.int64)
-        np.negative(limb, out=limb, where=negative)
-        out = (out << bits) + _wht_inplace(limb).astype(object)
-    return out
+    return _wht_limbs(values)
+
+
+def _wht_limbs(ints: np.ndarray) -> np.ndarray:
+    """Exact transform of int64 or Python-int values as Python ints, by
+    Horner's rule over limbs of L = 53 - n bits, most significant first:
+    ints >> shift, signed, on top and (ints >> shift) & (2^L - 1) below.
+    Each is at most 2^L in magnitude, so it transforms exactly in one
+    float64 buffer; the Python ints are cut and accumulated `_OBJECT_CHUNK`
+    at a time."""
+    n = dimension_of(ints)
+    bits, top = 53 - n, max(_max_abs(ints).bit_length(), 1)
+    limb = np.empty(ints.shape)
+    src, dst, out = ints.reshape(-1), limb.reshape(-1), np.zeros(ints.size, dtype=object)
+    parts = [slice(s, s + _OBJECT_CHUNK) for s in range(0, ints.size, _OBJECT_CHUNK)]
+    for shift in reversed(range(0, top, bits)):
+        mask = -1 if shift + bits >= top else (1 << bits) - 1
+        for part in parts:
+            dst[part] = src[part] >> shift & mask
+        _wht_blocked_inplace(limb)
+        for part in parts:   # in place, one Python int at a time
+            out[part] <<= bits
+            out[part] += dst[part].astype(np.int64).astype(object)
+    return out.reshape(ints.shape)
 
 
 def int_array(values) -> np.ndarray:
@@ -294,24 +320,16 @@ def int_array(values) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype == np.int64:
         return values
     arr = np.array(values, dtype=object)
-    return arr.astype(np.int64) if _int64_exact(0, int(np.abs(arr).max(initial=0))) else arr
+    return arr.astype(np.int64) if _int64_exact(0, _max_abs(arr)) else arr
 
 
-def _float32_exact(n: int, bound: int) -> bool:
+def _float_exact(dtype, n: int, bound: int) -> bool:
     """True when a transform of size 2^n of integers of magnitude at most
-    `bound` is exact in float32: as `_float64_exact`, with float32's
-    2^24 in place of 2^53."""
-    return bound << n <= 1 << 24
-
-
-def _float64_exact(n: int, bound: int) -> bool:
-    """True when a transform of size 2^n of integers of magnitude at most
-    `bound` is exact in float64.
-
-    Every intermediate value, BLAS partial sums included, is a +-sum of at
-    most 2^n inputs, and float64 holds every integer up to 2^53 exactly.
-    """
-    return bound << n <= 1 << 53
+    `bound` is exact in the float `dtype`: every intermediate value, BLAS
+    partial sums included, is a +-sum of at most 2^n inputs, and the float
+    holds every integer up to 2^(mantissa bits + 1), 2^24 in float32 and
+    2^53 in float64, exactly."""
+    return bound << n <= 1 << np.finfo(dtype).nmant + 1
 
 
 def _int64_exact(n: int, bound: int) -> bool:
@@ -320,8 +338,6 @@ def _int64_exact(n: int, bound: int) -> bool:
     `bound` caps the magnitude of the exact result before the final inverse
     transform multiplies it by 2^n.  int64 arithmetic is a ring mod 2^64,
     so intermediates that wrap around cancel once the final value fits.
-    Above this bound transforms run in limbs or on Python ints; below the tighter
-    `_float64_exact` bound an int64 transform runs in float64.
     """
     return bound << n <= _INT64_MAX
 
@@ -330,9 +346,8 @@ def convolve(f, g) -> np.ndarray:
     """Cyclic (XOR) convolution (f*g)(x) = sum_z f(z) g(x^z).
 
     Float inputs go through the transform domain.  Exact inputs are
-    rescaled to integers, convolved with an integer-exact transform pair
-    (int64 when bounds allow, arbitrary precision otherwise), and mapped
-    back to Fractions.
+    rescaled to integer numerators, whose exact transforms are multiplied,
+    transformed back and divided by 2^n and the denominators.
     """
     f = f if isinstance(f, np.ndarray) else as_dense(f)
     g = g if isinstance(g, np.ndarray) else as_dense(g)
@@ -343,19 +358,8 @@ def convolve(f, g) -> np.ndarray:
         admit("exact convolution", nbytes=EXACT_CELL_BYTES << n)
         fi, fd = _scale_to_int(f)
         gi, gd = _scale_to_int(g)
-        # |WHT| <= sum|.|, so the product transform is bounded by S_f*S_g
-        # and the final inverse transform by S_f*S_g*2^n.
-        sf = sum(abs(int(v)) for v in fi)
-        sg = sum(abs(int(v)) for v in gi)
-        if _int64_exact(n, sf * sg):
-            fi = fi.astype(np.int64)
-            gi = gi.astype(np.int64)
-        prod = wht_natural(fi) * wht_natural(gi)
-        conv = wht_natural(prod)
-        scale = Fraction(1, (1 << n) * fd * gd)
-        out = np.empty(1 << n, dtype=object)
-        out[:] = [int(v) * scale for v in conv]
-        return out
+        conv = wht_natural(wht_natural(fi) * wht_natural(gi))
+        return conv * Fraction(1, (1 << n) * fd * gd)
     prod = wht_natural(f)
     prod *= wht_natural(g)
     return np.divide(_wht_inplace(prod), 1 << n, out=prod)
@@ -432,15 +436,6 @@ def krawtchouk_matrix(n: int) -> tuple[tuple[int, ...], ...]:
         rows.append(tuple(((n - 2 * x) * a - (n - t + 1) * b) // (t + 1)
                           for x, (a, b) in enumerate(zip(rows[t], rows[t - 1]))))
     return tuple(rows[:n + 1])
-
-
-def radial_hat(n: int, profile) -> list:
-    """Per-weight profile of the forward transform of a radial function.
-
-    rhat(k) = 2^{-n} sum_i profile(i) K_i(k); exact for Fraction profiles.
-    """
-    inv = Fraction(1, 1 << n) if is_exact(profile) else 1.0 / (1 << n)
-    return [v * inv for v in radial_transform(n, profile)]
 
 
 def radial_convolve(n: int, p1, p2) -> list:

@@ -64,7 +64,7 @@ def _sample_statistics(spec: EnsembleSpec, trial_value,
     """Mean and standard error of a per-code statistic over random codes.
 
     A trial bins its M draws into counts, which sum to M and so transform
-    exactly in float32 while M <= 2^24 (`hc._float32_exact`), in float64
+    exactly in float32 while M <= 2^24 (`hc._float_exact`), in float64
     above.  With `parseval`, `trial_value(spectrum)` receives
     W(counts) * W(r) / M in float64, the unnormalized transform of 2^n T_r f_C.
     Otherwise it receives 2^n T_r f_C itself, nonnegative: for a Bernoulli
@@ -78,7 +78,7 @@ def _sample_statistics(spec: EnsembleSpec, trial_value,
     if delta is None:
         wr = spec.kernel.spectrum(np.arange(1 << n))
         wr /= m
-        counts_dtype = np.float32 if hc._float32_exact(0, m) else np.float64
+        counts_dtype = np.float32 if hc._float_exact(np.float32, 0, m) else np.float64
     else:
         flip = ((float(1 - delta), float(delta)), (float(delta), float(1 - delta)))
 
@@ -175,14 +175,6 @@ def _integer_partitions(total: int, largest: int):
 # ---------------------------------------------------------------------------
 # Recursive upper bound and the sup-norm bound
 # ---------------------------------------------------------------------------
-
-def fractional_power_inequality(x: float, y: float, p: int, q: int) -> bool:
-    """(x+y)^(p/q) <= sum_k C(p,k) x^(k/q) y^((p-k)/q) for x, y >= 0."""
-    lhs = (x + y) ** (p / q)
-    rhs = sum(math.comb(p, k) * x ** (k / q) * y ** ((p - k) / q)
-              for k in range(p + 1))
-    return lhs <= rhs * (1 + 1e-12)
-
 
 def qn_recursive_bound(n: int, rate: float, kernel: kn.Kernel,
                        p: int, q: int) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import xlog1py
+from scipy.special import logsumexp, xlog1py
 
 from . import codes as cd
 from . import hypercube as hc
@@ -31,6 +31,7 @@ from . import kernels as kn
 from .reports import BoundReport, check_bound
 
 INF = math.inf
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 # ---------------------------------------------------------------------------
@@ -96,23 +97,28 @@ def _on_int64(code, kernel: kn.Kernel) -> bool:
 
 def _smoothing_bytes(code, kernel: kn.Kernel, exact: bool, dense: bool = False) -> int:
     """Peak bytes of `cell_pmf`, with `dense` of `smooth`: the largest of its
-    phases, by tracemalloc at n = 12..20.  The cell transform: per cell
-    17-24 float while D cells < 2^63 and 24-28 beyond, 49 exact, then
-    190-575 for 67-1101 bits of D, plus the code's own `transform_bytes`.  A
-    dense kernel's spectrum, per point: 13-17 on the float route; from
-    exact values 105-114 for 47-60 bits of D and 573-698 for 771-991 bits;
-    from floats 143-260 for 77-107 bits of the bound D on their
-    denominator.  The gather of `smooth`, which a cell per point skips:
-    16-18 per point plus the cell pmf."""
-    bits = kernel.denominator.bit_length()
-    per_cell = (22 if _on_int64(code, kernel) else 28) if not exact else \
-        64 if _on_int64(code, kernel) else 190 + bits // 2
+    phases, by tracemalloc at n = 12..20.  The cell transform, per cell:
+    17-27 float while D cells < 2^63, with 8 more for the low limb of an
+    integer transform past 2^53 up to 2^17 cells, and 24-28 beyond; exact
+    49-57, then 91-217 for 54-991 bits of D; plus the code's own
+    `transform_bytes`.  A dense kernel's spectrum, per point: 13-17 on the
+    float route; from exact values 56-86 while D < 2^63, 106-137 for 67-94
+    bits and 258-325 for 551-771; from floats 211-222 for 71-107 bits of
+    the bound D on their denominator.  The gather of `smooth`, which a cell
+    per point skips: 16-18 per point plus the cell pmf."""
+    bits, on_int64 = kernel.denominator.bit_length(), _on_int64(code, kernel)
+    per_cell = (64 if on_int64 else 124 + bits // 8) if exact else 22 if on_int64 else 28
     phases = [(per_cell + code.transform_bytes) * code.cells]
+    largest_count = kernel.denominator * (code.size * code.cells ** 2 >> code.n)
+    if on_int64 and not exact and largest_count > 1 << 53:
+        # the low limb's array joins the transform; from 2^17 cells on, that
+        # phase is no larger than the float pmf's
+        phases[0] += 8 * min(code.cells, 1 << 17)
     if kernel.values is not None:
         # float values take the float route, or become Fractions at 96 bytes more
         floats = not hc.is_exact(kernel.values)
-        phases.append((18 if floats and not (exact or _on_int64(code, kernel)) else
-                       100 + 3 * bits // 4 + 96 * floats) << code.n)
+        phases.append((18 if floats and not (exact or on_int64) else
+                       (96 if bits <= 63 else 120 + 3 * bits // 10) + 96 * floats) << code.n)
     if dense and code.cells < 1 << code.n:
         phases.append((20 << code.n) + 8 * code.cells)
     return max(phases)
@@ -183,14 +189,20 @@ def divergence_to_uniform(f, alpha) -> SmoothnessReport:
 
 
 def _centered_divergence(e: np.ndarray, alpha) -> float:
-    """D_alpha in bits of the pmf (1 + e) / 2^n, alpha > 0 (see above)."""
+    """D_alpha in bits of the pmf (1 + e) / 2^n, alpha > 0 (see above); where
+    the sum of (1 + e)^alpha would overflow, (logsumexp(alpha log1p(e)) -
+    ln N) / ((alpha - 1) ln 2) over the N cells, large, so nothing cancels."""
     if alpha == INF:
         return math.log1p(float(e.max())) / math.log(2)
+    a = float(alpha)
     with np.errstate(divide="ignore"):   # log1p(-1) = -inf on zero masses
-        terms = xlog1py(1.0 + e, e) if alpha == 1 else np.expm1(float(alpha) * np.log1p(e))
-    terms -= float(alpha) * e
+        if alpha != 1 and a * math.log1p(float(e.max())) + math.log(e.size) > _LOG_FLOAT_MAX:
+            log_mean = float(logsumexp(a * np.log1p(e))) - math.log(e.size)
+            return log_mean / ((a - 1) * math.log(2))
+        terms = xlog1py(1.0 + e, e) if alpha == 1 else np.expm1(a * np.log1p(e))
+    terms -= a * e
     mean = float(np.mean(terms))
-    return (mean if alpha == 1 else math.log1p(mean) / (float(alpha) - 1)) / math.log(2)
+    return (mean if alpha == 1 else math.log1p(mean) / (a - 1)) / math.log(2)
 
 
 def _norm(values: np.ndarray, alpha) -> float:

@@ -14,6 +14,36 @@ from codesmooth import smoothing as sm
 from codesmooth.erasure import MC_SHARD
 
 
+def wht_butterfly(values) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform on Python ints or Fractions,
+    exact, by in-place butterflies (t, b) -> (t + b, t - b) down the first
+    axis; the independent oracle for `hc.wht_natural`."""
+    a = np.array(values, dtype=object)
+    hc.dimension_of(a)
+    h = 1
+    while h < a.shape[0]:
+        v = a.reshape(-1, 2, h, *a.shape[1:])
+        top, bot = v[:, 0], v[:, 1]
+        top += bot
+        bot *= -2
+        bot += top
+        h *= 2
+    return a
+
+
+def as_int64(values) -> list:
+    """Exact integers reduced mod 2^64 to the signed int64 range, as the
+    int64 transform returns them."""
+    return [(int(v) + (1 << 63)) % (1 << 64) - (1 << 63) for v in np.ravel(values)]
+
+
+def radial_hat(n: int, profile) -> list:
+    """Per-weight profile of the forward transform of a radial function,
+    rhat(k) = 2^{-n} sum_i profile(i) K_i(k); exact for Fraction profiles."""
+    inv = Fraction(1, 1 << n) if hc.is_exact(profile) else 1.0 / (1 << n)
+    return [v * inv for v in hc.radial_transform(n, profile)]
+
+
 def convolve_direct(f, g) -> np.ndarray:
     """O(4^n) direct-sum convolution; the independent oracle for `hc.convolve`."""
     f = f if isinstance(f, np.ndarray) else hc.as_dense(f)
@@ -289,6 +319,24 @@ def perfect_kernel_rows(code) -> kn.Kernel | None:
     total = hc.radial_sum(code.n, sol)
     kernel = kn.Kernel.radial(code.n, [v / total for v in sol])
     return kernel if sm.is_perfectly_smoothed(code, kernel) else None
+
+
+def bec_entropy_exact(code, lam) -> Fraction:
+    """E[|G| - rank(G columns)] for G ~ Bernoulli(lam) subsets, in rationals
+    over the depth-first rank profile; the exact oracle for
+    `er.bec_conditional_entropy`."""
+    lam = Fraction(lam)
+    return sum(count * lam ** size * (1 - lam) ** (code.n - size) * (size - rank)
+               for (size, rank), count in rank_profile_dfs(code).items())
+
+
+def fractional_power_inequality(x: float, y: float, p: int, q: int) -> bool:
+    """(x+y)^(p/q) <= sum_k C(p,k) x^(k/q) y^((p-k)/q) for x, y >= 0, the
+    step of `rc.qn_recursive_bound`'s recursion, with 1e-12 relative slack."""
+    lhs = (x + y) ** (p / q)
+    rhs = sum(math.comb(p, k) * x ** (k / q) * y ** ((p - k) / q)
+              for k in range(p + 1))
+    return lhs <= rhs * (1 + 1e-12)
 
 
 def conditional_average(f, coords) -> np.ndarray:

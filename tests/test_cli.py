@@ -95,6 +95,20 @@ class TestCodeAndSmooth:
         ds = [r["d_alpha"] for r in json.loads(out)["reports"]]
         assert ds == sorted(ds) and ds[0] == 0.0  # full support
 
+    def test_large_order_float_equals_exact(self, capsys, tmp_path):
+        # D_100 of repetition(12) under Bernoulli(1/100) is 10.8242476401;
+        # the float mode must not overflow to inf on the way
+        path = tmp_path / "rep12.code"
+        run_cli(capsys, "code", "gen", "--family", "repetition", "--params", "12",
+                "--out", str(path))
+        ds = []
+        for mode in ("float", "exact"):
+            code, out = run_cli(capsys, "smooth", "--code", str(path), "--kernel",
+                                "bernoulli:1/100", "--alpha", "100", "--mode", mode, "--json")
+            assert code == 0
+            ds.append(json.loads(out)["reports"][0]["d_alpha"])
+        assert math.isclose(ds[0], ds[1], rel_tol=1e-9) and round(ds[1], 10) == 10.8242476401
+
     def test_exact_mode_perfect_code(self, capsys, tmp_path):
         path = tmp_path / "hamming.code"
         run_cli(capsys, "code", "gen", "--family", "hamming",

@@ -134,8 +134,8 @@ def test_radial_counts_match_the_oracle_in_every_tier(code):
     wide = [1 << 58 - n - r] * (n + 1)
     binary = _scaled(kn.Kernel.bernoulli(n, Fraction(0.2)))
     bound = [hc.radial_sum(n, p) for p in (ball, wide, binary)]
-    assert hc._float64_exact(r, bound[0])
-    assert not hc._float64_exact(r, bound[1]) and hc._int64_exact(r, bound[1])
+    assert hc._float_exact(np.float64, r, bound[0])
+    assert not hc._float_exact(np.float64, r, bound[1]) and hc._int64_exact(r, bound[1])
     assert not hc._int64_exact(r, bound[2])
     table = oracles.coset_weight_table(code).astype(object)
     for p, counts in zip((ball, wide, binary), code.radial_counts([ball, wide, binary])):

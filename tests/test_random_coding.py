@@ -8,7 +8,7 @@ from codesmooth import kernels as kn
 from codesmooth import random_coding as rc
 
 from conftest import seeded_rng
-from oracles import qn_exhaustive
+from oracles import fractional_power_inequality, qn_exhaustive
 
 INF = math.inf
 
@@ -177,7 +177,7 @@ class TestRecursiveBound:
             y = float(rng.random() * 10)
             p = int(rng.integers(1, 6))
             q = int(rng.integers(1, 6))
-            assert rc.fractional_power_inequality(x, y, p, q)
+            assert fractional_power_inequality(x, y, p, q)
 
 
 class TestSupNormBound:

@@ -11,7 +11,8 @@ from codesmooth import kernels as kn
 from codesmooth import smoothing as sm
 
 from conftest import random_linear_code, seeded_rng
-from oracles import l2_dense_oracle, lloyd, norm_dense, perfect_kernel_rows, smooth_dense
+from oracles import (l2_dense_oracle, lloyd, norm_dense, perfect_kernel_rows, radial_hat,
+                     smooth_dense)
 
 INF = math.inf
 
@@ -151,6 +152,26 @@ class TestDivergenceToUniform:
             got = sm.divergence_to_uniform(floats, alpha).d_alpha
             assert abs(got - want) <= 1e-9 * want, (alpha, got, want)
 
+    @pytest.mark.parametrize("case", ["point-mass", "bernoulli-lift", "repetition"])
+    def test_large_order_is_finite_and_exact(self, case):
+        # (1 + e)^alpha overflows float64 on these: the log-domain mean must
+        # read the exact divergence, 12 bits for a point mass at n = 12
+        n = 12
+        if case == "point-mass":
+            exact = np.array([Fraction(int(x == 5)) for x in range(1 << n)], dtype=object)
+            alpha = 100
+        elif case == "bernoulli-lift":
+            exact, alpha = kn.Kernel.bernoulli(n, Fraction(1, 10)).lift(exact=True), 400
+        else:
+            exact = sm.cell_pmf(cd.repetition(n), kn.Kernel.bernoulli(n, Fraction(1, 100)), True)
+            alpha = 100
+        floats = np.array([float(v) for v in exact])
+        want = sm.divergence_to_uniform(exact, alpha).d_alpha
+        got = sm.divergence_to_uniform(floats, alpha).d_alpha
+        assert math.isfinite(got) and abs(got - want) <= 1e-9 * want, (got, want)
+        if case == "point-mass":
+            assert want == n
+
     def test_monotone_in_alpha(self):
         rng = seeded_rng(42)
         p = rng.random(256)
@@ -223,7 +244,7 @@ class TestL2ClosedForm:
             for kernel in (kn.Kernel.bernoulli(n, Fraction(int(rng.integers(1, 50)), 100)),
                            kn.Kernel.ball(n, int(rng.integers(0, n + 1)))):
                 dist = cd.distance_distribution(code)
-                rhat = hc.radial_hat(n, kernel.radial_profile())
+                rhat = radial_hat(n, kernel.radial_profile())
                 dual = cd.dual_distance_distribution(dist, code.size)
                 dual_form = 4 ** n * sum(rhat[k] ** 2 * dual[k] for k in range(n + 1))
                 assert dual_form == sm.l2_closed_form(dist, code.size, kernel, exact=True)
