@@ -194,9 +194,9 @@ def cmd_decode_bound(args) -> int:
     dist = cd.distance_distribution(code)
     if args.theta is not None:
         bound = dec.asymptotic_bound(dist, args.delta, args.list, args.theta)
+    elif args.t is None:
+        raise ValueError("provide --t for a fixed radius or --theta for the asymptotic bound")
     else:
-        if args.t is None:
-            raise SystemExit(2)
         bound = dec.list_error_bound(dist, args.delta, args.list,
                                      args.t, args.tprime)
     lines = _config_header(args, "decode-bound")

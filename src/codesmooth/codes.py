@@ -474,10 +474,9 @@ def load_code(path: str):
                 rows.append(line)
         if len(rows) != count:
             raise ValueError(f"expected {count} rows, found {len(rows)}")
+        mat = np.array([[int(c) for c in row] for row in rows], dtype=np.uint8)
         if kind == "linear":
-            mat = np.array([[int(c) for c in row] for row in rows], dtype=np.uint8)
             return LinearCode(mat)
         if kind == "explicit":
-            words = [sum(int(c) << j for j, c in enumerate(row)) for row in rows]
-            return ExplicitCode(n, words)
+            return ExplicitCode(n, rows_to_ints(mat))
         raise ValueError(f"unknown code kind {kind!r}")

@@ -271,7 +271,7 @@ def subset_expectation(f, lam: float, order) -> float:
     # tracemalloc measured per lattice entry 41 bytes on floats (n = 8..13)
     # and 300-315 on the exact values of binary floats (n = 6..10)
     hc.admit("subset sweep", steps=3 ** n,
-             nbytes=(hc.EXACT_CELL_BYTES if hc.is_exact(arr) else 48) * 3 ** n)
+             nbytes=(400 if hc.is_exact(arr) else 48) * 3 ** n)
     lattice = arr.reshape((2,) * n)
     for axis in range(n):
         lattice = np.concatenate([lattice, lattice.mean(axis=axis, keepdims=True)], axis=axis)

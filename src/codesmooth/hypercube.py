@@ -45,10 +45,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 MEMORY_CAP = 1 << 30
 STEP_CAP = 2 ** 22
 
-# Peak bytes per cube point of exact rational convolution: tracemalloc
-# measured 212-259 at n = 10..14 for small denominators such as 10^n.
-EXACT_CELL_BYTES = 400
-
 
 class BudgetExceeded(ValueError):
     """A computation's estimated cost exceeds an admission cap."""
@@ -355,9 +351,16 @@ def convolve(f, g) -> np.ndarray:
     if dimension_of(g) != n:
         raise DimensionMismatch(f"convolve: {dimension_of(f)} vs {dimension_of(g)}")
     if is_exact(f) or is_exact(g):
-        admit("exact convolution", nbytes=EXACT_CELL_BYTES << n)
+        # the peak, at the final division, holds both operands' numerators
+        # of bf and bg bits, the bc = bf + bg + 2n-bit transform and each
+        # Fraction's numerator and denominator of at most bc bits: 4 bytes
+        # per 30 bits of each plus 256 per point, 1.06-1.23 times the
+        # tracemalloc peak at n = 8..16; the 256 alone before scaling
+        admit("exact convolution", nbytes=256 << n)
         fi, fd = _scale_to_int(f)
         gi, gd = _scale_to_int(g)
+        bits = _max_abs(fi).bit_length() + _max_abs(gi).bit_length()
+        admit("exact convolution", nbytes=(256 + (4 * bits + 6 * n) * 2 // 15) << n)
         conv = wht_natural(wht_natural(fi) * wht_natural(gi))
         return conv * Fraction(1, (1 << n) * fd * gd)
     prod = wht_natural(f)

@@ -28,8 +28,6 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from . import hypercube as hc
 
@@ -172,12 +170,14 @@ class Kernel:
         return hc.int_array(per)[at], denom
 
     def radius(self) -> int:
-        """Largest weight carrying mass."""
+        """Largest weight carrying mass: n - |S| for a subcube, whose
+        support is every point that is 0 on S."""
         if self.is_radial():
             prof = self.radial_profile()
             return max((i for i, v in enumerate(prof) if v != 0), default=0)
-        lifted = self.lift(exact=self.values is not None and hc.is_exact(self.values))
-        return int(hc.weights_table(self.n)[lifted != 0].max(initial=0))
+        if self.coords is not None:
+            return self.n - len(self.coords)
+        return int(hc.weights_table(self.n)[self.values != 0].max(initial=0))
 
     def masses(self) -> dict:
         """{exact point value: number of points} over the kernel's support:
@@ -262,8 +262,13 @@ def entropy_from_log_terms(log_terms: np.ndarray, alpha) -> float:
     if alpha == INF:
         return float(-log_terms.max() / math.log(2))
     a = float(alpha)
-    s = logsumexp(a * log_terms)
-    return float(s / (1 - a) / math.log(2))
+    return logsumexp(a * log_terms) / (1 - a) / math.log(2)
+
+
+def logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))), safe from overflow; -inf entries add nothing."""
+    top = float(x.max())
+    return top + math.log(float(np.exp(x - top).sum()))
 
 
 def exact_renyi(masses: dict, alpha):
@@ -375,9 +380,12 @@ def binary_renyi_inverse(alpha, value: float) -> float:
         return 0.0
     if value == 1.0:
         return 0.5
-    # h_alpha(0) = 0 and h_alpha(1/2) = 1 exactly, so the bracket always
-    # straddles the target
-    return float(brentq(lambda d: binary_renyi(alpha, d) - value, 0.0, 0.5))
+    # h_alpha rises from h_alpha(0) = 0 to h_alpha(1/2) = 1, so bisection
+    # keeps the target bracketed down to adjacent floats
+    lo, hi = 0.0, 0.5
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if binary_renyi(alpha, mid) < value else (lo, mid)
+    return hi
 
 
 def binary_entropy(delta) -> float:

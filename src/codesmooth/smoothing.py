@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp, xlog1py
 
 from . import codes as cd
 from . import hypercube as hc
@@ -189,17 +188,19 @@ def divergence_to_uniform(f, alpha) -> SmoothnessReport:
 
 
 def _centered_divergence(e: np.ndarray, alpha) -> float:
-    """D_alpha in bits of the pmf (1 + e) / 2^n, alpha > 0 (see above); where
-    the sum of (1 + e)^alpha would overflow, (logsumexp(alpha log1p(e)) -
-    ln N) / ((alpha - 1) ln 2) over the N cells, large, so nothing cancels."""
+    """D_alpha in bits of the pmf (1 + e) / 2^n, alpha > 0 (see above), with
+    (1 + e) log1p(e) taken as 0 on a zero mass (e = -1); where the sum of
+    (1 + e)^alpha would overflow, (kn.logsumexp(alpha log1p(e)) - ln N) /
+    ((alpha - 1) ln 2) over the N cells, large, so nothing cancels."""
     if alpha == INF:
         return math.log1p(float(e.max())) / math.log(2)
     a = float(alpha)
     with np.errstate(divide="ignore"):   # log1p(-1) = -inf on zero masses
         if alpha != 1 and a * math.log1p(float(e.max())) + math.log(e.size) > _LOG_FLOAT_MAX:
-            log_mean = float(logsumexp(a * np.log1p(e))) - math.log(e.size)
+            log_mean = kn.logsumexp(a * np.log1p(e)) - math.log(e.size)
             return log_mean / ((a - 1) * math.log(2))
-        terms = xlog1py(1.0 + e, e) if alpha == 1 else np.expm1(a * np.log1p(e))
+        terms = (1.0 + e) * np.log1p(e, out=np.zeros_like(e), where=e > -1) if alpha == 1 \
+            else np.expm1(a * np.log1p(e))
     terms -= a * e
     mean = float(np.mean(terms))
     return (mean if alpha == 1 else math.log1p(mean) / (a - 1)) / math.log(2)

@@ -61,11 +61,11 @@ class NestedScheme:
             stacked = np.vstack([base, row])
             if cd.gf2_rank(stacked) > base.shape[0]:
                 base = stacked
-                extra.append(int(sum(int(b) << j for j, b in enumerate(row))))
+                extra.append(row)
         if len(extra) != self.message_bits:
             raise AssertionError("coset basis completion failed")
         leaders = []
-        for rep in cd.span(extra):
+        for rep in cd.span(cd.rows_to_ints(extra)):
             coset = inner_words ^ rep
             wt = np.bitwise_count(coset)
             best = wt.min()

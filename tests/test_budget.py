@@ -108,6 +108,22 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("n", [10, 12, 14])
+def test_exact_convolution_estimate_tracks_its_peak(n, monkeypatch):
+    # the noisy-entropy recheck's operands: the binary values of random
+    # floats against a Bernoulli kernel at the binary value of 0.1, whose
+    # denominator has 55 bits per coordinate
+    f = hc.as_dense(np.random.default_rng(n).random(1 << n), exact=True)
+    g = kn.Kernel.bernoulli(n, Fraction(0.1)).lift(exact=True)
+    admitted = []
+    with monkeypatch.context() as mp:
+        mp.setattr(hc, "admit", lambda what, nbytes=0, steps=0: admitted.append(nbytes))
+        hc.convolve(f, g)
+    estimate = max(admitted)
+    peak = _traced_peak(lambda: hc.convolve(f, g))
+    assert peak <= estimate <= 1.5 * peak, (peak, estimate)
+
+
 def test_exact_smoothing_estimate_grows_with_the_kernel_denominator(monkeypatch):
     # a dense exact kernel's spectrum is built from Fractions, charged by the
     # bits of its denominator: 55 per coordinate at binary 0.1, 3.3 at 1/10

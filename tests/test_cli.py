@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -338,3 +342,23 @@ class TestUsageErrors:
     def test_rates_need_de_or_grid(self, capsys):
         code, _ = run_cli(capsys, "wiretap", "rates", "--db", "0.05")
         assert code == 2
+
+    def test_decode_bound_needs_t_or_theta(self, capsys, tmp_path):
+        path = tmp_path / "h.code"
+        run_cli(capsys, "code", "gen", "--family", "hamming",
+                "--params", "3", "--out", str(path))
+        capsys.readouterr()
+        assert main(["decode-bound", "--code", str(path), "--delta", "0.02"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--t" in err and "--theta" in err
+
+
+def test_package_imports_without_scipy():
+    # numpy and mpmath carry every computation; scipy is for the bench only
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, codesmooth, codesmooth.cli, codesmooth.verify; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

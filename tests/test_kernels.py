@@ -57,6 +57,10 @@ class TestKernelLifts:
         sphere = kn.Kernel.sphere(6, 2)
         assert kn.Kernel.dense(sphere.lift(exact=True)).radius() == 2
         assert kn.Kernel.dense(sphere.lift()).radius() == 2
+        # n - |S|, with no 2^40-point lift, which the memory cap refuses
+        assert kn.Kernel.subcube(40, [0]).radius() == 39
+        assert kn.Kernel.subcube(40, [3, 3, 7]).radius() == 38
+        assert kn.Kernel.subcube(40, range(40)).radius() == 0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
