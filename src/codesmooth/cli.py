@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -109,7 +110,11 @@ def cmd_capacity_curve(args) -> int:
 
 
 def cmd_wiretap_rates(args) -> int:
-    regimes = (list(wt.REGIMES) if args.regime == "all" else [args.regime])
+    # `all` covers alpha_secrecy when --alpha is given; asked for alone, it needs one
+    if args.regime == "alpha_secrecy" and args.alpha is None:
+        raise ValueError("the alpha_secrecy regime needs --alpha")
+    regimes = [r for r in (wt.REGIMES if args.regime == "all" else [args.regime])
+               if r != "alpha_secrecy" or args.alpha is not None]
     lines = _config_header(args, "wiretap rates")
     lines.append("# formulas: shannon_capacity rb=1-h(db) re=1-h(de); "
                  "bec_dual rb=1-log2(1+2sqrt(db(1-db))) re=(1-2de)^2; "
@@ -122,18 +127,12 @@ def cmd_wiretap_rates(args) -> int:
         return (f"{label},{pt.delta_b:.12g},{pt.delta_e:.12g},"
                 f"{pt.rb:.12g},{pt.re:.12g},{pt.rate:.12g},{int(pt.clamped)}")
 
-    if args.grid:
-        for regime in regimes:
-            for pt in wt.rate_curve(args.db, args.grid, regime, alpha=args.alpha):
-                lines.append(fmt(pt))
-    else:
-        if args.de is None:
-            raise ValueError("provide --de for a single point or --grid for a sweep")
-        for regime in regimes:
-            alpha = args.alpha if regime == "alpha_secrecy" else None
-            if regime == "alpha_secrecy" and alpha is None:
-                continue
-            lines.append(fmt(wt.rate_point(args.db, args.de, regime, alpha=alpha)))
+    if not args.grid and args.de is None:
+        raise ValueError("provide --de for a single point or --grid for a sweep")
+    for regime in regimes:
+        points = (wt.rate_curve(args.db, args.grid, regime, alpha=args.alpha) if args.grid
+                  else [wt.rate_point(args.db, args.de, regime, alpha=args.alpha)])
+        lines += [fmt(pt) for pt in points]
     _emit(lines, args.csv)
     return 0
 
@@ -169,6 +168,8 @@ def cmd_wiretap_leakage(args) -> int:
 
 def cmd_erasure_bound(args) -> int:
     code = cd.load_code(args.code)
+    if not re.fullmatch(r"exact|mc:-?\d+", args.mode):
+        raise ValueError(f"--mode takes exact or mc:N, not {args.mode!r}")
     alpha = _parse_alpha(args.alpha)
     lam = float(er.erasure_noise_level(alpha, args.delta))
     if args.mode.startswith("mc:"):
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--delta", type=Fraction, required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--mode", default="exact")
+    p.add_argument("--mode", default="exact", help="exact or mc:N, N trials")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_erasure_bound)

@@ -181,24 +181,15 @@ def mc_decoding_error(code, delta: float, list_size: int, t: int,
         counts, words = code.radial_counts([[1] * (t + 1) + [0] * (n - t)])[0], None
     except hc.BudgetExceeded:
         counts, words = None, code.codeword_ints()
-    failures = 0
-    done = 0
-    shard = 0
-    while done < trials:
-        count = min(MC_SHARD, trials - done)
-        rng = np.random.Generator(np.random.Philox(key=[seed, (2 << 32) | shard]))
-        bits = rng.random((count, n)) < delta
-        idx = bits @ (1 << np.arange(n, dtype=np.int64))
-        wt = np.bitwise_count(idx)
+
+    def draw(rng, count):
+        idx = (rng.random((count, n)) < delta) @ (1 << np.arange(n, dtype=np.int64))
         if counts is not None:
             many = counts[code.cell_of(idx)] >= list_size + 1
         else:
             many = np.array([
                 int(np.count_nonzero(np.bitwise_count(words ^ y) <= t)) >= list_size + 1
                 for y in idx])
-        failures += int((many | (wt > t)).sum())
-        done += count
-        shard += 1
-    est = failures / trials
-    stderr = math.sqrt(max(est * (1 - est), 0.0) / trials)
-    return est, stderr
+        return many | (np.bitwise_count(idx) > t)
+
+    return hc.sample_mean(draw, trials, seed, 2, MC_SHARD)

@@ -132,21 +132,15 @@ def _rank_expectation(code: cd.LinearCode, lam):
 
 def _bec_entropy_mc(code: cd.LinearCode, lam: float, trials: int,
                     seed: int) -> tuple[float, float]:
-    """Mean and standard error of |G| - rank(G columns) over sampled G,
-    one (trials, n) shard of masked columns eliminated at a time."""
-    if trials < 1:
-        raise ValueError("Monte Carlo mode needs trials >= 1")
+    """Mean and standard error of |G| - rank(G columns) over sampled G, one
+    shard of masked columns eliminated at a time (`hc.sample_mean` stream 1)."""
     columns = np.array(cd.rows_to_ints(code.generator.T), dtype=np.int64)
-    acc = acc2 = 0
-    for shard, done in enumerate(range(0, trials, MC_SHARD)):
-        rng = np.random.Generator(np.random.Philox(key=[seed, (1 << 32) | shard]))
-        picks = rng.random((min(MC_SHARD, trials - done), code.n)) < lam
-        vals = picks.sum(axis=1) - _gf2_ranks(np.where(picks, columns, 0), code.k)
-        acc += int(vals.sum())
-        acc2 += int((vals * vals).sum())
-    mean = acc / trials
-    var = max(acc2 / trials - mean * mean, 0.0)
-    return mean, math.sqrt(var / trials)
+
+    def draw(rng, count):
+        picks = rng.random((count, code.n)) < lam
+        return picks.sum(axis=1) - _gf2_ranks(np.where(picks, columns, 0), code.k)
+
+    return hc.sample_mean(draw, trials, seed, 1, MC_SHARD)
 
 
 def _gf2_ranks(words: np.ndarray, bits: int) -> np.ndarray:

@@ -24,7 +24,8 @@ whose mantissa holds that bound.  Wider integers are sums of limbs of
 53 - n bits, recombined in int64 (a ring mod 2^64) or as Python ints, and
 Fractions are integers over their common denominator.  Every radial
 routine is built on `radial_transform`, the per-weight transform of a
-radial function.
+radial function.  Every layer shares `admit`, the size cap, and
+`sample_mean`, the one Monte Carlo loop.
 """
 
 from __future__ import annotations
@@ -63,6 +64,26 @@ def admit(what: str, nbytes: int = 0, steps: int = 0) -> None:
     if steps > STEP_CAP:
         raise BudgetExceeded(
             f"{what}: estimated {steps:,} steps exceed the step cap of {STEP_CAP:,}")
+
+
+def sample_mean(draw, trials: int, seed: int, stream: int, shard: int) -> tuple[float, float]:
+    """Mean and standard error sqrt(mean((v - mean)^2) / trials) of the
+    per-trial values `draw(rng, count)` returns, for at most `shard` trials
+    at a time on the Philox key [seed, stream << 32 | shard index].  Integer
+    values sum exactly; float ones by `math.fsum`, in two passes, as the
+    one-pass E[v^2] - E[v]^2 cancels when the values barely differ."""
+    if trials < 1:
+        raise ValueError("Monte Carlo estimates need trials >= 1")
+    values = np.concatenate([
+        np.asarray(draw(np.random.Generator(np.random.Philox(key=[seed, stream << 32 | i])),
+                        min(shard, trials - done)))
+        for i, done in enumerate(range(0, trials, shard))])
+    if values.dtype.kind in "biu":
+        total, squares = int(values.sum()), int(np.square(values, dtype=np.int64).sum())
+        return total / trials, math.sqrt(Fraction(trials * squares - total * total, trials ** 3))
+    mean = math.fsum(values.tolist()) / trials
+    values -= mean
+    return mean, math.sqrt(math.fsum((values * values).tolist()) / trials / trials)
 
 
 class DimensionMismatch(ValueError):
@@ -361,7 +382,9 @@ def convolve(f, g) -> np.ndarray:
         gi, gd = _scale_to_int(g)
         bits = _max_abs(fi).bit_length() + _max_abs(gi).bit_length()
         admit("exact convolution", nbytes=(256 + (4 * bits + 6 * n) * 2 // 15) << n)
-        conv = wht_natural(wht_natural(fi) * wht_natural(gi))
+        bf, bg = _max_abs(fi) << n, _max_abs(gi) << n
+        conv = wht_exact(wht_exact(fi, bf).astype(object) * wht_exact(gi, bg).astype(object),
+                         bf * bg << n).astype(object)
         return conv * Fraction(1, (1 << n) * fd * gd)
     prod = wht_natural(f)
     prod *= wht_natural(g)

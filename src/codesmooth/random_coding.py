@@ -95,18 +95,8 @@ def _sample_statistics(spec: EnsembleSpec, trial_value,
         # 2^n T_r f_C = W(W(f) W(r)) / 2^n scaled back up by 2^n
         return trial_value(np.maximum(hc._wht_inplace(spectrum), 0.0, out=spectrum))
 
-    values = []
-    shard = 0
-    while len(values) < spec.trials:
-        rng = np.random.Generator(
-            np.random.Philox(key=[spec.seed, (3 << 32) | shard]))
-        values += [trial(rng) for _ in range(min(MC_SHARD, spec.trials - len(values)))]
-        shard += 1
-    # two passes: the one-pass E[v^2] - E[v]^2 cancels most digits when
-    # the trials barely differ
-    mean = math.fsum(values) / spec.trials
-    var = math.fsum((v - mean) ** 2 for v in values) / spec.trials
-    return mean, math.sqrt(var / spec.trials)
+    return hc.sample_mean(lambda rng, count: [trial(rng) for _ in range(count)],
+                          spec.trials, spec.seed, 3, MC_SHARD)
 
 
 def qn_estimate(spec: EnsembleSpec, alpha) -> tuple[float, float]:

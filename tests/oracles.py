@@ -223,7 +223,7 @@ def bec_entropy_mc_loop(code, lam: float, trials: int, seed: int) -> tuple[float
     """`er.bec_conditional_entropy` in Monte Carlo mode, one trial at a time
     on the same Philox draws."""
     columns = _generator_columns(code)
-    acc = acc2 = 0.0
+    vals = []
     done = shard = 0
     while done < trials:
         count = min(MC_SHARD, trials - done)
@@ -235,13 +235,13 @@ def bec_entropy_mc_loop(code, lam: float, trials: int, seed: int) -> tuple[float
                 if v:
                     basis.append(v)
                     basis.sort(reverse=True)
-            val = int(row.sum()) - len(basis)
-            acc += val
-            acc2 += val * val
+            vals.append(int(row.sum()) - len(basis))
         done += count
         shard += 1
-    mean = acc / trials
-    return mean, math.sqrt(max(acc2 / trials - mean * mean, 0.0) / trials)
+    # sqrt(mean((v - mean)^2) / trials) of integers, exactly:
+    # sum (v - mean)^2 = sum v^2 - (sum v)^2 / trials
+    total, squares = sum(vals), sum(v * v for v in vals)
+    return total / trials, math.sqrt(Fraction(trials * squares - total * total, trials ** 3))
 
 
 def subset_expectation_loop(f, lam, order):

@@ -52,6 +52,27 @@ class TestWiretapRates:
         assert code == 0
         assert "alpha_secrecy(a=2" in out
 
+    def test_all_regimes_skip_alpha_secrecy_without_alpha(self, capsys):
+        # one rule for a single point and a sweep
+        for extra in (("--de", "0.3"), ("--grid", "3")):
+            code, out = run_cli(capsys, "wiretap", "rates", "--db", "0.05", *extra)
+            assert code == 0
+            regimes = {r["regime"] for r in csv_rows(out)}
+            assert regimes == {"shannon_capacity", "bec_dual", "rm"}, extra
+
+    def test_all_regimes_include_alpha_secrecy_with_alpha(self, capsys):
+        code, out = run_cli(capsys, "wiretap", "rates", "--db", "0.05",
+                            "--grid", "3", "--alpha", "2")
+        assert code == 0
+        assert sum(r["regime"].startswith("alpha_secrecy") for r in csv_rows(out)) == 3
+
+    def test_alpha_secrecy_alone_needs_alpha(self, capsys):
+        for extra in (("--de", "0.3"), ("--grid", "3")):
+            assert main(["wiretap", "rates", "--db", "0.05",
+                         "--regime", "alpha_secrecy", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--alpha" in captured.err, extra
+
 
 class TestCapacityCurve:
     def test_quarter_row(self, capsys):
@@ -342,6 +363,26 @@ class TestUsageErrors:
     def test_rates_need_de_or_grid(self, capsys):
         code, _ = run_cli(capsys, "wiretap", "rates", "--db", "0.05")
         assert code == 2
+
+    def test_erasure_bound_rejects_an_unknown_mode(self, capsys, tmp_path):
+        path = tmp_path / "h.code"
+        run_cli(capsys, "code", "gen", "--family", "hamming",
+                "--params", "3", "--out", str(path))
+        capsys.readouterr()
+        for mode in ("bogus", "mc", "mc:", "mc:ten", "exact:5"):
+            assert main(["erasure-bound", "--code", str(path), "--delta", "0.1",
+                         "--alpha", "2", "--mode", mode]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "--mode" in err, mode
+
+    def test_erasure_bound_needs_a_trial(self, capsys, tmp_path):
+        path = tmp_path / "h.code"
+        run_cli(capsys, "code", "gen", "--family", "hamming",
+                "--params", "3", "--out", str(path))
+        capsys.readouterr()
+        assert main(["erasure-bound", "--code", str(path), "--delta", "0.1",
+                     "--alpha", "2", "--mode", "mc:0"]) == 2
+        assert "trials >= 1" in capsys.readouterr().err
 
     def test_decode_bound_needs_t_or_theta(self, capsys, tmp_path):
         path = tmp_path / "h.code"

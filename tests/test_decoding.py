@@ -147,6 +147,26 @@ class TestMonteCarloDecoding:
         b = dec.mc_decoding_error(hamming7, 0.05, 1, 2, 5000, seed=5)
         assert a == b
 
+    # computed before the three Monte Carlo loops became `hc.sample_mean`:
+    # 70000 trials span a full 65536-trial shard and a partial one
+    PINNED = {0: (0.1505857142857143, 0.0013517695119402119),
+              5: (0.15035714285714286, 0.0013509249341997376)}
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    @pytest.mark.parametrize("path", ["table", "scan"])
+    def test_pinned_estimates(self, seed, path, monkeypatch):
+        code = cd.hamming(3)
+        if path == "scan":   # room for the codewords, not the coset table
+            monkeypatch.setattr(hc, "MEMORY_CAP", 300)
+        est, sigma = dec.mc_decoding_error(code, 0.1, 1, 1, 70_000, seed=seed)
+        want, want_sigma = self.PINNED[seed]
+        assert est == want
+        assert math.isclose(sigma, want_sigma, rel_tol=1e-15, abs_tol=0)
+
+    def test_needs_a_trial(self, hamming7):
+        with pytest.raises(ValueError, match="trials"):
+            dec.mc_decoding_error(hamming7, 0.1, 1, 1, 0)
+
     def test_table_free_path_matches_table(self):
         code = cd.reed_muller(1, 3)
         table = ball_counts_table(code, 2)

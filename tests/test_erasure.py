@@ -91,6 +91,27 @@ def test_mc_is_bit_identical_to_the_per_trial_loop(n, k, seed):
     assert er.bec_conditional_entropy(ctx) == bec_entropy_mc_loop(code, 0.3, 4097, seed + 1)
 
 
+# computed before the three Monte Carlo loops became `hc.sample_mean`:
+# 9000 trials span two full 4096-trial shards and a partial one
+PINNED_MC = {0: (0.3841111111111111, 0.006879139955655245),
+             5: (0.8072222222222222, 0.009196436880833523)}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_MC))
+def test_mc_pinned_estimates(seed):
+    ctx = er.ErasureContext(cd.random_linear(12, 5, seed), 0.3, mode="mc", trials=9000, seed=seed)
+    est, sigma = er.bec_conditional_entropy(ctx)
+    want, want_sigma = PINNED_MC[seed]
+    assert est == want
+    assert math.isclose(sigma, want_sigma, rel_tol=1e-15, abs_tol=0)
+
+
+def test_mc_needs_a_trial():
+    ctx = er.ErasureContext(cd.hamming(3), 0.3, mode="mc", trials=0)
+    with pytest.raises(ValueError, match="trials"):
+        er.bec_conditional_entropy(ctx)
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
 @pytest.mark.parametrize("order", [1, 2, 3, INF])
 def test_subset_expectation_matches_the_per_subset_loop(n, order):

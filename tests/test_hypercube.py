@@ -567,3 +567,33 @@ class TestConvolveRadial:
         prof = _scaled_profile(kn.Kernel.bernoulli(8, Fraction(1, 10**6)))
         (out,) = self._check(code, [prof])
         assert out.dtype == object
+
+
+class TestSampleMean:
+    def test_needs_a_trial(self):
+        with pytest.raises(ValueError, match="trials"):
+            hc.sample_mean(lambda rng, count: np.zeros(count), 0, 0, 1, 8)
+
+    def test_one_draw_per_shard_on_its_own_key(self):
+        calls = []
+
+        def draw(rng, count):
+            calls.append(count)
+            return rng.random(count)
+
+        mean, _ = hc.sample_mean(draw, 21, 7, 5, 8)
+        assert calls == [8, 8, 5]
+        values = [np.random.Generator(np.random.Philox(key=[7, 5 << 32 | i])).random(c)
+                  for i, c in enumerate(calls)]
+        assert mean == math.fsum(np.concatenate(values).tolist()) / 21
+
+    def test_population_standard_error(self):
+        # equal values have no spread
+        assert hc.sample_mean(lambda rng, count: np.full(count, 0.1), 1024, 0, 1, 100) == (0.1, 0.0)
+        want = (3.5, math.sqrt((2.5 ** 2 + 1.5 ** 2 + 0.5 ** 2 + 3.5 ** 2) / 4 / 4))
+        for values in ([1.0, 2.0, 4.0, 7.0], np.array([1, 2, 4, 7])):   # float and exact sums
+            assert hc.sample_mean(lambda rng, count: values[:count], 4, 0, 1, 4) == want
+
+    def test_bernoulli_error_is_the_binomial_one(self):
+        est, sigma = hc.sample_mean(lambda rng, count: rng.random(count) < 0.3, 10_000, 2, 1, 4096)
+        assert math.isclose(sigma, math.sqrt(est * (1 - est) / 10_000), rel_tol=1e-14)

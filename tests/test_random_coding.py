@@ -28,6 +28,14 @@ class TestQnEstimate:
         spec = spec_for(8, 0.5, 0.1, trials=10)
         assert rc.qn_estimate(spec, 1) == (1.0, 0.0)
 
+    def test_sampling_needs_a_trial(self):
+        spec = spec_for(8, 0.5, 0.1, trials=10)
+        spec.trials = 0   # past the spec's own check, to the sampler's
+        for estimate in (lambda s: rc.qn_estimate(s, 2), lambda s: rc.qn_estimate(s, 1.5),
+                         rc.sup_norm_estimate):
+            with pytest.raises(ValueError, match="trials"):
+                estimate(spec)
+
     def test_order_two_matches_pairwise_closed_form(self):
         # full-rate ensemble: M = 2^n i.i.d. codewords
         n = 8
