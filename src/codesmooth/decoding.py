@@ -22,6 +22,7 @@ from . import codes as cd
 from . import hypercube as hc
 
 MC_SHARD = 65536
+SCAN_PAIRS = 1 << 17   # (trial, codeword) pairs per chunk of the codeword scan
 
 
 @dataclass
@@ -180,16 +181,24 @@ def mc_decoding_error(code, delta: float, list_size: int, t: int,
         hc.admit("codeword-count table", nbytes=48 * code.cells)
         counts, words = code.radial_counts([[1] * (t + 1) + [0] * (n - t)])[0], None
     except hc.BudgetExceeded:
+        # only a trial with |y| <= t needs its count, and the codewords
+        # within t of it weigh at most 2t (triangle inequality)
         counts, words = None, code.codeword_ints()
+        words = words[np.bitwise_count(words) <= 2 * t]
+        # a chunk of trials against those codewords holds the int64 XOR and
+        # its uint8 weights, 9 bytes per pair: about 1 MiB, or the cap
+        rows = max(1, min(SCAN_PAIRS, hc.MEMORY_CAP // 9) // max(words.size, 1))
+        hc.admit("codeword scan", nbytes=9 * rows * words.size)
 
     def draw(rng, count):
         idx = (rng.random((count, n)) < delta) @ (1 << np.arange(n, dtype=np.int64))
         if counts is not None:
-            many = counts[code.cell_of(idx)] >= list_size + 1
+            near = counts[code.cell_of(idx)]
         else:
-            many = np.array([
-                int(np.count_nonzero(np.bitwise_count(words ^ y) <= t)) >= list_size + 1
-                for y in idx])
-        return many | (np.bitwise_count(idx) > t)
+            near = np.concatenate([
+                np.add.reduce(np.bitwise_count(idx[s:s + rows, None] ^ words) <= t,
+                              axis=1, dtype=np.int64)
+                for s in range(0, count, rows)])
+        return (near >= list_size + 1) | (np.bitwise_count(idx) > t)
 
     return hc.sample_mean(draw, trials, seed, 2, MC_SHARD)

@@ -14,9 +14,11 @@ The Fourier transform convention used everywhere in this package puts the
 so the inverse transform carries no normalization and round-trips exactly
 in rational mode.
 
-Every transform is one BLAS product per Kronecker factor H_{2^g}, g <= 5,
-of H_{2^n} (Fino and Algazi, 1976), on float32 or float64
-(`_wht_blocked_inplace`), which also applies any Kronecker power of a 2x2
+Every transform is one pass of BLAS products per Kronecker factor H_{2^g},
+g <= 5, of H_{2^n} (Fino and Algazi, 1976), on float32 or float64
+(`_wht_blocked_inplace`): a vector's lowest g bits as one GEMM of its
+rows of 2^g entries per slab, every other group as products by H_{2^g}
+down the middle axis.  The same passes apply any Kronecker power of a 2x2
 factor, such as the bit flip [[1-d, d], [d, 1-d]] whose n-th power is
 Bernoulli(d) noise.  Integers take it exactly: every partial sum, in any
 order, is an integer of magnitude at most max|a| * 2^n, exact in a float
@@ -162,6 +164,7 @@ def wht_natural(values) -> np.ndarray:
 
 _HADAMARD = ((1, 1), (1, -1))
 _SCRATCH_FLOATS = 1 << 17  # reused by every product of one transform
+_GEMM_ROWS = 1 << 10       # rows per GEMM over the lowest bits of a vector
 _OBJECT_CHUNK = 1 << 8     # Python ints per step of the limb loop
 
 
@@ -247,7 +250,13 @@ def _wht_blocked_inplace(a: np.ndarray, factor: tuple = _HADAMARD) -> np.ndarray
     above the lowest `lo` views the array as (high, 2^g, 2^lo * columns)
     and multiplies the middle axis by F^{(x)g}, through a scratch buffer of
     the array's dtype a slab of `high` (or of the last axis, when one slab
-    exceeds it) at a time, so no 2^n-sized temporary is allocated.
+    exceeds it) at a time, so no 2^n-sized temporary is allocated.  That
+    product would be 2^(n-g) matrix-vector products for the lowest group
+    of a vector (lo = 0, one column), so there the array is viewed as rows
+    of 2^g entries, and each slab of at most `_GEMM_ROWS` of them is one
+    GEMM by (F^{(x)g})^T into the scratch buffer; the transpose matters for
+    a non-symmetric F.  Larger slabs are no faster and grow the resident
+    memory by the pages OpenBLAS touches to pack them.
     """
     n = dimension_of(a)
     powers = _kronecker_powers(factor, a.dtype)
@@ -257,15 +266,25 @@ def _wht_blocked_inplace(a: np.ndarray, factor: tuple = _HADAMARD) -> np.ndarray
     for j in range(groups):
         g = (n - lo) // (groups - j)
         width = flat.shape[1] << lo
-        v = np.reshape(flat, (-1, 1 << g, width), copy=False)  # a view, or raise
-        rows = max(1, scratch.size // v[0].size)
-        cols = min(width, scratch.size >> g)
-        for h in range(0, v.shape[0], rows):
-            for c in range(0, width, cols):
-                block = v[h:h + rows, :, c:c + cols]
-                out = scratch[:block.size].reshape(block.shape)
+        if width == 1:
+            # the lowest bits of a vector: rows of 2^g entries, a slab of them
+            # times (F^{(x)g})^T per GEMM, not one matrix-vector product per row
+            v = np.reshape(flat, (-1, 1 << g), copy=False)
+            rows = min(_GEMM_ROWS, scratch.size >> g)
+            blocks = (v[h:h + rows] for h in range(0, v.shape[0], rows))
+        else:
+            v = np.reshape(flat, (-1, 1 << g, width), copy=False)  # a view, or raise
+            rows = max(1, scratch.size // v[0].size)
+            cols = min(width, scratch.size >> g)
+            blocks = (v[h:h + rows, :, c:c + cols]
+                      for h in range(0, v.shape[0], rows) for c in range(0, width, cols))
+        for block in blocks:
+            out = scratch[:block.size].reshape(block.shape)
+            if width == 1:
+                np.matmul(block, powers[g].T, out=out)
+            else:
                 np.matmul(powers[g], block, out=out)
-                block[...] = out
+            block[...] = out
         lo += g
     return a
 

@@ -358,6 +358,10 @@ def binary_renyi(alpha, delta) -> float:
 
     The two-point pmf (1 - delta, delta) is the radial pmf of profile
     [1 - delta, delta] on {0,1}; a float delta is taken at its binary value.
+    The limits, and every order at a raised mpmath precision, come from its
+    power sum (`renyi_entropy_radial`); other orders at float precision from
+    one of two log forms that keep full relative precision where that sum
+    is near 1: for alpha near 1, and for small delta.
     """
     d = Fraction(delta)
     if not 0 <= d <= 1:
@@ -366,9 +370,22 @@ def binary_renyi(alpha, delta) -> float:
         return 0.0
     if d == Fraction(1, 2):
         return 1.0  # exact at the symmetric point for every order
-    # near alpha = 1 the 1/(1-alpha) factor amplifies log round-off past
-    # the mathematical range [0, 1]; clamp to it
-    val = renyi_entropy_radial(1, [1 - d, d], alpha)
+    if alpha <= 0 or alpha in (1, INF) or mpmath.mp.prec > 53:
+        val = renyi_entropy_radial(1, [1 - d, d], alpha)
+    elif 0.5 <= alpha < 2:
+        # the power sum s's excess over 1, (1-d)((1-d)^(a-1) - 1) + d(d^(a-1) - 1),
+        # by expm1, and log s by log1p keep full relative precision as alpha
+        # nears 1, where both vanish like a - 1; s lies in (1/2, 2)
+        a1, x = float(Fraction(alpha) - 1), float(d)
+        excess = (1 - x) * math.expm1(a1 * math.log1p(-x)) + x * math.expm1(a1 * math.log(x))
+        val = math.log1p(excess) / (-a1 * math.log(2))
+    else:
+        # log s = a log(1 - x) + log1p((x / (1 - x))^a) for x = min(d, 1 - d):
+        # its two terms cancel by at most a factor max(a, 1 - a) / |1 - a| <= 2,
+        # and s itself, which may underflow or round to 1, is never formed
+        a, x = float(alpha), float(min(d, 1 - d))
+        log_s = a * math.log1p(-x) + math.log1p(math.exp(a * (math.log(x) - math.log1p(-x))))
+        val = log_s / ((1 - a) * math.log(2))
     return min(max(val, 0.0), 1.0)
 
 

@@ -110,6 +110,14 @@ def qn_estimate(spec: EnsembleSpec, alpha) -> tuple[float, float]:
         # Parseval: mean over x of (2^n T f)^2 equals sum over y of
         # (W(f) W(r))^2, saving the second transform
         return _sample_statistics(spec, lambda s: float(s @ s), parseval=True)
+    if a in (3.0, 1.5):
+        # s^3, or sqrt(s)^3 = s^(3/2): one sum of triple products in place,
+        # several times faster than np.power and with no 2^n temporary
+        def cube_mean(s):
+            if a == 1.5:
+                np.sqrt(s, out=s)
+            return float(np.einsum("i,i,i->", s, s, s)) / s.size
+        return _sample_statistics(spec, cube_mean)
     return _sample_statistics(spec, lambda s: float(np.mean(np.power(s, a, out=s))))
 
 

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import numpy as np
 
 from codesmooth import codes as cd
@@ -150,6 +151,23 @@ def norm_dense(values, alpha) -> float:
     if alpha == math.inf:
         return float(a.max())
     return float(np.mean(a ** float(alpha)) ** (1 / float(alpha)))
+
+
+def binary_renyi_mp(alpha, delta, dps: int = 60) -> float:
+    """h_alpha(delta) in bits from its definition at `dps` digits, rounded
+    to a float: log2((1-d)^a + d^a) / (1 - a), with the limits
+    -sum p log2 p at a = 1, log2 2 at a = 0 and -log2 max(d, 1-d) at a = inf."""
+    with mpmath.workdps(dps):
+        d = mpmath.mpf(Fraction(delta).numerator) / Fraction(delta).denominator
+        masses = [m for m in (d, 1 - d) if m > 0]
+        if alpha == 0:
+            return float(mpmath.log(len(masses), 2))
+        if alpha == 1:
+            return float(-sum(m * mpmath.log(m, 2) for m in masses))
+        if alpha == math.inf:
+            return float(-mpmath.log(max(masses), 2))
+        a = mpmath.mpf(Fraction(alpha).numerator) / Fraction(alpha).denominator
+        return float(mpmath.log(sum(m ** a for m in masses), 2) / (1 - a))
 
 
 def qn_exhaustive(n: int, m: int, kernel: kn.Kernel, alpha: int) -> Fraction:

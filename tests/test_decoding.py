@@ -163,6 +163,23 @@ class TestMonteCarloDecoding:
         assert est == want
         assert math.isclose(sigma, want_sigma, rel_tol=1e-15, abs_tol=0)
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name, t, list_size, delta", [
+        ("golay23", 3, 1, 0.1), ("rm(1,4)", 6, 2, 0.25), ("random(14,7)", 3, 2, 0.15)])
+    def test_scan_equals_table(self, name, t, list_size, delta, seed, monkeypatch):
+        # the same draws on both paths give the same failures, so the same
+        # (mean, standard error) bit for bit; under the lowered cap the
+        # scan runs its trials in chunks of a few hundred rows or less
+        def build():
+            return {"golay23": cd.golay23, "rm(1,4)": lambda: cd.reed_muller(1, 4),
+                    "random(14,7)": lambda: cd.random_linear(14, 7, 1)}[name]()
+        table = dec.mc_decoding_error(build(), delta, list_size, t, 70_000, seed=seed)
+        fresh = build()
+        fresh.codeword_ints()
+        monkeypatch.setattr(fresh, "radial_counts", lambda profiles: pytest.fail("table built"))
+        monkeypatch.setattr(hc, "MEMORY_CAP", 48 * fresh.cells - 1)
+        assert dec.mc_decoding_error(fresh, delta, list_size, t, 70_000, seed=seed) == table
+
     def test_needs_a_trial(self, hamming7):
         with pytest.raises(ValueError, match="trials"):
             dec.mc_decoding_error(hamming7, 0.1, 1, 1, 0)

@@ -322,6 +322,37 @@ class TestKroneckerPass:
         assert np.allclose(got, want, rtol=1e-12, atol=0)
         assert got.min() >= 0
 
+    @pytest.mark.parametrize("n", range(13))
+    def test_non_symmetric_factor_equals_kronecker_power(self, n):
+        # H and the bit flip are symmetric, so only a non-symmetric factor
+        # tells F^(x)g from its transpose; the vector's lowest group is the
+        # one product that multiplies by the transpose.  Integers below 100
+        # times entries of 7^n at most stay exact in float64 at n <= 12.
+        factor = ((1, 2), (3, 4))
+        power = np.ones((1, 1))
+        for _ in range(n):
+            power = np.kron(np.array(factor, dtype=np.float64), power)
+        rng = seeded_rng(35)
+        for shape in [(1 << n,), (1 << n, 3)]:
+            f = rng.integers(-99, 100, size=shape).astype(np.float64)
+            want = power @ f
+            assert np.array_equal(hc._wht_blocked_inplace(f.copy(), factor), want), shape
+            scale = np.abs(power) @ np.abs(f)   # bounds every |F^(x)n f| and its partial sums
+            got = hc._wht_blocked_inplace(f.astype(np.float32), factor)
+            assert got.dtype == np.float32
+            assert (np.abs(got - want) <= 1e-5 * scale).all(), shape
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 11, 17])
+    @pytest.mark.parametrize("tier", [np.float32, np.float64])
+    def test_vector_integer_transform_equals_butterfly(self, n, tier):
+        # lowest groups of 1 to 5 bits; at n = 17 the 2^13 rows of its 4-bit
+        # group run as several GEMM slabs.  max|a| * 2^n sits at the bound
+        # of the float tier the int64 values take.
+        bound = (1 << np.finfo(tier).nmant + 1) >> n
+        a = seeded_rng(36).integers(-bound, bound + 1, size=1 << n)
+        a[0] = bound
+        assert hc.wht_natural(a).tolist() == wht_butterfly(a).tolist()
+
 
 class TestConvolve:
     def test_uniform_absorbing(self):

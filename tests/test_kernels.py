@@ -13,6 +13,7 @@ from codesmooth import kernels as kn
 from codesmooth import smoothing as sm
 
 from conftest import seeded_rng
+from oracles import binary_renyi_mp
 
 INF = math.inf
 
@@ -166,6 +167,24 @@ class TestBinaryRenyi:
                                     abs_tol=1e-10)
         assert kn.binary_renyi_inverse(2, 0.0) == 0.0
         assert kn.binary_renyi_inverse(2, 1.0) == 0.5
+
+    @pytest.mark.parametrize("alpha", [0, 0.3, 0.9999, 1, 1.0000001, 1.000001, 1.0286,
+                                       1.5, 2, 3, 7.5, 50, 1000, INF])
+    def test_within_4_ulp_of_60_digits(self, alpha):
+        # near alpha = 1, and at a small delta, the power sum is near 1, and
+        # log2 of its float value is off by 1/|1 - alpha| or 1/delta times
+        # its round-off: 1.1e7 ulp at (1.0000001, 0.2), 54 at (1.0286, 0.3)
+        deltas = [0, 0.1, 0.2, 0.3, 0.46365, 0.5, 0.7, 1, Fraction(1, 3)]
+        if alpha not in (1, INF):   # the limits still take log2 of 1 - delta
+            deltas += [1e-5, 1e-9]
+        for d in deltas:
+            want = binary_renyi_mp(alpha, d)
+            got = kn.binary_renyi(alpha, d)
+            assert abs(got - want) <= 4 * math.ulp(want), (d, got, want)
+        for d in (0, 1, 0.5):
+            assert kn.binary_renyi(alpha, d) == (1.0 if d == 0.5 else 0.0)
+        with pytest.raises(ValueError, match="order"):
+            kn.binary_renyi(-alpha if alpha else -0.5, 0.3)
 
     @given(st.floats(min_value=1e-6, max_value=0.5),
            st.floats(min_value=0.1, max_value=50))
