@@ -255,31 +255,69 @@ def subset_expectation(f, lam: float, order) -> float:
 
     Appending to each axis of the (2,)^n cube its average over that axis
     gives a (3,)^n lattice whose entries with index 2 on exactly the axes
-    outside G are the 2^|G| fiber values of E(f|G).  The statistic's terms
-    are reduced over the kept indices 0 and 1 one axis at a time, which
-    leaves one entry per subset.  Float or exact (object array) `f`; the
-    fibers of an exact `f` are averaged exactly.
+    outside G are the 2^|G| fiber values of E(f|G).  It grows one axis at a
+    time, the most significant first: with a axes done, the flat lattice is
+    viewed as (3^a, 2, rest) and copied into a (3^a, 3, rest) array whose
+    slot 2 is the sum of slots 0 and 1, halved.  The statistic's terms are
+    reduced over the kept indices 0 and 1 the same way, (2^a, 3, rest) into
+    (2^a, 2, rest) with slots 0 and 1 summed (their maximum at INF) into
+    slot 0, which leaves one entry per subset.  Float or exact (object
+    array) `f`; the fibers of an exact `f` are averaged exactly.
     """
-    arr = f if isinstance(f, np.ndarray) else np.asarray(f, dtype=np.float64)
+    arr = f if isinstance(f, np.ndarray) and f.dtype == object else \
+        np.asarray(f, dtype=np.float64)
     n = hc.dimension_of(arr)
-    # tracemalloc measured per lattice entry 41 bytes on floats (n = 8..13)
-    # and 300-315 on the exact values of binary floats (n = 6..10)
+    # tracemalloc measured per lattice entry 41 bytes on floats at order 1
+    # and 17-22 at orders 2 and INF (n = 8..13), and 130-315 on the exact
+    # values of binary floats (n = 6..9)
     hc.admit("subset sweep", steps=3 ** n,
              nbytes=(400 if hc.is_exact(arr) else 48) * 3 ** n)
-    lattice = arr.reshape((2,) * n)
-    for axis in range(n):
-        lattice = np.concatenate([lattice, lattice.mean(axis=axis, keepdims=True)], axis=axis)
-    terms = _terms(lattice, order, lattice[(2,) * n])
-    reduce = np.max if order == INF else np.sum
-    for axis in range(n):
-        kept, averaged = np.split(terms, [2], axis=axis)
-        terms = np.concatenate([reduce(kept, axis=axis, keepdims=True), averaged], axis=axis)
+    lattice = arr
+    for a in range(n):
+        lattice = _append_mean(lattice.reshape(3 ** a, 2, -1))
+    lattice = lattice.reshape(-1)
+    terms = _terms(lattice, order, lattice[-1])   # index 2 on every axis: the mean of f
+    reduce = np.maximum if order == INF else np.add
+    for a in range(n):
+        terms = _reduce_kept(terms.reshape(1 << a, 3, -1), reduce)
     # flat index bit set: that coordinate is averaged out
     size = n - hc.weights_table(n).astype(np.int64)
     stats = _finish(terms.ravel(), order, (1 << size).astype(terms.dtype))
     weights = np.array([lam ** s * (1 - lam) ** (n - s) for s in range(n + 1)],
                        dtype=terms.dtype)
     return (weights[size] * stats).sum()
+
+
+def _append_mean(cube: np.ndarray) -> np.ndarray:
+    """(rows, 2, rest) -> a new (rows, 3, rest) array whose slot 2 is the
+    mean of slots 0 and 1."""
+    out = np.empty((cube.shape[0], 3, cube.shape[2]), dtype=cube.dtype)
+    out[:, :2] = cube
+    np.add(cube[:, 0], cube[:, 1], out=out[:, 2])
+    out[:, 2] /= 2
+    return out
+
+
+def _reduce_kept(terms: np.ndarray, reduce) -> np.ndarray:
+    """(rows, 3, rest) -> a new (rows, 2, rest) array: slots 0 and 1 reduced
+    pairwise into slot 0, slot 2 moved to slot 1."""
+    out = np.empty((terms.shape[0], 2, terms.shape[2]), dtype=terms.dtype)
+    reduce(terms[:, 0], terms[:, 1], out=out[:, 0])
+    out[:, 1] = terms[:, 2]
+    return out
+
+
+def bernoulli_noise(f: np.ndarray, delta) -> np.ndarray:
+    """T_delta f, the average of f over Bernoulli(delta) bit flips, as a new
+    array.  Floats take one Kronecker pass of the flip [[1 - d, d], [d, 1 - d]]
+    (`hc._wht_blocked_inplace`), with no kernel built; an exact (object
+    array) `f` is convolved with the lifted exact Bernoulli(delta) kernel.
+    """
+    if hc.is_exact(f):
+        kernel = kn.Kernel.bernoulli(hc.dimension_of(f), Fraction(delta))
+        return hc.convolve(f, kernel.lift(exact=True))
+    d = float(delta)
+    return hc._wht_blocked_inplace(np.array(f, dtype=np.float64), ((1 - d, d), (d, 1 - d)))
 
 
 def noisy_entropy_report(f, delta: float) -> BoundReport:
@@ -303,16 +341,14 @@ def _noisy_report(name: str, f, delta, order, details) -> BoundReport:
     """S(T_delta f) <= E_{G ~ lambda} S(E(f|G)) for S = `statistic(., order)`,
     with lambda the erasure rate paired with delta at that order.
 
-    The recheck evaluates both sides on the exact binary values of f and
-    delta.
+    The float sides build no kernel (`bernoulli_noise`).  The recheck
+    evaluates both sides on the exact binary values of f and delta.
     """
     arr = np.asarray(f, dtype=np.float64)
     n = hc.dimension_of(arr)
-    kernel = kn.Kernel.bernoulli(n, Fraction(delta))
 
     def sides(g, lam):
-        noisy = hc.convolve(g, kernel.lift(exact=hc.is_exact(g)))
-        return statistic(noisy, order), subset_expectation(g, lam, order)
+        return statistic(bernoulli_noise(g, delta), order), subset_expectation(g, lam, order)
 
     lam = erasure_noise_level(order, delta)
     lhs, rhs = sides(arr, lam)
@@ -321,4 +357,3 @@ def _noisy_report(name: str, f, delta, order, details) -> BoundReport:
         recheck=lambda: sides(hc.as_dense(arr, exact=True),
                               erasure_noise_level(order, Fraction(delta))),
         details={"delta": delta, **details, "lambda": lam})
-

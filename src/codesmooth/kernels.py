@@ -62,8 +62,16 @@ class Kernel:
         d = Fraction(delta)
         if not 0 <= d <= 1:
             raise ValueError(f"flip probability {delta} outside [0,1]")
+        # d^i (1-d)^(n-i) = p^i (q-p)^(n-i) / q^n for d = p/q, from running
+        # integer products: one gcd per entry instead of Fraction powers
+        p, q = d.numerator, d.denominator
+        flips, keeps = [1], [1]
+        for _ in range(n):
+            flips.append(flips[-1] * p)
+            keeps.append(keeps[-1] * (q - p))
+        whole = q ** n
         return cls(n, f"bernoulli:{float(d)}", delta=d,
-                   profile=[d ** i * (1 - d) ** (n - i) for i in range(n + 1)])
+                   profile=[Fraction(flips[i] * keeps[n - i], whole) for i in range(n + 1)])
 
     @classmethod
     def ball(cls, n: int, t: int) -> "Kernel":
@@ -358,10 +366,11 @@ def binary_renyi(alpha, delta) -> float:
 
     The two-point pmf (1 - delta, delta) is the radial pmf of profile
     [1 - delta, delta] on {0,1}; a float delta is taken at its binary value.
-    The limits, and every order at a raised mpmath precision, come from its
-    power sum (`renyi_entropy_radial`); other orders at float precision from
-    one of two log forms that keep full relative precision where that sum
-    is near 1: for alpha near 1, and for small delta.
+    The limit alpha = 0, and every order at a raised mpmath precision, come
+    from its power sum (`renyi_entropy_radial`); other orders at float
+    precision from log forms in x = min(delta, 1 - delta) that keep full
+    relative precision where the rounded 1 - x would lose it: the limits
+    alpha in {1, inf}, alpha near 1, and small delta.
     """
     d = Fraction(delta)
     if not 0 <= d <= 1:
@@ -370,8 +379,15 @@ def binary_renyi(alpha, delta) -> float:
         return 0.0
     if d == Fraction(1, 2):
         return 1.0  # exact at the symmetric point for every order
-    if alpha <= 0 or alpha in (1, INF) or mpmath.mp.prec > 53:
+    if alpha <= 0 or mpmath.mp.prec > 53:
         val = renyi_entropy_radial(1, [1 - d, d], alpha)
+    elif alpha in (1, INF):
+        # -log(1 - x) by log1p: h = -(x log x + (1 - x) log(1 - x)) at 1, and
+        # h_inf = -log max(d, 1 - d); neither sum cancels
+        x = float(min(d, 1 - d))
+        log_keep = math.log1p(-x)
+        val = (-log_keep if alpha == INF else -(x * math.log(x) + (1 - x) * log_keep)) \
+            / math.log(2)
     elif 0.5 <= alpha < 2:
         # the power sum s's excess over 1, (1-d)((1-d)^(a-1) - 1) + d(d^(a-1) - 1),
         # by expm1, and log s by log1p keep full relative precision as alpha

@@ -79,6 +79,20 @@ def test_subset_sweep_admits_n13():
     assert er.subset_expectation(np.ones(1 << 13), 0.5, er.INF) == 0.0
 
 
+@pytest.mark.parametrize("n, exact", [(10, False), (12, False), (6, True), (8, True)])
+def test_subset_sweep_stays_within_its_charge(n, exact, monkeypatch):
+    f = np.random.default_rng(n).random(1 << n) * 2
+    f = hc.as_dense(f, exact=True) if exact else f
+    admitted = []
+    with monkeypatch.context() as mp:
+        mp.setattr(hc, "admit", lambda what, nbytes=0, steps=0:
+                   admitted.append(nbytes) if what == "subset sweep" else None)
+        er.subset_expectation(f, 0.3, 1)
+    for order in (1, 2, er.INF):
+        peak = _traced_peak(lambda: er.subset_expectation(f, 0.3, order))
+        assert peak <= admitted[0], (order, peak, admitted[0])
+
+
 def test_decoding_scans_codewords_when_the_table_is_refused(monkeypatch, hamming7):
     table_path = dec.mc_decoding_error(hamming7, 0.05, 1, 1, 5000, seed=3)
     # room for the 2^4 codewords (256 bytes) but not for the count table of

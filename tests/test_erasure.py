@@ -128,6 +128,31 @@ def test_subset_expectation_matches_the_per_subset_loop(n, order):
     assert isinstance(fast, mpmath.mpf) and abs(fast - slow) < 1e-45
 
 
+@pytest.mark.parametrize("n", [1, 4, 8, 12])
+def test_bernoulli_noise_is_the_kernel_convolution(n):
+    f = seeded_rng(60 + n).random(1 << n) * 2
+    for delta in (0.1, 0.3, Fraction(1, 20)):
+        want = hc.convolve(f, kn.Kernel.bernoulli(n, delta).lift())
+        got = er.bernoulli_noise(f, delta)
+        assert np.allclose(got, want, rtol=1e-14, atol=0), delta
+    m = min(n, 4)
+    exact = hc.as_dense(f[:1 << m], exact=True)
+    assert np.array_equal(er.bernoulli_noise(exact, 0.1),
+                          hc.convolve(exact, kn.Kernel.bernoulli(m, Fraction(0.1)).lift(exact=True)))
+
+
+def test_float_noisy_reports_build_no_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a float report built a kernel or convolved")
+
+    f = seeded_rng(61).random(256) * 2
+    monkeypatch.setattr(hc, "convolve", refuse)
+    monkeypatch.setattr(kn.Kernel, "bernoulli", refuse)
+    for rep in (er.noisy_entropy_report(f, 0.1), er.noisy_norm_report(f, 0.3, 2),
+                er.noisy_norm_report(f, 0.1, INF)):
+        assert rep.passed and not rep.rechecked, rep.line()
+
+
 def test_subset_expectation_refuses_like_its_statistics():
     with pytest.raises(ValueError, match="nonnegative"):
         er.subset_expectation(np.array([1.0, -0.5, 2.0, 1.0]), 0.5, 1)

@@ -64,6 +64,14 @@ class TestKernelLifts:
         assert kn.Kernel.subcube(40, [3, 3, 7]).radius() == 38
         assert kn.Kernel.subcube(40, range(40)).radius() == 0
 
+    @pytest.mark.parametrize("n", [1, 5, 14, 23])
+    def test_bernoulli_profile_equals_fraction_powers(self, n):
+        for d in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 20), Fraction(3, 10),
+                  Fraction(0.1)):
+            want = [d ** i * (1 - d) ** (n - i) for i in range(n + 1)]
+            got = kn.Kernel.bernoulli(n, d).profile
+            assert got == want and all(type(v) is Fraction for v in got), d
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             kn.Kernel.ball(4, 5)
@@ -173,10 +181,10 @@ class TestBinaryRenyi:
     def test_within_4_ulp_of_60_digits(self, alpha):
         # near alpha = 1, and at a small delta, the power sum is near 1, and
         # log2 of its float value is off by 1/|1 - alpha| or 1/delta times
-        # its round-off: 1.1e7 ulp at (1.0000001, 0.2), 54 at (1.0286, 0.3)
-        deltas = [0, 0.1, 0.2, 0.3, 0.46365, 0.5, 0.7, 1, Fraction(1, 3)]
-        if alpha not in (1, INF):   # the limits still take log2 of 1 - delta
-            deltas += [1e-5, 1e-9]
+        # its round-off: 1.1e7 ulp at (1.0000001, 0.2), 54 at (1.0286, 0.3);
+        # log2 of the rounded 1 - delta put the limits 1 and inf 4.9e9 and
+        # 1.6e11 ulp off at delta = 1e-12
+        deltas = [0, 0.1, 0.2, 0.3, 0.46365, 0.5, 0.7, 1, Fraction(1, 3), 1e-5, 1e-9, 1e-12]
         for d in deltas:
             want = binary_renyi_mp(alpha, d)
             got = kn.binary_renyi(alpha, d)
