@@ -32,27 +32,34 @@ WORD_BITS = 62   # codewords are int64 words, and 2^n must fit one too
 # ---------------------------------------------------------------------------
 
 def gf2_rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Row-reduced echelon form over GF(2); returns (rref, pivot columns)."""
-    a = (np.asarray(mat) & 1).astype(np.uint8).copy()
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
+    """Row-reduced echelon form over GF(2); returns (rref, pivot columns).
+
+    Works on one Python int per row, coordinate j in bit j.  Each row in
+    turn is reduced by the basis so far, a word per pivot bit (its lowest
+    set bit) that no other basis word holds; a nonzero remainder adds its
+    lowest bit as a pivot and is XORed out of the basis words holding it.
+    The basis in pivot order is the reduced echelon form, which is unique.
+    """
+    a = (np.asarray(mat) & 1).astype(np.uint8)
+    _, cols = a.shape
+    basis = {}
+    for row in np.packbits(a, axis=1, bitorder="little").tolist():
+        w = int.from_bytes(row, "little")
+        for bit, v in basis.items():
+            if w & bit:
+                w ^= v
+        if w:
+            low = w & -w
+            for bit, v in basis.items():
+                if v & low:
+                    basis[bit] = v ^ w
+            basis[low] = w
+    order = sorted(basis)
+    width = (cols + 7) // 8
+    packed = np.frombuffer(b"".join(basis[bit].to_bytes(width, "little") for bit in order),
+                           dtype=np.uint8).reshape(len(order), width)
+    return (np.unpackbits(packed, axis=1, count=cols, bitorder="little"),
+            [bit.bit_length() - 1 for bit in order])
 
 
 def gf2_rank(mat: np.ndarray) -> int:

@@ -18,6 +18,7 @@ subcube-average inequalities read every conditional average E(f|G) off one
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,25 +180,35 @@ def erasure_noise_level(alpha, delta: float) -> float:
 
 
 def smoothing_erasure_report(code: cd.LinearCode, delta: float, alpha) -> BoundReport:
-    """D_alpha(T_delta f_C || U_n) <= dual-code BEC conditional entropy.
+    """D_alpha(T_delta f_C || U_n) <= dual-code BEC conditional entropy
+    (`smoothing_erasure_reports` at one order)."""
+    return smoothing_erasure_reports(code, delta, (alpha,))[0]
 
-    The recheck evaluates both sides on the exact coset pmf and the exact
-    delta.
+
+def smoothing_erasure_reports(code: cd.LinearCode, delta, alphas) -> list[BoundReport]:
+    """`smoothing_erasure_report` at each order of `alphas`, in that order.
+
+    The orders share their order-free work: one Bernoulli(delta) kernel,
+    one float cell pmf and the code's cached rank profile.  A recheck
+    evaluates both sides on the exact cell pmf, built at most once per
+    call, and the exact delta.
     """
-    lam = erasure_noise_level(alpha, delta)
+    lams = [erasure_noise_level(alpha, delta) for alpha in alphas]
     kernel = kn.Kernel.bernoulli(code.n, Fraction(delta))
-    lhs = sm.smoothness_of(code, kernel, alpha).d_alpha
-    rhs, _ = bec_conditional_entropy(ErasureContext(code, lam))
+    pmf = sm.cell_pmf(code, kernel)
+    exact_pmf = functools.cache(lambda: sm.cell_pmf(code, kernel, True))
 
-    def recheck():
-        return (sm.divergence_to_uniform(sm.cell_pmf(code, kernel, True), alpha).d_alpha,
-                _rank_expectation(code, erasure_noise_level(alpha, Fraction(delta))))
+    def report(alpha, lam):
+        def recheck():
+            return (sm.divergence_to_uniform(exact_pmf(), alpha).d_alpha,
+                    _rank_expectation(code, erasure_noise_level(alpha, Fraction(delta))))
 
-    return check_bound(
-        f"smoothing<=erasure a={alpha} d={delta} n={code.n}", lhs, rhs,
-        recheck=recheck,
-        details={"alpha": alpha, "delta": delta, "lambda": lam},
-    )
+        return check_bound(f"smoothing<=erasure a={alpha} d={delta} n={code.n}",
+                           sm.divergence_to_uniform(pmf, alpha).d_alpha,
+                           bec_conditional_entropy(ErasureContext(code, lam))[0],
+                           recheck=recheck, details={"alpha": alpha, "delta": delta, "lambda": lam})
+
+    return [report(alpha, lam) for alpha, lam in zip(alphas, lams)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,40 +262,55 @@ def _log2(values: np.ndarray) -> np.ndarray:
 
 def subset_expectation(f, lam: float, order) -> float:
     """E_{G ~ lam} of `statistic(E(f|G), order)`: Ent at order 1,
-    log2 ||.||_a at integer a >= 2, log2 max at INF.
+    log2 ||.||_a at integer a >= 2, log2 max at INF; the per-subset
+    statistics of `_subset_statistics`, weighted by lam^|G| (1-lam)^(n-|G|)."""
+    size, (stats,) = _subset_statistics(f, (order,))
+    return _weighted(stats, size, lam)
+
+
+def _subset_statistics(f, orders) -> tuple[np.ndarray, list[np.ndarray]]:
+    """|G| and `statistic(E(f|G), order)` for each order, per subset G.
 
     Appending to each axis of the (2,)^n cube its average over that axis
     gives a (3,)^n lattice whose entries with index 2 on exactly the axes
-    outside G are the 2^|G| fiber values of E(f|G).  It grows one axis at a
-    time, the most significant first: with a axes done, the flat lattice is
-    viewed as (3^a, 2, rest) and copied into a (3^a, 3, rest) array whose
-    slot 2 is the sum of slots 0 and 1, halved.  The statistic's terms are
-    reduced over the kept indices 0 and 1 the same way, (2^a, 3, rest) into
-    (2^a, 2, rest) with slots 0 and 1 summed (their maximum at INF) into
-    slot 0, which leaves one entry per subset.  Float or exact (object
-    array) `f`; the fibers of an exact `f` are averaged exactly.
+    outside G are the 2^|G| fiber values of E(f|G).  It grows once, one
+    axis at a time, the most significant first: with a axes done, the flat
+    lattice is viewed as (3^a, 2, rest) and copied into a (3^a, 3, rest)
+    array whose slot 2 is the sum of slots 0 and 1, halved.  Each order's
+    terms are reduced over the kept indices 0 and 1 the same way, (2^a, 3,
+    rest) into (2^a, 2, rest) with slots 0 and 1 summed (their maximum at
+    INF) into slot 0, which leaves one entry per subset, indexed with a set
+    bit for each coordinate averaged out.  Float or exact (object array)
+    `f`; the fibers of an exact `f` are averaged exactly.
     """
     arr = f if isinstance(f, np.ndarray) and f.dtype == object else \
         np.asarray(f, dtype=np.float64)
     n = hc.dimension_of(arr)
     # tracemalloc measured per lattice entry 41 bytes on floats at order 1
     # and 17-22 at orders 2 and INF (n = 8..13), and 130-315 on the exact
-    # values of binary floats (n = 6..9)
+    # values of binary floats (n = 6..9); one order's terms are live at a time
     hc.admit("subset sweep", steps=3 ** n,
              nbytes=(400 if hc.is_exact(arr) else 48) * 3 ** n)
     lattice = arr
     for a in range(n):
         lattice = _append_mean(lattice.reshape(3 ** a, 2, -1))
     lattice = lattice.reshape(-1)
-    terms = _terms(lattice, order, lattice[-1])   # index 2 on every axis: the mean of f
-    reduce = np.maximum if order == INF else np.add
-    for a in range(n):
-        terms = _reduce_kept(terms.reshape(1 << a, 3, -1), reduce)
-    # flat index bit set: that coordinate is averaged out
     size = n - hc.weights_table(n).astype(np.int64)
-    stats = _finish(terms.ravel(), order, (1 << size).astype(terms.dtype))
+    stats = []
+    for order in orders:
+        terms = _terms(lattice, order, lattice[-1])   # index 2 on every axis: the mean of f
+        reduce = np.maximum if order == INF else np.add
+        for a in range(n):
+            terms = _reduce_kept(terms.reshape(1 << a, 3, -1), reduce)
+        stats.append(_finish(terms.ravel(), order, (1 << size).astype(terms.dtype)))
+    return size, stats
+
+
+def _weighted(stats: np.ndarray, size: np.ndarray, lam):
+    """sum over subsets G of lam^|G| (1-lam)^(n-|G|) stats[G]."""
+    n = int(size[0])   # subset 0 averages nothing out
     weights = np.array([lam ** s * (1 - lam) ** (n - s) for s in range(n + 1)],
-                       dtype=terms.dtype)
+                       dtype=stats.dtype)
     return (weights[size] * stats).sum()
 
 
@@ -322,7 +348,7 @@ def bernoulli_noise(f: np.ndarray, delta) -> np.ndarray:
 
 def noisy_entropy_report(f, delta: float) -> BoundReport:
     """Ent[T_delta f] <= E_{G~(1-2d)^2} Ent[E(f|G)] for nonnegative f."""
-    return _noisy_report("noisy-entropy", f, delta, 1, {})
+    return noisy_reports(f, (delta,), (1,))[0]
 
 
 def noisy_norm_report(f, delta: float, alpha) -> BoundReport:
@@ -331,29 +357,47 @@ def noisy_norm_report(f, delta: float, alpha) -> BoundReport:
     Holds for integer alpha >= 2 with lambda = 1 - h_alpha(delta) and for
     alpha = inf with lambda = 1 + log2(1 - delta).
     """
-    if alpha != INF and (alpha < 2 or int(alpha) != alpha):
+    if alpha == 1:
         raise ValueError("norm inequality needs integer alpha >= 2 or inf")
-    order = alpha if alpha == INF else int(alpha)
-    return _noisy_report(f"noisy-norm a={alpha}", f, delta, order, {"alpha": alpha})
+    return noisy_reports(f, (delta,), (alpha,))[0]
 
 
-def _noisy_report(name: str, f, delta, order, details) -> BoundReport:
+def noisy_reports(f, deltas, orders) -> list[BoundReport]:
     """S(T_delta f) <= E_{G ~ lambda} S(E(f|G)) for S = `statistic(., order)`,
-    with lambda the erasure rate paired with delta at that order.
+    with lambda the erasure rate paired with delta at that order: the
+    entropy inequality at order 1, the norm inequality at integer orders
+    >= 2 and INF.  One report per (delta, order), delta-major.
 
-    The float sides build no kernel (`bernoulli_noise`).  The recheck
-    evaluates both sides on the exact binary values of f and delta.
+    The reports share their order-free work: the subset lattice grows once
+    (`_subset_statistics`), T_delta f is computed once per delta with no
+    kernel built (`bernoulli_noise`), and lambda weights the per-subset
+    statistics last.  A recheck evaluates both sides on the exact binary
+    values of f, built at most once per call, and of delta.
     """
+    labels = [_noisy_label(order) for order in orders]
     arr = np.asarray(f, dtype=np.float64)
     n = hc.dimension_of(arr)
+    size, stats = _subset_statistics(arr, [order for _, order, _ in labels])
+    exact = functools.cache(lambda: hc.as_dense(arr, exact=True))
+    out = []
+    for delta in deltas:
+        noisy = bernoulli_noise(arr, delta)
+        for (name, order, details), stat in zip(labels, stats):
+            def recheck(order=order, delta=delta):
+                lam = erasure_noise_level(order, Fraction(delta))
+                return (statistic(bernoulli_noise(exact(), delta), order),
+                        subset_expectation(exact(), lam, order))
+            lam = erasure_noise_level(order, delta)
+            out.append(check_bound(
+                f"{name} d={delta} n={n}", statistic(noisy, order), _weighted(stat, size, lam),
+                recheck=recheck, details={"delta": delta, **details, "lambda": lam}))
+    return out
 
-    def sides(g, lam):
-        return statistic(bernoulli_noise(g, delta), order), subset_expectation(g, lam, order)
 
-    lam = erasure_noise_level(order, delta)
-    lhs, rhs = sides(arr, lam)
-    return check_bound(
-        f"{name} d={delta} n={n}", lhs, rhs,
-        recheck=lambda: sides(hc.as_dense(arr, exact=True),
-                              erasure_noise_level(order, Fraction(delta))),
-        details={"delta": delta, **details, "lambda": lam})
+def _noisy_label(alpha) -> tuple[str, object, dict]:
+    """Report name, statistic order and details of `noisy_reports` at alpha."""
+    if alpha == 1:
+        return "noisy-entropy", 1, {}
+    if alpha != INF and (alpha < 2 or int(alpha) != alpha):
+        raise ValueError("norm inequality needs integer alpha >= 2 or inf")
+    return f"noisy-norm a={alpha}", alpha if alpha == INF else int(alpha), {"alpha": alpha}

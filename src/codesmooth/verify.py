@@ -95,8 +95,7 @@ def check_smoothing_erasure(cfg: SuiteConfig) -> list[BoundReport]:
     for i in range(cfg.erasure_codes):
         code = _random_code(rng, 14 if not cfg.quick else 10)
         for delta in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5)):
-            for alpha in (1, 2, 3, INF):
-                out.append(er.smoothing_erasure_report(code, delta, alpha))
+            out.extend(er.smoothing_erasure_reports(code, delta, (1, 2, 3, INF)))
     return out
 
 
@@ -106,11 +105,7 @@ def check_samorodnitsky(cfg: SuiteConfig) -> list[BoundReport]:
     n = 8
     out = []
     for i in range(cfg.samorodnitsky_functions):
-        f = rng.random(1 << n) * 2
-        for delta in (0.1, 0.3):
-            out.append(er.noisy_entropy_report(f, delta))
-            for alpha in (2, 3):
-                out.append(er.noisy_norm_report(f, delta, alpha))
+        out.extend(er.noisy_reports(rng.random(1 << n) * 2, (0.1, 0.3), (1, 2, 3)))
     return out
 
 

@@ -32,6 +32,33 @@ def wht_butterfly(values) -> np.ndarray:
     return a
 
 
+def gf2_rref_columns(mat) -> tuple[np.ndarray, list[int]]:
+    """Row-reduced echelon form over GF(2) by numpy elimination, one column
+    at a time: the first remaining row holding the column is swapped up as
+    the pivot and XORed into every other row holding it; the reference for
+    `cd.gf2_rref`."""
+    a = (np.asarray(mat) & 1).astype(np.uint8).copy()
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        hits = np.nonzero(a[r:, c])[0]
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        others = np.nonzero(a[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            a[others] ^= a[r]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
 def as_int64(values) -> list:
     """Exact integers reduced mod 2^64 to the signed int64 range, as the
     int64 transform returns them."""

@@ -47,6 +47,8 @@ REFUSALS = [
      lambda: er.subset_expectation(np.ones(1 << 14), 0.5, 1)),
     ("coset weight counts", "memory cap",   # 2^32 cosets
      lambda: dec.decoding_error_exact(cd.random_linear(40, 8, seed=0), Fraction(1, 20), 1, 3)),
+    ("Krawtchouk table", "memory cap",   # 2^26 entries of up to 2^13 bits
+     lambda: hc.krawtchouk_matrix(1 << 13)),
 ]
 
 
@@ -91,6 +93,9 @@ def test_subset_sweep_stays_within_its_charge(n, exact, monkeypatch):
     for order in (1, 2, er.INF):
         peak = _traced_peak(lambda: er.subset_expectation(f, 0.3, order))
         assert peak <= admitted[0], (order, peak, admitted[0])
+    # a batch of orders holds one order's terms at a time beside the lattice
+    peak = _traced_peak(lambda: er._subset_statistics(f, (1, 2, 3, er.INF)))
+    assert peak <= admitted[0], (peak, admitted[0])
 
 
 def test_decoding_scans_codewords_when_the_table_is_refused(monkeypatch, hamming7):
@@ -120,6 +125,19 @@ def _traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [128, 256, 384])
+def test_krawtchouk_table_estimate_tracks_its_peak(n, monkeypatch):
+    admitted = []
+    hc.krawtchouk_matrix.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(hc, "admit", lambda what, nbytes=0, steps=0: admitted.append(nbytes))
+        hc.krawtchouk_matrix(n)
+    hc.krawtchouk_matrix.cache_clear()
+    peak = _traced_peak(lambda: hc.krawtchouk_matrix(n))
+    hc.krawtchouk_matrix.cache_clear()
+    assert peak <= admitted[0] <= 1.5 * peak, (peak, admitted)
 
 
 @pytest.mark.parametrize("n", [10, 12, 14])

@@ -7,6 +7,7 @@ import pytest
 from codesmooth import codes as cd
 
 from conftest import random_linear_code, seeded_rng
+from oracles import gf2_rref_columns
 
 
 def enumerate_codewords_oracle(gen: np.ndarray) -> set[int]:
@@ -21,6 +22,29 @@ def enumerate_codewords_oracle(gen: np.ndarray) -> set[int]:
                 w ^= rows[i]
         words.add(w)
     return words
+
+
+def _random_matrices():
+    rng = seeded_rng(70)
+    shapes = [(0, 0), (0, 5), (4, 0), (1, 1), (13, 14), (14, 13), (40, 70)]
+    shapes += [(int(rng.integers(0, 14)), int(rng.integers(0, 15))) for _ in range(200)]
+    for rows, cols in shapes:
+        # sparse and dense draws, so rank-deficient matrices come up too
+        yield (rng.random((rows, cols)) < rng.choice([0.1, 0.5])).astype(np.uint8)
+    yield np.zeros((5, 9), dtype=np.uint8)
+    yield np.ones((6, 3), dtype=np.uint8)
+    yield cd.golay23().generator
+    yield cd.reed_muller(2, 5).generator
+
+
+def test_gf2_rref_matches_column_elimination():
+    for mat in _random_matrices():
+        rref, pivots = cd.gf2_rref(mat)
+        want, want_pivots = gf2_rref_columns(mat)
+        assert pivots == want_pivots, mat.shape
+        assert rref.dtype == want.dtype and rref.shape == want.shape, mat.shape
+        assert np.array_equal(rref, want), mat.shape
+        assert cd.gf2_rank(mat) == len(want_pivots)
 
 
 class TestFamilies:

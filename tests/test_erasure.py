@@ -11,11 +11,12 @@ from codesmooth import erasure as er
 from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
 from codesmooth import reports
+from codesmooth import smoothing as sm
 
 from conftest import random_linear_code, seeded_rng
 from oracles import (bec_entropy_exact, bec_entropy_mc_loop, collision_count_direct,
                      conditional_average, conditional_norm_expectation, rank_profile_dfs,
-                     subset_expectation_loop)
+                     smooth_dense, subset_expectation_loop)
 
 INF = math.inf
 
@@ -242,6 +243,108 @@ class TestSmoothingErasureBound:
                             1 - kn.binary_renyi(2, 0.1))
         assert math.isclose(er.erasure_noise_level(INF, 0.1),
                             1 + math.log2(0.9))
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestBatches:
+    ORDERS = (1, 2, 3, INF)
+
+    def test_erasure_batch_builds_one_float_pmf_and_no_exact_one(self, monkeypatch):
+        code = cd.random_linear(10, 5, seed=8)
+        calls = _count_calls(monkeypatch, sm, "cell_pmf")
+        reps = er.smoothing_erasure_reports(code, Fraction(1, 10), self.ORDERS)
+        assert not any(rep.rechecked for rep in reps)
+        assert [args[2:] + tuple(kw.values()) for args, kw in calls] == [()]
+
+    def test_rechecking_erasure_batch_builds_one_exact_pmf(self, monkeypatch):
+        # the full space is uniform under any noise and its dual erasure
+        # entropy is 0, so every order's slack is 0 and rechecks
+        calls = _count_calls(monkeypatch, sm, "cell_pmf")
+        reps = er.smoothing_erasure_reports(cd.full_space(6), Fraction(1, 10), self.ORDERS)
+        assert all(rep.rechecked and rep.passed for rep in reps)
+        assert [args[2:] + tuple(kw.values()) for args, kw in calls] == [(), (True,)]
+
+    def test_erasure_batch_sides_match_the_oracles(self):
+        delta = Fraction(1, 10)
+        for code in (cd.random_linear(10, 5, seed=8), cd.hamming(3), cd.random_linear(12, 4, seed=2)):
+            dense = smooth_dense(code, kn.Kernel.bernoulli(code.n, delta))
+            reps = er.smoothing_erasure_reports(code, delta, self.ORDERS)
+            for alpha, rep in zip(self.ORDERS, reps):
+                assert rep.name == f"smoothing<=erasure a={alpha} d={delta} n={code.n}"
+                assert math.isclose(rep.lhs, code.n - kn.renyi_entropy(dense, alpha),
+                                    rel_tol=1e-9, abs_tol=1e-12)
+                lam = er.erasure_noise_level(alpha, delta)
+                assert math.isclose(rep.rhs, bec_entropy_exact(code, lam), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["float", "rechecked"])
+    def test_erasure_batch_equals_the_single_reports(self, forced, monkeypatch):
+        # forced rechecks share one exact pmf, which none of them may alter
+        if forced:
+            monkeypatch.setattr(reports, "NEAR_VIOLATION", math.inf)
+        code = cd.random_linear(9, 4, seed=5)
+        batch = er.smoothing_erasure_reports(code, 0.2, self.ORDERS)
+        singles = [er.smoothing_erasure_report(code, 0.2, alpha) for alpha in self.ORDERS]
+        assert batch == singles
+
+    def test_noisy_batch_grows_one_lattice(self, monkeypatch):
+        n = 6
+        f = seeded_rng(62).random(1 << n) * 2
+        calls = _count_calls(monkeypatch, er, "_append_mean")
+        reps = er.noisy_reports(f, (0.1, 0.3), (1, 2, 3))
+        assert len(reps) == 6 and not any(rep.rechecked for rep in reps)
+        assert len(calls) == n
+
+    def test_rechecking_noisy_batch_builds_one_exact_function(self, monkeypatch):
+        monkeypatch.setattr(reports, "NEAR_VIOLATION", math.inf)
+        calls = _count_calls(monkeypatch, hc, "as_dense")
+        reps = er.noisy_reports(seeded_rng(63).random(1 << 5) * 2, (0.1, 0.3), (1, 2, INF))
+        assert all(rep.rechecked and rep.passed for rep in reps)
+        assert len([kw for _, kw in calls if kw.get("exact")]) == 1
+
+    def test_noisy_batch_sides_match_the_oracles(self):
+        n = 6
+        f = seeded_rng(64).random(1 << n) * 2
+        orders = (1, 2, 3, INF)
+        reps = iter(er.noisy_reports(f, (0.1, 0.3), orders))
+        for delta in (0.1, 0.3):
+            noisy = hc.convolve(f, kn.Kernel.bernoulli(n, delta).lift())
+            for order in orders:
+                rep = next(reps)
+                name = "noisy-entropy" if order == 1 else f"noisy-norm a={order}"
+                assert rep.name == f"{name} d={delta} n={n}"
+                assert math.isclose(rep.lhs, er.statistic(noisy, order), rel_tol=1e-12)
+                lam = er.erasure_noise_level(order, delta)
+                assert abs(rep.rhs - subset_expectation_loop(f, lam, order)) <= 1e-13
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["float", "rechecked"])
+    def test_noisy_batch_equals_the_single_reports(self, forced, monkeypatch):
+        # forced rechecks share one exact f, which none of them may alter
+        if forced:
+            monkeypatch.setattr(reports, "NEAR_VIOLATION", math.inf)
+        f = seeded_rng(65).random(1 << 5) * 2
+        singles = [rep for delta in (0.1, 0.3) for rep in
+                   [er.noisy_entropy_report(f, delta)]
+                   + [er.noisy_norm_report(f, delta, alpha) for alpha in (2, INF)]]
+        assert er.noisy_reports(f, (0.1, 0.3), (1, 2, INF)) == singles
+
+    def test_noisy_batch_refuses_orders_without_an_inequality(self):
+        for alpha in (0, 1.5, 2.5):
+            with pytest.raises(ValueError, match="integer alpha >= 2"):
+                er.noisy_reports(np.ones(4), (0.1,), (1, alpha))
+        with pytest.raises(ValueError, match="integer alpha >= 2"):
+            er.noisy_norm_report(np.ones(4), 0.1, 1)
 
 
 class TestConditionalAverage:

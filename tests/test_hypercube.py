@@ -453,6 +453,24 @@ class TestKrawtchouk:
         assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
         assert [list(row) for row in rows] == [krawtchouk_row(n, t) for t in range(n + 1)]
 
+    def test_radial_sum_takes_binomials_of_nonzero_entries_only(self, monkeypatch):
+        # int and Fraction profiles at n = 2047; floats at n = 300, where
+        # every C(n, i) converts to a float
+        rng = seeded_rng(71)
+        floats = [0.0] * 301
+        floats[int(rng.integers(0, 301))] = 0.25
+        cases = [(2047, [1, 1, 1, 1] + [0] * 2044),
+                 (2047, [Fraction(0)] * 2046 + [Fraction(1, 3), Fraction(2, 7)]),
+                 (300, floats)]
+        want = [sum(math.comb(n, i) * p[i] for i in range(n + 1)) for n, p in cases]
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or comb(*a))
+        got = [hc.radial_sum(n, p) for n, p in cases]
+        monkeypatch.undo()
+        assert got == want and [type(v) for v in got] == [type(v) for v in want]
+        assert len(calls) == 4 + 2 + 1
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             krawtchouk(5, 6, 0)
