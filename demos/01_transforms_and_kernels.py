@@ -27,7 +27,7 @@ print("transform of a point mass:", hc.fwht(delta0)[:4], "...")
 
 wt = hc.weights_table(n)
 sphere2 = (wt == 2).astype(float)
-krow = np.array(hc.krawtchouk_matrix(n)[2])
+krow = np.array(hc.radial_transform(n, [int(i == 2) for i in range(n + 1)]))
 print("sphere(2) transform == K_2 row / 2^n:",
       np.allclose(hc.fwht(sphere2), krow[wt] / 2**n))
 
@@ -46,7 +46,7 @@ kernels = {
 print("\nkernel entropies (bits):")
 print(f"{'kernel':>16} {'H_0':>7} {'H_1':>7} {'H_2':>7} {'H_inf':>7} radius")
 for name, k in kernels.items():
-    hs = [kn.renyi_entropy(k.lift(), a) for a in (0, 1, 2, math.inf)]
+    hs = [k.renyi_entropy(a) for a in (0, 1, 2, math.inf)]
     print(f"{name:>16} " + " ".join(f"{h:7.3f}" for h in hs)
           + f" {k.radius():6d}")
 

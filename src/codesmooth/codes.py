@@ -412,14 +412,15 @@ def distance_distribution(code) -> list:
 def dual_distance_distribution(dist, size: int) -> list[Fraction]:
     """Weight-transform dual spectrum A'_j = (1/|C|) sum_i A_i K_j(i).
 
-    Exact in rationals; negative outputs flag an inconsistent input
-    distribution and raise.
+    As C(n,i) K_j(i) = C(n,j) K_i(j), this is C(n,j) / |C| times the
+    radial transform of A_i / C(n,i) at j.  Exact in rationals; negative
+    outputs flag an inconsistent input distribution and raise.
     """
     n = len(dist) - 1
+    per = hc.radial_transform(n, [Fraction(a) / math.comb(n, i) for i, a in enumerate(dist)])
     out = []
-    for j, row in enumerate(hc.krawtchouk_matrix(n)):
-        acc = sum(Fraction(dist[i]) * row[i] for i in range(n + 1))
-        val = acc / size
+    for j, acc in enumerate(per):
+        val = acc * Fraction(math.comb(n, j), size)
         if val < 0:
             raise ValueError(f"dual spectrum entry A'_{j} = {val} is negative")
         out.append(val)

@@ -125,21 +125,15 @@ def as_dense(values, exact: bool | None = None) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def assert_pmf(values, tol: float = 1e-12) -> None:
-    """Check that a dense function is a pmf (exactly so in rational mode)."""
-    arr = values if isinstance(values, np.ndarray) else as_dense(values)
-    if is_exact(arr):
-        total = sum(arr)
-        if total != 1:
-            raise ValueError(f"exact pmf sums to {total}, not 1")
-        if any(v < 0 for v in arr):
-            raise ValueError("exact pmf has a negative entry")
-    else:
-        total = float(arr.sum())
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"pmf sums to {total}, outside tolerance {tol}")
-        if float(arr.min()) < -tol:
-            raise ValueError("pmf has a negative entry")
+def assert_pmf(values) -> None:
+    """Check that exact values (ints, Fractions) form a pmf: nonnegative and
+    summing to exactly 1."""
+    total = sum(values)
+    if total != 1:
+        raise ValueError(f"exact pmf sums to 1{float(total - 1):+.3g}, not 1 "
+                         "(a float counts at its binary value)")
+    if any(v < 0 for v in values):
+        raise ValueError("exact pmf has a negative entry")
 
 
 # ---------------------------------------------------------------------------
@@ -460,45 +454,38 @@ def lift_radial(n: int, profile) -> np.ndarray:
 
 def radial_transform(n: int, profile) -> list:
     """Unnormalized transform of a radial function, per weight:
-    k -> sum_i profile(i) K_i(k).
+    k -> sum_i profile(i) K_i(k) for i up to the profile's last nonzero
+    entry, the radius, with K_i(k) from the recurrence
+    (i+1) K_{i+1}(k) = (n-2k) K_i(k) - (n-i+1) K_{i-1}(k): (n+1) radius
+    steps and no table.
 
     Exact for int and Fraction profiles, float for float ones.  Applying
     it twice multiplies by 2^n.
     """
     if len(profile) != n + 1:
         raise DimensionMismatch(f"profile length {len(profile)} != n+1 = {n + 1}")
-    rows = krawtchouk_matrix(n)
-    return [sum(profile[i] * rows[i][k] for i in range(n + 1)) for k in range(n + 1)]
-
-
-@functools.lru_cache(maxsize=64)
-def krawtchouk_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """Rows (K_t(0), ..., K_t(n)) for t = 0..n in O(n^2), by the recurrence
-    (t+1) K_{t+1}(x) = (n-2x) K_t(x) - (n-t+1) K_{t-1}(x); kept for the
-    last 64 values of n, as tuples so no caller can alter the shared table."""
-    # tracemalloc measured 43-100 bytes per entry at n = 128..1023: a tuple
-    # slot and a Python int of n/2 bits on average
-    admit("Krawtchouk table", nbytes=(n + 1) ** 2 * (40 + n // 15))
-    rows = [(1,) * (n + 1), tuple(n - 2 * x for x in range(n + 1))]
-    for t in range(1, n):
-        rows.append(tuple(((n - 2 * x) * a - (n - t + 1) * b) // (t + 1)
-                          for x, (a, b) in enumerate(zip(rows[t], rows[t - 1]))))
-    return tuple(rows[:n + 1])
+    radius = max((i for i, v in enumerate(profile) if v), default=0)
+    admit("radial transform", steps=(n + 1) * radius)
+    out = []
+    for k in range(n + 1):
+        prev, cur, total = 0, 1, profile[0]
+        for i in range(radius):
+            prev, cur = cur, ((n - 2 * k) * cur - (n - i + 1) * prev) // (i + 1)
+            if profile[i + 1]:
+                total += profile[i + 1] * cur
+        out.append(total)
+    return out
 
 
 def radial_convolve(n: int, p1, p2) -> list:
-    """Profile of the XOR convolution of two radial functions.
+    """Exact profile of the XOR convolution of two radial functions of
+    exact values.
 
     Runs in O(n^2) through the weight-indexed transform, so dimensions far
     beyond the dense cap are fine as long as both factors are radial.
     """
-    exact = is_exact(p1) and is_exact(p2)
-    if not exact:
-        p1 = [float(v) for v in p1]
-        p2 = [float(v) for v in p2]
     prod = [a * b for a, b in zip(radial_transform(n, p1), radial_transform(n, p2))]
-    inv = Fraction(1, 1 << n) if exact else 1.0 / (1 << n)
-    return [v * inv for v in radial_transform(n, prod)]
+    return [v * Fraction(1, 1 << n) for v in radial_transform(n, prod)]
 
 
 def radial_sum(n: int, profile):

@@ -8,12 +8,13 @@ A kernel is a pmf used as additive channel noise.  Supported forms:
 * ``subcube(S)``        -- uniform on {x : x|_S = 0}; convolving with it
                            averages a function over the coordinates off S
 * ``radial(profile)``   -- arbitrary per-weight value profile
-* ``dense(values)``     -- arbitrary dense pmf
+* ``dense(values)``     -- arbitrary dense pmf of exact values
 
-Every radial form is stored once, as its exact per-weight VALUE profile
-r(i) (not a per-shell mass), computed by the constructor; lifting places
-that value on each of the C(n,i) points of the shell, and every exact
-radial computation reads the profile.
+Every kernel holds exact values only.  Every radial form is stored once,
+as its exact per-weight VALUE profile r(i) (not a per-shell mass),
+computed by the constructor; lifting places that value on each of the
+C(n,i) points of the shell, and every radial computation reads the
+profile.  A dense kernel stores its 2^n values as Fractions.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class Kernel:
     """Immutable noise kernel.
 
     A radial kernel stores its exact per-weight value profile, a subcube
-    kernel its coordinates and a dense kernel its values; each keeps the
+    kernel its coordinates and a dense kernel its exact values; each keeps the
     spec text it was built from.  A kernel built by `bernoulli`, the product
     of n independent bit flips, also keeps its flip probability `delta`
     (None on every other kernel).
@@ -108,59 +109,51 @@ class Kernel:
 
     @classmethod
     def dense(cls, values) -> "Kernel":
-        arr = values if isinstance(values, np.ndarray) else hc.as_dense(values)
-        n = hc.dimension_of(arr)
+        """Arbitrary pmf on the 2^n points from exact values: Fractions,
+        ints, or floats taken at their binary value, which must then sum to
+        exactly 1."""
+        arr = hc.as_dense(values, exact=True)
         hc.assert_pmf(arr)
-        return cls(n, "dense", values=arr)
+        return cls(hc.dimension_of(arr), "dense", values=arr)
 
     # -- structure ---------------------------------------------------------
 
     def is_radial(self) -> bool:
         return self.profile is not None
 
-    def radial_profile(self, exact: bool = True) -> list:
-        """Per-weight value profile, exact or as floats; raises for
-        non-radial kernels."""
+    def radial_profile(self) -> list:
+        """Exact per-weight value profile; raises for non-radial kernels."""
         if self.profile is None:
             raise ValueError(f"kernel {self._spec!r} is not radial")
-        return self.profile if exact else [float(v) for v in self.profile]
+        return self.profile
 
     def lift(self, exact: bool = False) -> np.ndarray:
-        """Dense pmf of the kernel."""
+        """Dense pmf of the kernel: its exact values, or each rounded once
+        to a float."""
         n = self.n
         if self.values is not None:
-            if exact and not hc.is_exact(self.values):
-                raise ValueError("dense kernel built from floats has no exact lift")
-            if not exact and hc.is_exact(self.values):
-                return np.array([float(v) for v in self.values])
-            return self.values
+            return self.values if exact else self.values.astype(np.float64)
         if self.coords is not None:
             hc.admit("dense subcube lift", nbytes=(25 if exact else 17) << n)
             support = (np.arange(1 << n) & sum(1 << c for c in self.coords)) == 0
             mass = Fraction(1, 1 << n - len(self.coords))
             return np.where(support, mass, Fraction(0)) if exact else \
                 np.where(support, float(mass), 0.0)
-        return hc.lift_radial(n, self.radial_profile(exact=exact))
+        return hc.lift_radial(n, self.profile if exact else [float(v) for v in self.profile])
 
     @functools.cached_property
     def denominator(self) -> int:
-        """The common denominator D of exact values, 1 for a subcube's 0/1
-        spectrum; for floats a multiple of it: every float of at least
-        2^(e-1) is a multiple of 2^(e-53), so 2^(53-e) for the least value."""
+        """The common denominator D of the exact values, 1 for a subcube's
+        0/1 spectrum."""
         values = self.profile or ([1] if self.values is None else self.values)
-        if hc.is_exact(values):
-            return math.lcm(*{Fraction(v).denominator for v in values})
-        return 1 << 53 - math.frexp(np.min(values, where=values > 0, initial=1.0))[1]
+        return math.lcm(*{v.denominator for v in values})
 
     def spectrum(self, points, exact: bool = False, support: bool = False):
         """rhat(u) = sum_x r(x)(-1)^{u.x} at each point u.  Exact: (T, D) with
         rhat = T / D, integers (int64 when they fit) over the common
-        denominator D of the values, floats taken at their binary value.
-        Float: each distinct T / D rounded once (a float transform for a dense
-        kernel of floats).  support=True transforms the support's indicator."""
+        denominator D of the values.  Float: each distinct T / D rounded
+        once.  support=True transforms the support's indicator."""
         u = np.asarray(points, dtype=np.int64)
-        if self.values is not None and not (exact or support or hc.is_exact(self.values)):
-            return hc.wht_natural(self.values)[u]
         if self.coords is not None:
             # uniform on {x : x_S = 0}: rhat(u) = 1 when supp u lies inside S
             per, denom = [0, 1 << self.n - len(self.coords) if support else 1], 1
@@ -190,22 +183,17 @@ class Kernel:
     def masses(self) -> dict:
         """{exact point value: number of points} over the kernel's support:
         C(n, i) points per shell of a radial profile, the 2^(n-|S|) free
-        points of a subcube, the grouped values of an exact dense pmf; no
+        points of a subcube, the grouped values of a dense pmf; no
         2^n array is built for the first two."""
         if self.is_radial():
             return radial_masses(self.n, self.profile)
         if self.coords is not None:
             free = 1 << (self.n - len(self.coords))
             return {Fraction(1, free): free}
-        if not hc.is_exact(self.values):
-            raise ValueError("dense kernel built from floats has no exact values")
         return point_masses(self.values)
 
     def renyi_entropy(self, alpha) -> float:
-        """H_alpha of the kernel from its exact values (`masses`); a dense
-        kernel of floats in the log domain."""
-        if self.values is not None and not hc.is_exact(self.values):
-            return renyi_entropy(self.values, alpha)
+        """H_alpha of the kernel from its exact values (`masses`)."""
         return exact_renyi(self.masses(), alpha)
 
     def spec_string(self) -> str:
@@ -260,19 +248,6 @@ def log2(x):
     return math.log2(x)
 
 
-def entropy_from_log_terms(log_terms: np.ndarray, alpha) -> float:
-    """H_alpha in bits from natural logs of the positive pmf terms."""
-    if alpha == 0:
-        return math.log2(len(log_terms))
-    if alpha == 1:
-        p = np.exp(log_terms)
-        return float(-(p * log_terms).sum() / math.log(2))
-    if alpha == INF:
-        return float(-log_terms.max() / math.log(2))
-    a = float(alpha)
-    return logsumexp(a * log_terms) / (1 - a) / math.log(2)
-
-
 def logsumexp(x: np.ndarray) -> float:
     """log(sum(exp(x))), safe from overflow; -inf entries add nothing."""
     top = float(x.max())
@@ -315,41 +290,15 @@ def point_masses(p) -> dict:
     return masses
 
 
-def renyi_entropy(p, alpha) -> float:
-    """H_alpha(p) in bits for a dense pmf; limits alpha in {0, 1, inf} included.
-
-    Float inputs are handled in the log domain.  Exact inputs are grouped
-    into distinct point masses and go through `exact_renyi`.
-    """
-    arr = p if isinstance(p, np.ndarray) else hc.as_dense(p)
-    if alpha < 0:
-        raise ValueError("Renyi order must be >= 0")
-    if hc.is_exact(arr):
-        return exact_renyi(point_masses(arr), alpha)
-    check_float_pmf(arr)
-    logs = np.log(arr[arr > 0])
-    return entropy_from_log_terms(logs, alpha)
-
-
 def check_float_pmf(arr: np.ndarray) -> None:
     # transform round-off can leave -1e-13-scale noise on true zeros
     if abs(float(arr.sum()) - 1.0) > 1e-9 or float(arr.min()) < -1e-12:
         raise ValueError("input is not a pmf")
 
 
-def renyi_entropy_radial(n: int, profile, alpha) -> float:
-    """H_alpha of a radial pmf straight from its per-weight profile.
-
-    Each weight shell i contributes C(n,i) identical point masses, so the
-    power sum is sum_i C(n,i) p_i^alpha; the multiplicity enters linearly
-    and must not be raised to alpha.  Float entries are taken at their
-    exact binary value, so only the logs round.
-    """
-    return exact_renyi(radial_masses(n, profile), alpha)
-
-
 def radial_masses(n: int, profile) -> Counter:
-    """{exact point mass: number of points} of a radial pmf, zero excluded."""
+    """{exact point mass: number of points} of a radial pmf, zero excluded:
+    each weight shell i holds C(n,i) points of mass profile(i)."""
     masses = Counter()
     for i, v in enumerate(profile):
         if v > 0:
@@ -367,7 +316,7 @@ def binary_renyi(alpha, delta) -> float:
     The two-point pmf (1 - delta, delta) is the radial pmf of profile
     [1 - delta, delta] on {0,1}; a float delta is taken at its binary value.
     The limit alpha = 0, and every order at a raised mpmath precision, come
-    from its power sum (`renyi_entropy_radial`); other orders at float
+    from its power sum (`exact_renyi`); other orders at float
     precision from log forms in x = min(delta, 1 - delta) that keep full
     relative precision where the rounded 1 - x would lose it: the limits
     alpha in {1, inf}, alpha near 1, and small delta.
@@ -380,7 +329,7 @@ def binary_renyi(alpha, delta) -> float:
     if d == Fraction(1, 2):
         return 1.0  # exact at the symmetric point for every order
     if alpha <= 0 or mpmath.mp.prec > 53:
-        val = renyi_entropy_radial(1, [1 - d, d], alpha)
+        val = exact_renyi(radial_masses(1, [1 - d, d]), alpha)
     elif alpha in (1, INF):
         # -log(1 - x) by log1p: h = -(x log x + (1 - x) log(1 - x)) at 1, and
         # h_inf = -log max(d, 1 - d); neither sum cancels

@@ -100,11 +100,10 @@ def _smoothing_bytes(code, kernel: kn.Kernel, exact: bool, dense: bool = False) 
     17-27 float while D cells < 2^63, with 8 more for the low limb of an
     integer transform past 2^53 up to 2^17 cells, and 24-28 beyond; exact
     49-57, then 91-217 for 54-991 bits of D; plus the code's own
-    `transform_bytes`.  A dense kernel's spectrum, per point: 13-17 on the
-    float route; from exact values 56-86 while D < 2^63, 106-137 for 67-94
-    bits and 258-325 for 551-771; from floats 211-222 for 71-107 bits of
-    the bound D on their denominator.  The gather of `smooth`, which a cell
-    per point skips: 16-18 per point plus the cell pmf."""
+    `transform_bytes`.  A dense kernel's spectrum, per point: 56-86 while
+    D < 2^63, 106-137 for 67-94 bits and 258-325 for 551-771.  The gather
+    of `smooth`, which a cell per point skips: 16-18 per point plus the
+    cell pmf."""
     bits, on_int64 = kernel.denominator.bit_length(), _on_int64(code, kernel)
     per_cell = (64 if on_int64 else 124 + bits // 8) if exact else 22 if on_int64 else 28
     phases = [(per_cell + code.transform_bytes) * code.cells]
@@ -114,10 +113,7 @@ def _smoothing_bytes(code, kernel: kn.Kernel, exact: bool, dense: bool = False) 
         # phase is no larger than the float pmf's
         phases[0] += 8 * min(code.cells, 1 << 17)
     if kernel.values is not None:
-        # float values take the float route, or become Fractions at 96 bytes more
-        floats = not hc.is_exact(kernel.values)
-        phases.append((18 if floats and not (exact or on_int64) else
-                       (96 if bits <= 63 else 120 + 3 * bits // 10) + 96 * floats) << code.n)
+        phases.append((96 if bits <= 63 else 120 + 3 * bits // 10) << code.n)
     if dense and code.cells < 1 << code.n:
         phases.append((20 << code.n) + 8 * code.cells)
     return max(phases)
@@ -203,6 +199,8 @@ def _centered_divergence(e: np.ndarray, alpha) -> float:
             else np.expm1(a * np.log1p(e))
     terms -= a * e
     mean = float(np.mean(terms))
+    if mean == 0:
+        return 0.0   # not log1p(0) / (alpha - 1), which is -0.0 below order 1
     return (mean if alpha == 1 else math.log1p(mean) / (a - 1)) / math.log(2)
 
 
@@ -267,10 +265,8 @@ def lower_bound_report(code, kernel: kn.Kernel, alpha) -> BoundReport:
         return lower_bound(code.n, rate, kernel, alpha), measured.d_alpha
 
     floor, measured = sides(False)
-    dense_float = kernel.values is not None and not hc.is_exact(kernel.values)
     return check_bound(
-        f"rate-floor a={alpha} n={code.n}", floor, measured,
-        recheck=None if dense_float else lambda: sides(True),
+        f"rate-floor a={alpha} n={code.n}", floor, measured, recheck=lambda: sides(True),
         details={"alpha": alpha, "rate": math.log2(code.size) / code.n},
     )
 
@@ -363,7 +359,7 @@ def ball_code_divergence(n: int, t: int, delta, alpha=1) -> float:
     """
     noisy = hc.radial_convolve(n, kn.Kernel.ball(n, t).radial_profile(),
                                kn.Kernel.bernoulli(n, delta).radial_profile())
-    return n - kn.renyi_entropy_radial(n, noisy, alpha)
+    return n - kn.exact_renyi(kn.radial_masses(n, noisy), alpha)
 
 
 def strong_converse_gap(n: int, delta: float, delta_prime: float) -> tuple[float, float]:

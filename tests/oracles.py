@@ -132,7 +132,7 @@ def covering_radius_dense(code) -> int:
 
 def krawtchouk(n: int, t: int, x: int) -> int:
     """K_t(x) = sum_j (-1)^j C(x,j) C(n-x,t-j) by its direct sum; the
-    reference for `hc.krawtchouk_matrix` and the radial transforms."""
+    reference for the radial transforms."""
     if not (0 <= t <= n and 0 <= x <= n):
         raise ValueError(f"krawtchouk indices out of range: n={n}, t={t}, x={x}")
     return sum(
@@ -178,6 +178,30 @@ def norm_dense(values, alpha) -> float:
     if alpha == math.inf:
         return float(a.max())
     return float(np.mean(a ** float(alpha)) ** (1 / float(alpha)))
+
+
+def renyi_entropy(p, alpha) -> float:
+    """H_alpha(p) in bits of a float pmf, limits alpha in {0, 1, inf}
+    included, in the log domain; the oracle for the exact Renyi entropies
+    of `kn.exact_renyi` and `Kernel.renyi_entropy`."""
+    arr = np.asarray(p, dtype=np.float64)
+    if alpha < 0:
+        raise ValueError("Renyi order must be >= 0")
+    kn.check_float_pmf(arr)
+    return entropy_from_log_terms(np.log(arr[arr > 0]), alpha)
+
+
+def entropy_from_log_terms(log_terms: np.ndarray, alpha) -> float:
+    """H_alpha in bits from natural logs of the positive pmf terms."""
+    if alpha == 0:
+        return math.log2(len(log_terms))
+    if alpha == 1:
+        p = np.exp(log_terms)
+        return float(-(p * log_terms).sum() / math.log(2))
+    if alpha == math.inf:
+        return float(-log_terms.max() / math.log(2))
+    a = float(alpha)
+    return kn.logsumexp(a * log_terms) / (1 - a) / math.log(2)
 
 
 def binary_renyi_mp(alpha, delta, dps: int = 60) -> float:

@@ -47,8 +47,8 @@ REFUSALS = [
      lambda: er.subset_expectation(np.ones(1 << 14), 0.5, 1)),
     ("coset weight counts", "memory cap",   # 2^32 cosets
      lambda: dec.decoding_error_exact(cd.random_linear(40, 8, seed=0), Fraction(1, 20), 1, 3)),
-    ("Krawtchouk table", "memory cap",   # 2^26 entries of up to 2^13 bits
-     lambda: hc.krawtchouk_matrix(1 << 13)),
+    ("radial transform", "step cap",   # a dense profile: (2^13 + 1) 2^13 steps
+     lambda: hc.radial_transform(1 << 13, [1] * ((1 << 13) + 1))),
 ]
 
 
@@ -125,19 +125,6 @@ def _traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-@pytest.mark.parametrize("n", [128, 256, 384])
-def test_krawtchouk_table_estimate_tracks_its_peak(n, monkeypatch):
-    admitted = []
-    hc.krawtchouk_matrix.cache_clear()
-    with monkeypatch.context() as mp:
-        mp.setattr(hc, "admit", lambda what, nbytes=0, steps=0: admitted.append(nbytes))
-        hc.krawtchouk_matrix(n)
-    hc.krawtchouk_matrix.cache_clear()
-    peak = _traced_peak(lambda: hc.krawtchouk_matrix(n))
-    hc.krawtchouk_matrix.cache_clear()
-    assert peak <= admitted[0] <= 1.5 * peak, (peak, admitted)
 
 
 @pytest.mark.parametrize("n", [10, 12, 14])

@@ -16,7 +16,7 @@ from codesmooth import smoothing as sm
 from conftest import random_linear_code, seeded_rng
 from oracles import (bec_entropy_exact, bec_entropy_mc_loop, collision_count_direct,
                      conditional_average, conditional_norm_expectation, rank_profile_dfs,
-                     smooth_dense, subset_expectation_loop)
+                     renyi_entropy, smooth_dense, subset_expectation_loop)
 
 INF = math.inf
 
@@ -283,7 +283,7 @@ class TestBatches:
             reps = er.smoothing_erasure_reports(code, delta, self.ORDERS)
             for alpha, rep in zip(self.ORDERS, reps):
                 assert rep.name == f"smoothing<=erasure a={alpha} d={delta} n={code.n}"
-                assert math.isclose(rep.lhs, code.n - kn.renyi_entropy(dense, alpha),
+                assert math.isclose(rep.lhs, code.n - renyi_entropy(dense, alpha),
                                     rel_tol=1e-9, abs_tol=1e-12)
                 lam = er.erasure_noise_level(alpha, delta)
                 assert math.isclose(rep.rhs, bec_entropy_exact(code, lam), rel_tol=1e-12)

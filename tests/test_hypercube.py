@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -446,13 +447,6 @@ class TestKrawtchouk:
                 expected = (1 << n) * math.comb(n, t) if s == t else 0
                 assert acc == expected
 
-    def test_matrix_is_built_once_and_read_only(self):
-        n = 11
-        rows = hc.krawtchouk_matrix(n)
-        assert rows is hc.krawtchouk_matrix(n)
-        assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
-        assert [list(row) for row in rows] == [krawtchouk_row(n, t) for t in range(n + 1)]
-
     def test_radial_sum_takes_binomials_of_nonzero_entries_only(self, monkeypatch):
         # int and Fraction profiles at n = 2047; floats at n = 300, where
         # every C(n, i) converts to a float
@@ -568,10 +562,20 @@ class TestRadial:
                 v * 2**n for v in p]
 
     def test_unit_shell_transforms_to_krawtchouk_row(self):
-        for n in (3, 8):
+        for n in (3, 8, 11):
             for i in range(n + 1):
                 shell = [int(j == i) for j in range(n + 1)]
                 assert hc.radial_transform(n, shell) == krawtchouk_row(n, i)
+
+    def test_radius_3_profile_at_n8191_transforms_fast(self):
+        # (n + 1) * 3 recurrence steps, with no n^2-entry table
+        n = 8191
+        profile = [Fraction(1, 5), 2, 0, Fraction(-3, 7)] + [0] * (n - 3)
+        start = time.perf_counter()
+        per = hc.radial_transform(n, profile)
+        assert time.perf_counter() - start < 1.0
+        for k in (0, 1, 2, 4095, 4096, 8190, 8191):
+            assert per[k] == sum(p * krawtchouk(n, i, k) for i, p in enumerate(profile[:4]))
 
 
 def _scaled_profile(kernel: kn.Kernel) -> list[int]:

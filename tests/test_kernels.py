@@ -13,7 +13,7 @@ from codesmooth import kernels as kn
 from codesmooth import smoothing as sm
 
 from conftest import seeded_rng
-from oracles import binary_renyi_mp
+from oracles import binary_renyi_mp, renyi_entropy
 
 INF = math.inf
 
@@ -58,7 +58,6 @@ class TestKernelLifts:
         assert kn.Kernel.subcube(4, [0, 1]).radius() == 2
         sphere = kn.Kernel.sphere(6, 2)
         assert kn.Kernel.dense(sphere.lift(exact=True)).radius() == 2
-        assert kn.Kernel.dense(sphere.lift()).radius() == 2
         # n - |S|, with no 2^40-point lift, which the memory cap refuses
         assert kn.Kernel.subcube(40, [0]).radius() == 39
         assert kn.Kernel.subcube(40, [3, 3, 7]).radius() == 38
@@ -71,6 +70,23 @@ class TestKernelLifts:
             want = [d ** i * (1 - d) ** (n - i) for i in range(n + 1)]
             got = kn.Kernel.bernoulli(n, d).profile
             assert got == want and all(type(v) is Fraction for v in got), d
+
+    def test_dense_takes_exact_values_only(self):
+        # the binary values of these float lifts do not sum to exactly 1
+        for k in (kn.Kernel.bernoulli(6, Fraction(1, 10)), kn.Kernel.sphere(6, 2)):
+            with pytest.raises(ValueError, match="binary value"):
+                kn.Kernel.dense(k.lift())
+
+    def test_dense_floats_count_at_their_binary_value(self):
+        floats = kn.Kernel.dense(np.full(8, 1 / 8))
+        fractions = kn.Kernel.dense([Fraction(1, 8)] * 8)
+        (counts, denom), (want, want_denom) = (k.spectrum(np.arange(8), exact=True)
+                                               for k in (floats, fractions))
+        assert counts.tolist() == want.tolist() and denom == want_denom
+        assert np.array_equal(floats.spectrum(np.arange(8)), fractions.spectrum(np.arange(8)))
+        assert floats.masses() == fractions.masses() == {Fraction(1, 8): 8}
+        for alpha in (0, 0.5, 1, 2, INF):
+            assert floats.renyi_entropy(alpha) == fractions.renyi_entropy(alpha)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -106,7 +122,7 @@ class TestRenyiEntropy:
     def test_uniform_every_order(self):
         u = np.full(64, 1 / 64)
         for alpha in (0, 0.5, 1, 2, 4, INF):
-            assert math.isclose(kn.renyi_entropy(u, alpha), 6.0, abs_tol=1e-12)
+            assert math.isclose(sm.divergence_to_uniform(u, alpha).d_alpha, 0.0, abs_tol=1e-12)
 
     def test_bernoulli_entropy_factorizes(self):
         # H_2(beta_0.3) = n h_2(0.3), cross-checked against a direct power sum
@@ -123,29 +139,32 @@ class TestRenyiEntropy:
     def test_no_noise_distribution_entropies(self):
         f = np.zeros(32)
         f[:2] = 0.5
-        assert math.isclose(kn.renyi_entropy(f, 1), 1.0)
-        assert math.isclose(kn.renyi_entropy(f, INF), 1.0)
+        assert math.isclose(kn.Kernel.dense(f).renyi_entropy(1), 1.0)
+        assert math.isclose(kn.Kernel.dense(f).renyi_entropy(INF), 1.0)
 
     def test_monotone_in_order_50_random_pmfs(self):
+        # D_alpha = n - H_alpha rises with the order
         rng = seeded_rng(21)
         grid = [0, 0.5, 1, 2, 4, INF]
         for _ in range(50):
             n = int(rng.integers(2, 7))
             p = rng.random(1 << n)
             p /= p.sum()
-            vals = [kn.renyi_entropy(p, a) for a in grid]
-            assert all(vals[i] >= vals[i + 1] - 1e-10 for i in range(len(vals) - 1))
+            vals = [sm.divergence_to_uniform(p, a).d_alpha for a in grid]
+            assert all(vals[i] <= vals[i + 1] + 1e-10 for i in range(len(vals) - 1))
 
     def test_radial_shortcut_matches_dense(self):
         k = kn.Kernel.ball(10, 3)
         dense = np.array([float(v) for v in k.lift(exact=True)])
         for alpha in (0, 0.5, 1, 2, 3.5, INF):
-            assert math.isclose(k.renyi_entropy(alpha),
-                                kn.renyi_entropy(dense, alpha), rel_tol=1e-10)
+            assert math.isclose(k.renyi_entropy(alpha), renyi_entropy(dense, alpha),
+                                rel_tol=1e-10)
 
     def test_rejects_non_pmf(self):
         with pytest.raises(ValueError):
-            kn.renyi_entropy(np.full(8, 0.25), 2)
+            sm.divergence_to_uniform(np.full(8, 0.25), 2)
+        with pytest.raises(ValueError):
+            kn.Kernel.dense(np.full(8, 0.25))
 
 
 class TestBinaryRenyi:
@@ -256,9 +275,8 @@ class TestSpectrum:
         pattern = [Fraction(x % 3, 63) for x in range(64)]
         for k in (kn.Kernel.bernoulli(n, Fraction(1, 10)), kn.Kernel.ball(n, 2),
                   kn.Kernel.sphere(n, 3), kn.Kernel.subcube(n, [0, 2]), kn.Kernel.dense(pattern),
-                  kn.Kernel.dense(kn.Kernel.bernoulli(n, Fraction(1, 10)).lift())):
-            values = [Fraction(v) for v in k.lift(exact=k.values is None or hc.is_exact(k.values))]
-            want = hc.wht_natural(hc.as_dense(values))
+                  kn.Kernel.dense(kn.Kernel.bernoulli(n, Fraction(1, 4)).lift())):
+            want = hc.wht_natural(k.lift(exact=True))
             counts, denom = k.spectrum(points, exact=True)
             assert [Fraction(int(t), denom) for t in counts] == want.tolist(), k
             assert np.allclose(k.spectrum(points), want.astype(float), rtol=1e-14, atol=1e-15), k
