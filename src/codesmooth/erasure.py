@@ -9,11 +9,12 @@ the divergence of the Bernoulli-noised code distribution from uniform.
 
 Because log2(2^|G| F / |C|) = |G| - rank(G columns), the exact expectation
 reduces to n*lambda - E[rank].  The exact mode aggregates a (size, rank)
-profile from the subset-sum transform of the code indicator over the
-subset lattice, after which any lambda is a closed-form sum; the Monte
-Carlo mode eliminates a batch of sampled column sets at once.  The
-subcube-average inequalities read every conditional average E(f|G) off one
-(3,)^n lattice of fiber averages.
+profile from the subset-sum transform of the code indicator, a Kronecker
+power that the blocked transform of `hypercube` multiplies by, after which
+any lambda is a closed-form sum; the Monte Carlo mode eliminates a batch
+of sampled column sets at once, on the narrowest unsigned words that hold
+a column.  The subcube-average inequalities read every conditional average
+E(f|G) off one (3,)^n lattice of fiber averages.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def collision_count(code: cd.LinearCode, coords) -> int:
 # ---------------------------------------------------------------------------
 
 def _admit_rank_profile(n: int) -> None:
-    # tracemalloc measured 4.2-4.6 bytes per subset at n = 20..22, plus the blocks
-    hc.admit("rank profile over all coordinate subsets", nbytes=(4 << n) + (1 << 20),
+    # tracemalloc measured 4 bytes per subset plus 1.8 MiB of blocks at n = 20..22
+    hc.admit("rank profile over all coordinate subsets", nbytes=(4 << n) + (2 << 20),
              steps=1 << n)
 
 
@@ -81,27 +82,27 @@ def rank_profile(code: cd.LinearCode) -> dict[tuple[int, int], int]:
 
     The 2^(k - rank) codewords vanishing on G are those supported on its
     complement T, and z[T] = #codewords supported in T is the subset-sum
-    (zeta) transform of the code indicator: n in-place passes over the
-    subset lattice.  The profile makes the subset expectation a closed
-    form in lambda afterwards.
+    (zeta) transform of the code indicator, its product by the n-th
+    Kronecker power of [[1, 0], [1, 1]] (`hc._wht_blocked_inplace`), exact
+    in float32: every partial sum counts at most 2^k <= 2^22 codewords, as
+    the step cap refuses n > 22.  The profile makes the subset expectation
+    a closed form in lambda afterwards.
     """
     if code.rank_profile_cache is not None:
         return code.rank_profile_cache
     n, k = code.n, code.k
     _admit_rank_profile(n)
-    z = np.zeros(1 << n, dtype=np.int32)
+    z = np.zeros(1 << n, dtype=np.float32)
     z[code.codeword_ints()] = 1
-    for c in range(n):
-        v = z.reshape(-1, 2, 1 << c)
-        v[:, 1, :] += v[:, 0, :]
-    # subset G is the complement of index T: |G| = n - |T|, rank = k - log2 z[T];
+    hc._wht_blocked_inplace(z, ((1, 0), (1, 1)))
+    # subset G is the complement of index T: |G| = n - |T|, rank = k - log2 z[T],
+    # with log2 z[T] + 127 the float32 exponent field of the power of two z[T];
     # counted a block of 2^16 indices at a time, so z is the only 2^n array
-    z -= 1
     low = min(n, 16)
-    size = n - np.bitwise_count(np.arange(1 << low)).astype(np.int64)
+    base = (n - np.bitwise_count(np.arange(1 << low)).astype(np.int64)) * (k + 1) + k + 127
     counts = np.zeros((n + 1) * (k + 1), dtype=np.int64)
-    for high, block in enumerate(z.reshape(-1, 1 << low)):
-        key = (size - high.bit_count()) * (k + 1) + k - np.bitwise_count(block)
+    for high, block in enumerate(z.view(np.int32).reshape(-1, 1 << low)):
+        key = base - (block >> 23) - high.bit_count() * (k + 1)
         counts += np.bincount(key, minlength=len(counts))
     counts = counts.reshape(n + 1, k + 1)
     code.rank_profile_cache = {sr: int(c) for sr, c in np.ndenumerate(counts) if c}
@@ -135,7 +136,8 @@ def _bec_entropy_mc(code: cd.LinearCode, lam: float, trials: int,
                     seed: int) -> tuple[float, float]:
     """Mean and standard error of |G| - rank(G columns) over sampled G, one
     shard of masked columns eliminated at a time (`hc.sample_mean` stream 1)."""
-    columns = np.array(cd.rows_to_ints(code.generator.T), dtype=np.int64)
+    word = np.min_scalar_type((1 << code.k) - 1)   # the dtype `_gf2_ranks` eliminates on
+    columns = np.array(cd.rows_to_ints(code.generator.T), dtype=word)
 
     def draw(rng, count):
         picks = rng.random((count, code.n)) < lam
@@ -145,17 +147,19 @@ def _bec_entropy_mc(code: cd.LinearCode, lam: float, trials: int,
 
 
 def _gf2_ranks(words: np.ndarray, bits: int) -> np.ndarray:
-    """GF(2) rank of each row of `bits`-bit words, by elimination in place
-    from the top bit: a word holding the bit is the pivot, XORed into every
-    word of its row that holds the bit too."""
+    """GF(2) rank of each row of `bits`-bit words, as int64, by elimination
+    from the top bit on the narrowest unsigned words that hold them, in
+    place when `words` has that dtype: a word holding the bit is the pivot,
+    XORed into every word of its row that holds the bit too."""
+    words = words.astype(np.min_scalar_type((1 << bits) - 1), copy=False)
     rows = np.arange(len(words))
-    ranks = np.zeros(len(words), dtype=np.int64)
+    ranks = np.zeros(len(words), dtype=words.dtype)
     for b in reversed(range(bits)):
         has = (words >> b) & 1
         pivot = words[rows, has.argmax(axis=1)]
         words ^= has * pivot[:, None]
         ranks += (pivot >> b) & 1
-    return ranks
+    return ranks.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,8 @@ _HADAMARD = ((1, 1), (1, -1))
 _SCRATCH_FLOATS = 1 << 17  # reused by every product of one transform
 _GEMM_ROWS = 1 << 10       # rows per GEMM over the lowest bits of a vector
 _OBJECT_CHUNK = 1 << 8     # Python ints per step of the limb loop
+_ROWS_FROM = 1 << 25       # bytes from which a vector transforms in rows
+_ROW_BYTES = 1 << 18       # one such row, in cache
 
 
 def _wht_inplace(a: np.ndarray) -> np.ndarray:
@@ -250,8 +252,16 @@ def _wht_blocked_inplace(a: np.ndarray, factor: tuple = _HADAMARD) -> np.ndarray
     of 2^g entries, and each slab of at most `_GEMM_ROWS` of them is one
     GEMM by (F^{(x)g})^T into the scratch buffer; the transpose matters for
     a non-symmetric F.  Larger slabs are no faster and grow the resident
-    memory by the pages OpenBLAS touches to pack them.
+    memory by the pages OpenBLAS touches to pack them.  A vector of at
+    least `_ROWS_FROM` bytes, past the cache, is viewed as rows of
+    `_ROW_BYTES`: a row's bits transform one row at a time, in cache, then
+    the high bits down the columns, one pass over memory for the low bits.
     """
+    if a.ndim == 1 and a.nbytes >= _ROWS_FROM:
+        rows = np.reshape(a, (-1, _ROW_BYTES // a.itemsize), copy=False)
+        for part in [*rows, rows]:   # each row, then the high bits down the columns
+            _wht_blocked_inplace(part, factor)
+        return a
     n = dimension_of(a)
     powers = _kronecker_powers(factor, a.dtype)
     flat = a.reshape(1 << n, -1)

@@ -152,9 +152,14 @@ class Kernel:
         """rhat(u) = sum_x r(x)(-1)^{u.x} at each point u.  Exact: (T, D) with
         rhat = T / D, integers (int64 when they fit) over the common
         denominator D of the values.  Float: each distinct T / D rounded
-        once.  support=True transforms the support's indicator."""
+        once.  support=True transforms the support's indicator.  Bernoulli(p/q)
+        in lowest terms has T(w) = (q - 2p)^w q^(n - w) over D = q^n."""
         u = np.asarray(points, dtype=np.int64)
-        if self.coords is not None:
+        if self.delta is not None and not support:
+            p, q = self.delta.numerator, self.delta.denominator
+            per = [(q - 2 * p) ** w * q ** (self.n - w) for w in range(self.n + 1)]
+            denom, at = q ** self.n, np.bitwise_count(u)
+        elif self.coords is not None:
             # uniform on {x : x_S = 0}: rhat(u) = 1 when supp u lies inside S
             per, denom = [0, 1 << self.n - len(self.coords) if support else 1], 1
             at = ((u & ~sum(1 << c for c in self.coords)) == 0).view(np.uint8)

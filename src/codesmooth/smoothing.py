@@ -159,7 +159,9 @@ def divergence_to_uniform(f, alpha) -> SmoothnessReport:
     one float conversion each.  A float divergence drops from each point
     the first-order term of e, whose mean is 0, so a tiny one keeps its
     relative precision: D_1 = mean((1 + e) log1p(e) - e) / ln 2, D_alpha =
-    log1p(mean((1 + e)^alpha - 1 - alpha e)) / ((alpha - 1) ln 2).
+    log1p(mean((1 + e)^alpha - 1 - alpha e)) / ((alpha - 1) ln 2), but D_2
+    and ||e||_2 come from one dot product, mean(e^2), and D_inf and
+    ||e||_inf from max f and min f, with no 2^n temporary.
     """
     arr = f if isinstance(f, np.ndarray) else hc.as_dense(f)
     n, exact = hc.dimension_of(arr), hc.is_exact(arr)
@@ -171,45 +173,54 @@ def divergence_to_uniform(f, alpha) -> SmoothnessReport:
         arr[:sum(masses.values())] = np.repeat([float(v) for v in masses], list(masses.values()))
     else:
         kn.check_float_pmf(arr)
-    centered = arr * (1 << n)
-    centered -= 1.0
-    np.maximum(centered, -1.0, out=centered)   # round-off below a zero mass
-    if not exact:
-        d_alpha = n - math.log2(np.count_nonzero(arr > 0)) if alpha == 0 else \
-            _centered_divergence(centered, alpha)
     if alpha == 0:
+        d_alpha = d_alpha if exact else n - math.log2(np.count_nonzero(arr > 0))
         return SmoothnessReport(alpha, d_alpha, math.nan, math.nan)
+    if alpha == INF:   # e at the extremes of f, round-off below a zero mass clipped to -1
+        top, bottom = (max(float(v), 0.0) * (1 << n) - 1.0 for v in (arr.max(), arr.min()))
+        d, norm = math.log1p(top) / math.log(2), max(top, -bottom)
+    else:
+        centered = arr * (1 << n)
+        centered -= 1.0
+        np.maximum(centered, -1.0, out=centered)   # round-off below a zero mass
+        if alpha == 2:
+            mean = float(centered @ centered) / centered.size
+            d, norm = math.log1p(mean) / math.log(2), math.sqrt(mean)
+        else:
+            d = None if exact else _centered_divergence(centered, alpha)
+            norm = _norm(centered, alpha)
+    d_alpha = d_alpha if exact else d
     l_alpha = 2.0 ** (float(d_alpha) * (1.0 if alpha == INF else 1 - 1 / float(alpha)))
-    return SmoothnessReport(alpha, d_alpha, l_alpha, _norm(centered, alpha))
+    return SmoothnessReport(alpha, d_alpha, l_alpha, norm)
 
 
 def _centered_divergence(e: np.ndarray, alpha) -> float:
-    """D_alpha in bits of the pmf (1 + e) / 2^n, alpha > 0 (see above), with
-    (1 + e) log1p(e) taken as 0 on a zero mass (e = -1); where the sum of
-    (1 + e)^alpha would overflow, (kn.logsumexp(alpha log1p(e)) - ln N) /
+    """D_alpha in bits of the pmf (1 + e) / 2^n, 0 < alpha < inf (see above),
+    with (1 + e) log1p(e) taken as 0 on a zero mass (e = -1); where the sum
+    of (1 + e)^alpha would overflow, (kn.logsumexp(alpha log1p(e)) - ln N) /
     ((alpha - 1) ln 2) over the N cells, large, so nothing cancels."""
-    if alpha == INF:
-        return math.log1p(float(e.max())) / math.log(2)
     a = float(alpha)
     with np.errstate(divide="ignore"):   # log1p(-1) = -inf on zero masses
         if alpha != 1 and a * math.log1p(float(e.max())) + math.log(e.size) > _LOG_FLOAT_MAX:
             log_mean = kn.logsumexp(a * np.log1p(e)) - math.log(e.size)
             return log_mean / ((a - 1) * math.log(2))
-        terms = (1.0 + e) * np.log1p(e, out=np.zeros_like(e), where=e > -1) if alpha == 1 \
+        terms = np.log1p(e, out=np.zeros_like(e), where=e > -1) if alpha == 1 \
             else np.expm1(a * np.log1p(e))
-    terms -= a * e
-    mean = float(np.mean(terms))
+    # at order 1, the sum of e log1p(e) and log1p(e) - e, on one temporary
+    cross = float(e @ terms) if alpha == 1 else 0.0
+    terms -= e if alpha == 1 else a * e
+    mean = (float(terms.sum()) + cross) / e.size
     if mean == 0:
         return 0.0   # not log1p(0) / (alpha - 1), which is -0.0 below order 1
     return (mean if alpha == 1 else math.log1p(mean) / (a - 1)) / math.log(2)
 
 
 def _norm(values: np.ndarray, alpha) -> float:
-    """Normalized-counting-measure alpha-norm of a dense function, alpha > 0:
-    max|v| mean((|v| / max|v|)^alpha)^(1/alpha), safe from overflow."""
+    """Normalized-counting-measure alpha-norm of a dense function, 0 < alpha
+    < inf: max|v| mean((|v| / max|v|)^alpha)^(1/alpha), safe from overflow."""
     a = np.abs(values)
     top = float(a.max())
-    if alpha == INF or top == 0:
+    if top == 0:
         return top
     a /= top
     np.power(a, float(alpha), out=a)

@@ -32,6 +32,29 @@ def wht_butterfly(values) -> np.ndarray:
     return a
 
 
+def kronecker_passes(a: np.ndarray, factor, groups) -> np.ndarray:
+    """F^{(x)n} a for a float vector `a` and a 2x2 `factor` F, as one product
+    by F^{(x)g} over the whole array per group of g index bits in `groups`,
+    lowest first: the per-group passes of `hc._wht_blocked_inplace` in a
+    given grouping, with no rows, slabs or scratch.  The lowest group is
+    the GEMM of rows of 2^g entries by (F^{(x)g})^T, as there."""
+    out = np.array(a)
+    lo = 0
+    for g in groups:
+        power = np.ones((1, 1))
+        for _ in range(g):
+            power = np.kron(np.array(factor, dtype=np.float64), power)
+        power = power.astype(out.dtype)
+        if lo == 0:
+            rows = out.reshape(-1, 1 << g)
+            rows[...] = rows @ power.T
+        else:
+            v = out.reshape(-1, 1 << g, 1 << lo)
+            v[...] = np.matmul(power, v)
+        lo += g
+    return out
+
+
 def gf2_rref_columns(mat) -> tuple[np.ndarray, list[int]]:
     """Row-reduced echelon form over GF(2) by numpy elimination, one column
     at a time: the first remaining row holding the column is swapped up as
@@ -288,6 +311,31 @@ def rank_profile_dfs(code) -> dict[tuple[int, int], int]:
     return profile
 
 
+def subset_sums_per_axis(values) -> np.ndarray:
+    """Subset-sum (zeta) transform z[T] = sum of values[S] over S inside T,
+    as n in-place passes, one per axis; the oracle for the Kronecker-power
+    transform of `er.rank_profile`."""
+    z = np.array(values)
+    for c in range(hc.dimension_of(z)):
+        v = z.reshape(-1, 2, 1 << c)
+        v[:, 1, :] += v[:, 0, :]
+    return z
+
+
+def rank_profile_per_axis(code) -> dict[tuple[int, int], int]:
+    """`er.rank_profile` from the per-axis subset sums of the code indicator
+    in int32: subset G, the complement of index T, has |G| = n - |T| and
+    rank k - log2 z[T]."""
+    n, k = code.n, code.k
+    z = np.zeros(1 << n, dtype=np.int32)
+    z[code.codeword_ints()] = 1
+    z = subset_sums_per_axis(z)
+    size = n - np.bitwise_count(np.arange(1 << n)).astype(np.int64)
+    rank = k - np.log2(z).astype(np.int64)
+    counts = np.bincount(size * (k + 1) + rank, minlength=(n + 1) * (k + 1))
+    return {sr: int(c) for sr, c in np.ndenumerate(counts.reshape(n + 1, k + 1)) if c}
+
+
 def bec_entropy_mc_loop(code, lam: float, trials: int, seed: int) -> tuple[float, float]:
     """`er.bec_conditional_entropy` in Monte Carlo mode, one trial at a time
     on the same Philox draws."""
@@ -430,3 +478,28 @@ def conditional_norm_expectation(code, lam: float, alpha: int) -> float:
     conditional entropy of the dual."""
     a = int(alpha)
     return er.subset_expectation(code.pmf() * (1 << code.n), lam, a) * a / (a - 1)
+
+
+def centered_divergence_general(f, alpha) -> tuple[float, float, float]:
+    """(d_alpha, l_alpha, dimensionless) of a float pmf at an order alpha > 0
+    by the general formulas: e = 2^n f - 1 clipped to -1, D_inf = log1p(max
+    e) / ln 2 and D_alpha = log1p(mean((1 + e)^alpha - 1 - alpha e)) /
+    ((alpha - 1) ln 2), and the overflow-safe norm max|e| mean((|e| /
+    max|e|)^alpha)^(1/alpha); the oracle for the one-reduction orders 2
+    and inf of `sm.divergence_to_uniform`."""
+    arr = np.asarray(f, dtype=np.float64)
+    e = arr * len(arr)
+    e -= 1.0
+    np.maximum(e, -1.0, out=e)
+    top = float(np.abs(e).max())
+    if alpha == math.inf:
+        d = math.log1p(float(e.max())) / math.log(2)
+        return d, 2.0 ** d, top
+    a = float(alpha)
+    with np.errstate(divide="ignore"):
+        terms = np.expm1(a * np.log1p(e))
+    terms -= a * e
+    mean = float(np.mean(terms))
+    d = 0.0 if mean == 0 else math.log1p(mean) / ((a - 1) * math.log(2))
+    norm = 0.0 if top == 0 else top * float(np.mean((np.abs(e) / top) ** a)) ** (1 / a)
+    return d, 2.0 ** (d * (1 - 1 / a)), norm

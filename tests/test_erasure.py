@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from codesmooth import smoothing as sm
 from conftest import random_linear_code, seeded_rng
 from oracles import (bec_entropy_exact, bec_entropy_mc_loop, collision_count_direct,
                      conditional_average, conditional_norm_expectation, rank_profile_dfs,
-                     renyi_entropy, smooth_dense, subset_expectation_loop)
+                     rank_profile_per_axis, renyi_entropy, smooth_dense,
+                     subset_expectation_loop)
 
 INF = math.inf
 
@@ -82,6 +84,47 @@ def test_rank_profile_matches_dfs_beyond_one_block():
     # n = 17 spans two 2^16-index blocks; (n + 1)(k + 1) > 256 keys
     code = cd.random_linear(17, 14, seed=12)
     assert er.rank_profile(code) == rank_profile_dfs(code)
+
+
+@pytest.mark.parametrize("n", [1, 12, 17, 20, 22])
+def test_rank_profile_equals_the_per_axis_subset_sums(n):
+    # the float32 Kronecker power against the int32 per-axis loop, at k = 1,
+    # n // 2 and n; the subset-tree walk joins them up to n = 17
+    for k in sorted({1, max(1, n // 2), n}):
+        code = cd.random_linear(n, k, seed=n * 31 + k)
+        got = er.rank_profile(code)
+        assert got == rank_profile_per_axis(code), (n, k)
+        if n <= 17:
+            assert got == rank_profile_dfs(code), (n, k)
+
+
+@pytest.mark.parametrize("n", [20, 21, 22])
+def test_rank_profile_peak_within_its_charge(n, monkeypatch):
+    code = cd.random_linear(n, n // 2, seed=n)
+    code.codeword_ints()   # cached on the code and charged on its own
+    charges = []
+    monkeypatch.setattr(hc, "admit", lambda what, nbytes=0, steps=0: charges.append(nbytes))
+    tracemalloc.start()
+    try:
+        er.rank_profile(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert charges and peak <= charges[0], (peak, charges)
+
+
+@pytest.mark.parametrize("bits", [1, 8, 9, 16, 17, 32, 33, 62])
+def test_gf2_ranks_on_narrow_words(bits):
+    # each width takes the narrowest unsigned dtype that holds it; rows of
+    # zeros, repeats and random words
+    rng = seeded_rng(53 + bits)
+    words = rng.integers(0, 1 << bits, size=(300, 12), dtype=np.uint64)
+    words[::7, ::2] = 0
+    words[::5, 1] = words[::5, 0]
+    want = [cd.gf2_rank(np.array([[int(w) >> b & 1 for b in range(bits)] for w in row],
+                                 dtype=np.uint8)) for row in words]
+    got = er._gf2_ranks(words.astype(np.int64), bits)
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 @pytest.mark.parametrize("n, k, seed", [(9, 4, 1), (12, 5, 6), (20, 10, 3)])

@@ -14,8 +14,8 @@ from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
 
 from conftest import random_fraction_array, random_linear_code, seeded_rng
-from oracles import (as_int64, convolve_direct, krawtchouk, krawtchouk_row, lloyd, mu_spectral,
-                     radial_hat, wht_butterfly)
+from oracles import (as_int64, convolve_direct, krawtchouk, krawtchouk_row, kronecker_passes, lloyd,
+                     mu_spectral, radial_hat, wht_butterfly)
 
 
 def direct_transform(f):
@@ -353,6 +353,34 @@ class TestKroneckerPass:
         a = seeded_rng(36).integers(-bound, bound + 1, size=1 << n)
         a[0] = bound
         assert hc.wht_natural(a).tolist() == wht_butterfly(a).tolist()
+
+
+class TestRows:
+    """Vectors of at least 32 MiB transform in two phases: the bits of a
+    256 KiB row one row at a time, then the high bits down the columns of
+    the (rows, row length) view."""
+
+    # 256 KiB rows hold 16 float32 or 15 float64 index bits, in groups of
+    # 4 x 4 or 3 x 5; the 7 bits above them take groups of 3 and 4
+    GROUPS = {np.float32: (23, [4, 4, 4, 4, 3, 4]), np.float64: (22, [5, 5, 5, 3, 4])}
+
+    @pytest.mark.parametrize("factor", [((1, 1), (1, -1)), ((0.9, 0.1), (0.1, 0.9)),
+                                        ((1, 0), (1, 1))], ids=["H", "flip", "zeta"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equal_the_per_group_passes_bit_for_bit(self, dtype, factor):
+        n, groups = self.GROUPS[dtype]
+        a = seeded_rng(37).standard_normal(1 << n).astype(dtype)
+        assert a.nbytes == 32 << 20
+        want = kronecker_passes(a, factor, groups)
+        got = hc._wht_blocked_inplace(a, factor)
+        assert got is a and np.array_equal(got, want)
+
+    def test_two_dimensional_arrays_transform_down_each_column(self):
+        # 32 MiB as two columns of 2^21: each column is transformed, exactly
+        # on integers, as on its own
+        f = seeded_rng(38).integers(-1000, 1000, size=(1 << 21, 2)).astype(np.float64)
+        cols = np.stack([hc._wht_blocked_inplace(f[:, j].copy()) for j in range(2)], axis=1)
+        assert np.array_equal(hc._wht_blocked_inplace(f), cols)
 
 
 class TestConvolve:

@@ -285,6 +285,23 @@ class TestSpectrum:
                 hc.wht_natural((k.lift() > 0).astype(np.int64)).tolist(), k
 
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 40])
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 10), Fraction(3, 10),
+                                       Fraction(1, 2), Fraction(1), Fraction(0.1)],
+                             ids=["0", "1/10", "3/10", "1/2", "1", "binary-0.1"])
+    def test_bernoulli_closed_form_equals_the_radial_transform(self, n, delta):
+        # T(w) = (q - 2p)^w q^(n - w) over D = q^n against the Krawtchouk
+        # recurrence on the integer profile, at one point of each weight
+        k = kn.Kernel.bernoulli(n, delta)
+        ints, denom = hc._scale_to_int(k.profile)
+        points = [(1 << w) - 1 for w in range(n + 1)]
+        counts, got_denom = k.spectrum(points, exact=True)
+        assert got_denom == denom == k.denominator
+        want = hc.radial_transform(n, ints.tolist())
+        assert [int(t) for t in counts] == want
+        assert k.spectrum(points).tolist() == [t / denom for t in want]
+
+
 def _gf32_minimal_poly(power: int) -> int:
     """Minimal polynomial over GF(2) of a^power, a a root of x^5 + x^2 + 1,
     as a bit mask (coefficient of x^i in bit i)."""

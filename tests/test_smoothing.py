@@ -11,8 +11,8 @@ from codesmooth import kernels as kn
 from codesmooth import smoothing as sm
 
 from conftest import random_linear_code, seeded_rng
-from oracles import (l2_dense_oracle, lloyd, norm_dense, perfect_kernel_rows, radial_hat,
-                     smooth_dense)
+from oracles import (centered_divergence_general, l2_dense_oracle, lloyd, norm_dense,
+                     perfect_kernel_rows, radial_hat, smooth_dense)
 
 INF = math.inf
 
@@ -177,6 +177,54 @@ class TestDivergenceToUniform:
         assert math.isfinite(got) and abs(got - want) <= 1e-9 * want, (got, want)
         if case == "point-mass":
             assert want == n
+
+    @staticmethod
+    def _fields(f, alpha) -> tuple[float, float, float]:
+        rep = sm.divergence_to_uniform(f, alpha)
+        return rep.d_alpha, rep.l_alpha, rep.dimensionless
+
+    def test_one_reduction_orders_equal_the_general_formulas(self):
+        # D_2 from one dot product and D_inf from max f and min f, against
+        # the formulas every other order takes, on 10 pmfs at each n = 1..20:
+        # dense ones, ones with zero masses, a point mass, and a uniform pmf
+        # on half the cube with round-off below its zero masses
+        rng = seeded_rng(46)
+        for trial in range(200):
+            n, kind = 1 + trial % 20, trial // 20 % 5
+            p = rng.random(1 << n) ** 3
+            if kind == 1:
+                p[rng.random(1 << n) < 0.4] = 0.0
+                p[0] += 1.0
+            elif kind == 2:
+                p = np.zeros(1 << n)
+                p[int(rng.integers(0, 1 << n))] = 1.0
+            elif kind == 3:
+                p = np.arange(1 << n) % 2 * 1.0
+            p /= p.sum()
+            if kind == 3:
+                p[:64:4] = -1e-13
+            for alpha in (2, INF):
+                got, want = self._fields(p, alpha), centered_divergence_general(p, alpha)
+                for g, w in zip(got, want):
+                    assert math.isclose(g, w, rel_tol=1e-12), (trial, n, alpha, got, want)
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_one_reduction_orders_near_uniform(self, n):
+        # |e| near 1e-9: the general D_2, mean(expm1(2 log1p(e)) - 2e), loses
+        # about ulp/|e| of its value to cancellation (up to 5e-7 here), so D_2
+        # is held to the 50-digit value of log2(2^n sum f^2 / (sum f)^2) and
+        # the other fields to the general formulas, which lose nothing there
+        rng = seeded_rng(47 + n)
+        e = rng.uniform(-1e-9, 1e-9, 1 << n)
+        p = (1 + (e - e.mean())) / (1 << n)
+        with mpmath.workdps(50):
+            q = [mpmath.mpf(float(v)) for v in p]
+            want_d2 = float(mpmath.log(len(q) * mpmath.fsum(v * v for v in q) / mpmath.fsum(q) ** 2, 2))
+        d2, l2, e2 = self._fields(p, 2)
+        assert math.isclose(d2, want_d2, rel_tol=1e-12), (d2, want_d2)
+        _, want_l2, want_e2 = centered_divergence_general(p, 2)
+        assert math.isclose(l2, want_l2, rel_tol=1e-12) and math.isclose(e2, want_e2, rel_tol=1e-12)
+        assert self._fields(p, INF) == centered_divergence_general(p, INF)
 
     def test_monotone_in_alpha(self):
         rng = seeded_rng(42)
