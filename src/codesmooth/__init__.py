@@ -7,7 +7,7 @@ perfect-smoothing certificates.
 """
 
 from . import codes, decoding, erasure, hypercube, kernels, random_coding, smoothing, wiretap
-from .codes import ExplicitCode, LinearCode
+from .codes import Code, ExplicitCode, LinearCode
 from .kernels import Kernel
 from .reports import BoundReport
 from .smoothing import SmoothnessReport
@@ -15,7 +15,7 @@ from .smoothing import SmoothnessReport
 __all__ = [
     "codes", "decoding", "erasure", "hypercube", "kernels",
     "random_coding", "smoothing", "wiretap",
-    "ExplicitCode", "LinearCode", "Kernel", "BoundReport", "SmoothnessReport",
+    "Code", "ExplicitCode", "LinearCode", "Kernel", "BoundReport", "SmoothnessReport",
 ]
 
 __version__ = "0.1.0"

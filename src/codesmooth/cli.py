@@ -174,10 +174,10 @@ def cmd_erasure_bound(args) -> int:
     lam = float(er.erasure_noise_level(alpha, args.delta))
     if args.mode.startswith("mc:"):
         trials = int(args.mode.split(":", 1)[1])
-        kernel = kn.Kernel.bernoulli(code.n, args.delta)
-        lhs = sm.smoothness_of(code, kernel, alpha).d_alpha
         ctx = er.ErasureContext(code, lam, mode="mc", trials=trials,
                                 seed=args.seed)
+        kernel = kn.Kernel.bernoulli(code.n, args.delta)
+        lhs = sm.smoothness_of(code, kernel, alpha).d_alpha
         rhs, sigma = er.bec_conditional_entropy(ctx)
         ok = check_bound("smoothing<=erasure", lhs, rhs + 3 * sigma).passed
     else:
@@ -211,7 +211,7 @@ def cmd_decode_bound(args) -> int:
         est, sigma = dec.mc_decoding_error(code, float(args.delta), args.list,
                                            bound.t, args.mc, seed=args.seed)
         columns, values, lhs = ["mc_estimate", "mc_stderr"], [est, sigma], est - 3 * sigma
-    if isinstance(code, cd.LinearCode):
+    if code.is_linear:
         # the bound is judged against the exact error, as `verify` does,
         # unless the budget refuses its coset counts
         try:

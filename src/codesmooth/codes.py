@@ -1,16 +1,17 @@
 """Binary codes: GF(2) linear algebra, standard families, distance spectra.
 
-Linear codes carry a row-reduced generator matrix (numpy uint8).  Codewords
-are materialized as integer arrays (coordinate i in bit i) by repeated
-doubling; `hypercube.admit` refuses enumerations too large to hold.
-A linear code also works on its 2^(n-k) cosets, indexed by syndrome: a
-function whose transform vanishes off the dual code is read on them by one
-transform of its values on the dual codewords (`cell_transform`); an
-explicit code's cells are its points, and its `cell_transform` weighs the
-values by W(1_C) first.  Both take exact integers or floats.
-Distance distributions follow the pair-count normalization A_i =
-#pairs-at-distance-i / |C|, which for linear codes is the weight
-distribution of the code itself.
+Every code is a union of cosets of a linear code L, C = union_j (c_j + L):
+a linear code is one coset, L itself, and an explicit word list takes
+L = {0}.  L carries a row-reduced generator matrix (numpy uint8).
+Codewords are materialized as integer arrays (coordinate i in bit i) by
+repeated doubling; `hypercube.admit` refuses enumerations too large to
+hold.  A code works on L's 2^(n-k) cosets, indexed by syndrome: a function
+whose transform vanishes off L's dual is read on them by one transform of
+its values on the dual words, weighed first by the character sum
+chi(u) = sum_j (-1)^<u, c_j> unless the code is linear (`cell_transform`),
+in exact integers or floats.  Distance distributions follow the pair-count
+normalization A_i = #pairs-at-distance-i / |C|, which for linear codes is
+the weight distribution of the code itself.
 """
 
 from __future__ import annotations
@@ -80,17 +81,73 @@ def span(gens) -> np.ndarray:
     return out
 
 
-def _check_length(n: int) -> None:
-    if n > WORD_BITS:
-        raise ValueError(f"code length {n} exceeds the {WORD_BITS} bits of a packed codeword")
+class Code:
+    """A binary code C = union_j (c_j + L): the cosets of a linear code L,
+    given by a generator (k x n, k = 0 allowed, kept row-reduced), through
+    one representative c_j per coset, its word with zeros at L's pivots.
+    `LinearCode` is the one coset L itself and `ExplicitCode` takes L = {0}.
+    The cube splits into L's 2^(n-k) cosets, the `cells`, indexed by
+    syndrome (`cell_of`), on each of which `radial_counts` and every noisy
+    code distribution are constant."""
 
+    def __init__(self, generator: np.ndarray, reps):
+        gen = (np.asarray(generator) & 1).astype(np.uint8)
+        if gen.ndim != 2:
+            raise ValueError("generator must be a 2-D 0/1 matrix")
+        if gen.shape[1] > WORD_BITS:
+            raise ValueError(f"code length {gen.shape[1]} exceeds the {WORD_BITS} bits "
+                             "of a packed codeword")
+        rref, pivots = gf2_rref(gen)
+        if rref.shape[0] != gen.shape[0]:
+            raise ValueError("generator rows are linearly dependent")
+        self.generator = rref
+        self.pivots = pivots
+        self.k, self.n = rref.shape
+        ws = sorted(set(int(w) for w in reps))
+        if not ws:
+            raise ValueError("explicit code must be non-empty")
+        if ws[0] < 0 or ws[-1] >= 1 << self.n:
+            raise ValueError("codeword outside the cube")
+        self.reps = np.array(ws, dtype=np.int64)
+        if self.k and ws[-1]:   # a row of the reduced generator is the only one set at its pivot
+            rows = rref.astype(np.int64) @ (1 << np.arange(self.n, dtype=np.int64))
+            at_pivots = self.reps[:, None] >> pivots & 1
+            self.reps = np.unique(self.reps ^ np.bitwise_xor.reduce(at_pivots * rows, axis=1))
+        self.is_linear = self.reps.size == 1 and not self.reps[0]
+        self.transform_bytes = 0 if self.is_linear else 8   # chi: one int64 per cell
+        self._codewords: np.ndarray | None = None
+        self._weights: np.ndarray | None = None
+        self.rank_profile_cache: dict | None = None
 
-class _Code:
-    """Dense 2^n arrays over the codewords, shared by both representations,
-    which also split the cube into `cells` (cosets of a linear code, points
-    otherwise) on which `radial_counts` is constant; `cell_of` finds them."""
+    @property
+    def size(self) -> int:
+        return self.reps.size << self.k
 
-    transform_bytes = 0   # per cell, built by each `cell_transform` call
+    @property
+    def rate(self) -> float:
+        return math.log2(self.size) / self.n
+
+    @property
+    def cells(self) -> int:
+        return 1 << (self.n - self.k)
+
+    def require_linear(self, what: str) -> None:
+        if not self.is_linear:
+            raise ValueError(f"{what} needs a linear code, not {self!r}")
+
+    def codeword_ints(self) -> np.ndarray:
+        """All codewords as int64 values: each representative XOR the words
+        of L (doubling enumeration)."""
+        if self._codewords is None:
+            hc.admit("codeword enumeration", nbytes=16 * self.size)
+            words = span(rows_to_ints(self.generator))
+            self._codewords = words if self.is_linear else (self.reps[:, None] ^ words).ravel()
+        return self._codewords
+
+    def weights(self) -> np.ndarray:
+        if self._weights is None:
+            self._weights = np.bitwise_count(self.codeword_ints())
+        return self._weights
 
     def indicator(self) -> np.ndarray:
         """Dense int64 0/1 indicator of the code."""
@@ -102,6 +159,62 @@ class _Code:
             return self._on_codewords(Fraction(1, self.size), object)
         return self._on_codewords(1.0 / self.size, np.float64)
 
+    def cell_of(self, points) -> np.ndarray:
+        """Syndrome of each point: bit j is its parity on row j of L's dual
+        generator.  Looked up 12 coordinates at a time in tables built on
+        the first call and cached."""
+        pts = np.asarray(points, dtype=np.int64)
+        out = np.zeros(pts.shape, dtype=np.int64)
+        for i, table in enumerate(self._cell_tables):
+            out ^= table[(pts >> 12 * i) & 0xFFF]
+        return out
+
+    @functools.cached_property
+    def _cell_tables(self) -> list[np.ndarray]:
+        cols = rows_to_ints(self._parity.generator.T)  # syndromes of unit vectors
+        return [span(cols[lo:lo + 12]) for lo in range(0, self.n, 12)]
+
+    def cube_cells(self) -> np.ndarray:
+        """The cell of every point, in point order: `cell_of` is linear over
+        GF(2), so this is the span of the unit vectors' cells."""
+        return span(self.cell_of(1 << np.arange(self.n)))
+
+    def spectrum_points(self) -> np.ndarray:
+        """The words of L's dual, on which the code's transform lives: every
+        point when L = {0}, enumerated per call rather than held."""
+        return self._parity.codeword_ints() if self.k else np.arange(self.cells)
+
+    def dual_weights(self) -> list[int]:
+        """The distinct nonzero weights of the dual spectrum: of the words u
+        of L's dual where chi(u) != 0 (all of them on a linear code)."""
+        points = self.spectrum_points()
+        if not self.is_linear:
+            points = points[self._characters != 0]
+        return [int(w) for w in np.unique(np.bitwise_count(points)) if w]
+
+    def cell_transform(self, values: np.ndarray, mass: int) -> np.ndarray:
+        """s -> sum_a chi(a) values[a] (-1)^{a.s} for values on L's dual words
+        (`spectrum_points()`, index bits = syndrome bits) and chi = 1 on a
+        linear code: 2^(n-k) times (1_C * g) on coset s, for g whose
+        transform is `values` on L's dual and 0 off it; a float64 transform
+        of float64 values, exact for integers with sum |g| <= mass
+        (`hc.wht_exact`).  It may overwrite `values`."""
+        if not self.is_linear:
+            if values.dtype == np.int64 and not hc._int64_exact(self.n - self.k, mass):
+                values = values.astype(object)
+            values *= self._characters
+        return hc.wht_exact(values, mass << self.n - self.k)
+
+    @functools.cached_property
+    def _characters(self) -> np.ndarray:
+        """chi(a) = sum_j (-1)^{a.s_j} over the cells s_j of the representatives,
+        the transform of their cell counts (W(1_C) when L = {0}), read-only,
+        built once per code: at most J, so exact in int64."""
+        hc.admit("character sum", nbytes=8 * self.cells)
+        chi = hc._wht_inplace(np.bincount(self.cell_of(self.reps), minlength=self.cells))
+        chi.flags.writeable = False
+        return chi
+
     def radial_counts(self, profiles) -> list[np.ndarray]:
         """Exact x -> sum_c p(|x^c|) on each cell, for integer profiles p
         (sum_i p(i) N_i(s) on coset s, with N_i(s) weight-i words): the cell
@@ -111,10 +224,26 @@ class _Code:
                                     hc.radial_sum(self.n, [abs(v) for v in p]))
                 >> self.cells.bit_length() - 1 for p in profiles]
 
-    def cube_cells(self) -> np.ndarray:
-        """The cell of every point, in point order: `cell_of` is linear over
-        GF(2), so this is the span of the unit vectors' cells."""
-        return span(self.cell_of(1 << np.arange(self.n)))
+    def contains(self, word: int) -> bool:
+        return self.cell_of(word) in self.cell_of(self.reps)
+
+    def is_subcode_of(self, other: "Code") -> bool:
+        """Containment of one linear code in another: every row of the
+        generator has syndrome 0."""
+        return self.n == other.n and not other.cell_of(rows_to_ints(self.generator)).any()
+
+    def dual(self) -> "Code":
+        self.require_linear("the dual code")
+        return self._parity
+
+    @functools.cached_property
+    def _parity(self) -> "Code":
+        """L's dual, from the pivot structure of the RREF generator."""
+        free = [c for c in range(self.n) if c not in self.pivots]
+        h = np.zeros((len(free), self.n), dtype=np.uint8)
+        h[np.arange(len(free)), free] = 1
+        h[:, self.pivots] = self.generator[:, free].T
+        return LinearCode(h)
 
     def _on_codewords(self, value, dtype) -> np.ndarray:
         hc.admit("dense code array", nbytes=8 << self.n)
@@ -124,176 +253,26 @@ class _Code:
         out[words] = value
         return out
 
-
-class LinearCode(_Code):
-    """An [n, k] binary linear code with a row-reduced generator."""
-
-    def __init__(self, generator: np.ndarray):
-        gen = (np.asarray(generator) & 1).astype(np.uint8)
-        if gen.ndim != 2:
-            raise ValueError("generator must be a 2-D 0/1 matrix")
-        _check_length(gen.shape[1])
-        rref, pivots = gf2_rref(gen)
-        if rref.shape[0] != gen.shape[0]:
-            raise ValueError("generator rows are linearly dependent")
-        self.generator = rref
-        self.pivots = pivots
-        self.k, self.n = rref.shape
-        self._codewords: np.ndarray | None = None
-        self._dual: LinearCode | None = None
-        self._weights: np.ndarray | None = None
-        self._cell_tables: list[np.ndarray] | None = None
-        self.rank_profile_cache: dict | None = None
-
-    @property
-    def size(self) -> int:
-        return 1 << self.k
-
-    @property
-    def rate(self) -> float:
-        return self.k / self.n
-
-    def codeword_ints(self) -> np.ndarray:
-        """All 2^k codewords as int64 values (doubling enumeration)."""
-        if self._codewords is None:
-            hc.admit("codeword enumeration", nbytes=16 << self.k)
-            self._codewords = span(rows_to_ints(self.generator))
-        return self._codewords
-
-    def weights(self) -> np.ndarray:
-        if self._weights is None:
-            self._weights = np.bitwise_count(self.codeword_ints())
-        return self._weights
-
-    @property
-    def cells(self) -> int:
-        return 1 << (self.n - self.k)
-
-    def cell_of(self, points) -> np.ndarray:
-        """Syndrome of each point: bit j is its parity on row j of the dual
-        generator.  Looked up 12 coordinates at a time in tables built on
-        the first call and cached."""
-        pts = np.asarray(points, dtype=np.int64)
-        if self._cell_tables is None:
-            cols = rows_to_ints(self.dual().generator.T)  # syndromes of unit vectors
-            self._cell_tables = [span(cols[lo:lo + 12]) for lo in range(0, self.n, 12)]
-        out = np.zeros(pts.shape, dtype=np.int64)
-        for i, table in enumerate(self._cell_tables):
-            out ^= table[(pts >> 12 * i) & 0xFFF]
-        return out
-
-    def code_cells(self) -> np.ndarray:
-        return np.zeros(1, dtype=np.int64)   # every codeword lies in coset 0
-
-    def spectrum_points(self) -> np.ndarray:
-        return self.dual().codeword_ints()
-
-    def dual_weights(self) -> list[int]:
-        """The distinct nonzero weights of the dual codewords."""
-        return [int(w) for w in np.unique(np.bitwise_count(self.spectrum_points())) if w]
-
-    def cell_transform(self, values: np.ndarray, mass: int) -> np.ndarray:
-        """s -> sum_a values[a] (-1)^{a.s} for values on the dual codewords
-        (`spectrum_points()`, index bits = syndrome bits): 2^(n-k) times g on
-        coset s, for g whose transform is `values` on the dual code and 0 off
-        it; a float64 transform of float64 values, exact for integers with
-        sum |g| <= mass (`hc.wht_exact`)."""
-        return hc.wht_exact(values, mass << self.n - self.k)
-
-    def contains(self, word: int) -> bool:
-        return not self.cell_of(word)
-
-    def is_subcode_of(self, other: "LinearCode") -> bool:
-        if self.n != other.n:
-            return False
-        stacked = np.vstack([other.generator, self.generator])
-        return gf2_rank(stacked) == other.k
-
-    def dual(self) -> "LinearCode":
-        """Parity-check dual from the pivot structure of the RREF generator."""
-        if self._dual is None:
-            n, k = self.n, self.k
-            piv = self.pivots
-            free = [c for c in range(n) if c not in piv]
-            h = np.zeros((n - k, n), dtype=np.uint8)
-            for idx, c in enumerate(free):
-                h[idx, c] = 1
-                for r, pc in enumerate(piv):
-                    h[idx, pc] = self.generator[r, c]
-            self._dual = LinearCode(h) if n > k else LinearCode(np.zeros((0, n), np.uint8))
-        return self._dual
-
     def __repr__(self):
-        return f"LinearCode(n={self.n}, k={self.k})"
+        if self.is_linear:
+            return f"LinearCode(n={self.n}, k={self.k})"
+        if not self.k:
+            return f"ExplicitCode(n={self.n}, size={self.size})"
+        return f"Code(n={self.n}, k={self.k}, cosets={self.reps.size})"
 
 
-class ExplicitCode(_Code):
-    """A code given by an explicit list of codewords (not necessarily linear)."""
-
-    transform_bytes = 8   # W(1_C), one int64 per point, built by the first call
-
-    def __init__(self, n: int, words):
-        _check_length(n)
-        ws = sorted(set(int(w) for w in words))
-        if not ws:
-            raise ValueError("explicit code must be non-empty")
-        if ws[0] < 0 or ws[-1] >= 1 << n:
-            raise ValueError("codeword outside the cube")
-        self.n = n
-        self.words = np.array(ws, dtype=np.int64)
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-    @property
-    def rate(self) -> float:
-        return math.log2(self.size) / self.n
-
-    def codeword_ints(self) -> np.ndarray:
-        return self.words
-
-    @property
-    def cells(self) -> int:
-        return 1 << self.n
-
-    def cell_of(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=np.int64)
-
-    def code_cells(self) -> np.ndarray:
-        return self.words
-
-    def spectrum_points(self) -> np.ndarray:
-        return np.arange(1 << self.n)
-
-    def dual_weights(self) -> list[int]:
-        """The distinct weights of the points u != 0 where W(1_C)(u) != 0:
-        the support of the dual distance distribution, zero excluded."""
-        return [int(w) for w in np.unique(np.bitwise_count(
-            np.flatnonzero(self._indicator_spectrum))) if w]
-
-    def cell_transform(self, values: np.ndarray, mass: int) -> np.ndarray:
-        """x -> sum_u W(1_C)(u) values[u] (-1)^{u.x} = 2^n (1_C * g)(x) for g with
-        transform `values`: a float64 transform of float64 values, exact for
-        integers with sum |g| <= mass (`hc.wht_exact`).  Like the linear
-        class, it may overwrite `values`."""
-        if values.dtype == np.int64 and not hc._int64_exact(self.n, mass):
-            values = values.astype(object)
-        values *= self._indicator_spectrum
-        return hc.wht_exact(values, mass << self.n)
-
-    @functools.cached_property
-    def _indicator_spectrum(self) -> np.ndarray:
-        """W(1_C), read-only, built once per code: at most |C|, so exact in int64."""
-        spectrum = hc._wht_inplace(self.indicator())
-        spectrum.flags.writeable = False
-        return spectrum
-
-    def __repr__(self):
-        return f"ExplicitCode(n={self.n}, size={self.size})"
+def LinearCode(generator: np.ndarray) -> Code:
+    """An [n, k] binary linear code: one coset, L itself."""
+    return Code(generator, [0])
 
 
-def ball_code(n: int, t: int) -> ExplicitCode:
+def ExplicitCode(n: int, words) -> Code:
+    """A code given by an explicit list of codewords (not necessarily
+    linear): L = {0}, so every word is its own coset."""
+    return Code(np.zeros((0, n), dtype=np.uint8), words)
+
+
+def ball_code(n: int, t: int) -> Code:
     """All words of weight <= t: the metric ball around zero as a code."""
     wt = hc.weights_table(n)
     return ExplicitCode(n, np.nonzero(wt <= t)[0])
@@ -303,11 +282,11 @@ def ball_code(n: int, t: int) -> ExplicitCode:
 # Standard families
 # ---------------------------------------------------------------------------
 
-def repetition(n: int) -> LinearCode:
+def repetition(n: int) -> Code:
     return LinearCode(np.ones((1, n), dtype=np.uint8))
 
 
-def parity(n: int) -> LinearCode:
+def parity(n: int) -> Code:
     g = np.zeros((n - 1, n), dtype=np.uint8)
     for i in range(n - 1):
         g[i, i] = 1
@@ -315,11 +294,11 @@ def parity(n: int) -> LinearCode:
     return LinearCode(g)
 
 
-def full_space(n: int) -> LinearCode:
+def full_space(n: int) -> Code:
     return LinearCode(np.eye(n, dtype=np.uint8))
 
 
-def hamming(m: int) -> LinearCode:
+def hamming(m: int) -> Code:
     """The [2^m - 1, 2^m - 1 - m] Hamming code."""
     n = (1 << m) - 1
     h = np.zeros((m, n), dtype=np.uint8)
@@ -329,7 +308,7 @@ def hamming(m: int) -> LinearCode:
     return LinearCode(h).dual()
 
 
-def reed_muller(r: int, m: int) -> LinearCode:
+def reed_muller(r: int, m: int) -> Code:
     """RM(r, m): evaluations of degree-<=r monomials on {0,1}^m."""
     if not 0 <= r <= m:
         raise ValueError(f"invalid Reed-Muller order r={r}, m={m}")
@@ -345,7 +324,7 @@ def reed_muller(r: int, m: int) -> LinearCode:
 
 _GOLAY23_GEN_POLY = 0b101011100011  # x^11+x^9+x^7+x^6+x^5+x+1
 
-def golay23() -> LinearCode:
+def golay23() -> Code:
     """The perfect [23, 12, 7] binary Golay code (cyclic construction)."""
     rows = np.zeros((12, 23), dtype=np.uint8)
     for i in range(12):
@@ -354,7 +333,7 @@ def golay23() -> LinearCode:
     return LinearCode(rows)
 
 
-def random_linear(n: int, k: int, seed: int) -> LinearCode:
+def random_linear(n: int, k: int, seed: int) -> Code:
     """A uniformly random [n, k] code (resampled until full rank)."""
     if not 0 < k <= n:
         raise ValueError(f"invalid parameters n={n}, k={k}")
@@ -365,7 +344,7 @@ def random_linear(n: int, k: int, seed: int) -> LinearCode:
             return LinearCode(g)
 
 
-def family(name: str, params) -> LinearCode:
+def family(name: str, params) -> Code:
     """Construct a named family member: hamming(m), golay23, repetition(n),
     parity(n), reed_muller(r, m), random_linear(n, k, seed)."""
     name = name.lower()
@@ -392,21 +371,18 @@ def family(name: str, params) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 def distance_distribution(code) -> list:
-    """A_i = #{pairs at distance i} / |C|; weight counts for linear codes.
+    """A_i = #{pairs at distance i} / |C|: by the L-invariance of C, the
+    weights of C seen from each representative, over J.  So a linear code
+    reads its 2^k weight counts, and L = {0} the J^2 pairs of points.
 
     Entries are Python ints for linear codes and Fractions in general.
     """
-    if isinstance(code, LinearCode):
-        hc.admit("distance distribution", nbytes=17 << code.k)
-        counts = np.bincount(code.weights(), minlength=code.n + 1)
-        return [int(c) for c in counts]
-    words = code.codeword_ints()
-    m = len(words)
-    hc.admit("pairwise distance enumeration", nbytes=9 * m * m)
-    diffs = words[:, None] ^ words[None, :]
-    wt = np.bitwise_count(diffs)
-    counts = np.bincount(wt.ravel(), minlength=code.n + 1)
-    return [Fraction(int(c), m) for c in counts]
+    m = code.reps.size
+    hc.admit("distance distribution", nbytes=(9 * m + 8) * code.size)
+    weights = code.weights() if code.is_linear else \
+        np.bitwise_count(code.reps[:, None] ^ code.codeword_ints())
+    counts = np.bincount(weights.ravel(), minlength=code.n + 1)
+    return [int(c) if m == 1 else Fraction(int(c), m) for c in counts]
 
 
 def dual_distance_distribution(dist, size: int) -> list[Fraction]:
@@ -429,12 +405,12 @@ def dual_distance_distribution(dist, size: int) -> list[Fraction]:
 
 def covering_radius(code) -> int:
     """max_x min_c d(x, c): the depth of a breadth-first search over the
-    cells of the code from those of the codewords (coset 0 of a linear
-    code), each step adding the cell of one unit vector."""
+    cells of the code from those of its representatives (coset 0 of a
+    linear code), each step adding the cell of one unit vector."""
     # the reached flags, then two int64 layers and one shifted copy at most
     hc.admit("covering radius sweep", nbytes=26 * code.cells)
     units, reached = code.cell_of(1 << np.arange(code.n)), np.zeros(code.cells, dtype=bool)
-    layer, rho = code.code_cells(), -1
+    layer, rho = code.cell_of(code.reps), -1
     reached[layer] = True
     while layer.size:
         rho, grown = rho + 1, []
@@ -457,19 +433,20 @@ def external_distance(code) -> int:
 # ---------------------------------------------------------------------------
 
 def save_code(path: str, code) -> None:
-    """Line-oriented text format, diffable for golden-file fixtures."""
+    """Line-oriented text format, diffable for golden-file fixtures: the
+    generator of a linear code, the sorted codewords of any other."""
     with open(path, "w") as fh:
-        if isinstance(code, LinearCode):
+        if code.is_linear:
             fh.write(f"linear {code.n} {code.k}\n")
             for row in code.generator:
                 fh.write("".join(str(int(b)) for b in row) + "\n")
         else:
             fh.write(f"explicit {code.n} {code.size}\n")
-            for w in code.codeword_ints():
+            for w in np.sort(code.codeword_ints()):
                 fh.write("".join(str((int(w) >> j) & 1) for j in range(code.n)) + "\n")
 
 
-def load_code(path: str):
+def load_code(path: str) -> Code:
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
@@ -484,7 +461,7 @@ def load_code(path: str):
             raise ValueError(f"expected {count} rows, found {len(rows)}")
         mat = np.array([[int(c) for c in row] for row in rows], dtype=np.uint8)
         if kind == "linear":
-            return LinearCode(mat)
+            return LinearCode(mat.reshape(count, n))
         if kind == "explicit":
             return ExplicitCode(n, rows_to_ints(mat))
         raise ValueError(f"unknown code kind {kind!r}")

@@ -7,7 +7,8 @@ energy term sum_w mu_t(w) A_w (pairwise ball intersections weighted by the
 distance distribution) plus exact binomial tail probabilities for the
 error weight leaving the band (t', t).  On a linear code the failure
 probability itself is a finite sum over cosets (`decoding_error_exact`);
-`mc_decoding_error` estimates it on any code.
+`mc_decoding_error` estimates it on any code, sending a uniform coset
+representative (the zero word of a linear code).
 """
 
 from __future__ import annotations
@@ -153,8 +154,7 @@ def decoding_error_exact(code, delta, list_size: int, t: int) -> Fraction:
     with the columns N[., w] read by one `radial_counts` call on the t+1
     sphere indicators.
     """
-    if not isinstance(code, cd.LinearCode):
-        raise ValueError("the exact decoding error needs a linear code")
+    code.require_linear("the exact decoding error")
     n = code.n
     if not 0 <= t <= n:
         raise ValueError(f"decoding radius t={t} outside [0, {n}]")
@@ -169,22 +169,26 @@ def decoding_error_exact(code, delta, list_size: int, t: int) -> Fraction:
 
 def mc_decoding_error(code, delta: float, list_size: int, t: int,
                       trials: int, seed: int = 0) -> tuple[float, float]:
-    """Unbiased estimate of Pr{F_t(Y) >= L+1 or |Y| > t}, Y ~ Bernoulli(delta).
+    """Unbiased estimate of Pr{F_t(c + Y) >= L+1 or |Y| > t}, Y ~ Bernoulli(delta),
+    for a uniform codeword c sent.
 
-    The zero codeword is transmitted (the error event of a linear code is
-    translation invariant).  Returns (estimate, standard error).  Looks
-    F_t up by the cell (syndrome) of each received word when the cell
-    counts are admitted and scans the codewords per trial otherwise.
+    F_t is constant on the cosets of L, so each trial sends a uniform
+    representative; a linear code, whose error event is translation
+    invariant, sends the zero word and draws nothing for it.  Returns
+    (estimate, standard error).  Looks F_t up by the cell (syndrome) of
+    each received word when the cell counts are admitted and scans the
+    codewords per trial otherwise.
     """
     n = code.n
     try:
         hc.admit("codeword-count table", nbytes=48 * code.cells)
         counts, words = code.radial_counts([[1] * (t + 1) + [0] * (n - t)])[0], None
     except hc.BudgetExceeded:
-        # only a trial with |y| <= t needs its count, and the codewords
-        # within t of it weigh at most 2t (triangle inequality)
+        # only a trial with |e| <= t needs its count, and with the zero word
+        # sent the codewords within t of it weigh at most 2t (triangle inequality)
         counts, words = None, code.codeword_ints()
-        words = words[np.bitwise_count(words) <= 2 * t]
+        if code.is_linear:
+            words = words[np.bitwise_count(words) <= 2 * t]
         # a chunk of trials against those codewords holds the int64 XOR and
         # its uint8 weights, 9 bytes per pair: about 1 MiB, or the cap
         rows = max(1, min(SCAN_PAIRS, hc.MEMORY_CAP // 9) // max(words.size, 1))
@@ -192,11 +196,13 @@ def mc_decoding_error(code, delta: float, list_size: int, t: int,
 
     def draw(rng, count):
         idx = (rng.random((count, n)) < delta) @ (1 << np.arange(n, dtype=np.int64))
+        received = idx if code.is_linear else \
+            idx ^ code.reps[rng.integers(code.reps.size, size=count)]
         if counts is not None:
-            near = counts[code.cell_of(idx)]
+            near = counts[code.cell_of(received)]
         else:
             near = np.concatenate([
-                np.add.reduce(np.bitwise_count(idx[s:s + rows, None] ^ words) <= t,
+                np.add.reduce(np.bitwise_count(received[s:s + rows, None] ^ words) <= t,
                               axis=1, dtype=np.int64)
                 for s in range(0, count, rows)])
         return (near >= list_size + 1) | (np.bitwise_count(idx) > t)

@@ -39,13 +39,14 @@ MC_SHARD = 4096
 
 @dataclass
 class ErasureContext:
-    code: cd.LinearCode
+    code: cd.Code
     lam: float
     mode: str = "exact"            # "exact" | "mc"
     trials: int = 0
     seed: int = 0
 
     def __post_init__(self):
+        self.code.require_linear("the dual code's BEC conditional entropy")
         if not 0.0 <= float(self.lam) <= 1.0:
             raise ValueError(f"erasure probability {self.lam} outside [0,1]")
         if self.mode == "exact":
@@ -58,8 +59,9 @@ class ErasureContext:
 # Collision counts
 # ---------------------------------------------------------------------------
 
-def collision_count(code: cd.LinearCode, coords) -> int:
+def collision_count(code: cd.Code, coords) -> int:
     """F(G, 0): number of codewords that vanish on the coordinate set G."""
+    code.require_linear("a collision count")
     cols = sorted(set(coords))
     if any(c < 0 or c >= code.n for c in cols):
         raise ValueError(f"coordinates {cols} outside [0, {code.n})")
@@ -77,7 +79,7 @@ def _admit_rank_profile(n: int) -> None:
              steps=1 << n)
 
 
-def rank_profile(code: cd.LinearCode) -> dict[tuple[int, int], int]:
+def rank_profile(code: cd.Code) -> dict[tuple[int, int], int]:
     """Counts of (|G|, rank of G columns) over all 2^n coordinate subsets.
 
     The 2^(k - rank) codewords vanishing on G are those supported on its
@@ -88,6 +90,7 @@ def rank_profile(code: cd.LinearCode) -> dict[tuple[int, int], int]:
     the step cap refuses n > 22.  The profile makes the subset expectation
     a closed form in lambda afterwards.
     """
+    code.require_linear("the rank profile")
     if code.rank_profile_cache is not None:
         return code.rank_profile_cache
     n, k = code.n, code.k
@@ -121,7 +124,7 @@ def bec_conditional_entropy(ctx: ErasureContext) -> tuple[float, float]:
     return _bec_entropy_mc(code, lam, ctx.trials, ctx.seed)
 
 
-def _rank_expectation(code: cd.LinearCode, lam):
+def _rank_expectation(code: cd.Code, lam):
     """E[|G| - rank(G columns)] for G ~ lambda, summed over the rank profile.
 
     Works for float, Fraction and mpf lambda; 0 ** 0 == 1 in each, so the
@@ -132,7 +135,7 @@ def _rank_expectation(code: cd.LinearCode, lam):
                for (size, rank), count in rank_profile(code).items())
 
 
-def _bec_entropy_mc(code: cd.LinearCode, lam: float, trials: int,
+def _bec_entropy_mc(code: cd.Code, lam: float, trials: int,
                     seed: int) -> tuple[float, float]:
     """Mean and standard error of |G| - rank(G columns) over sampled G, one
     shard of masked columns eliminated at a time (`hc.sample_mean` stream 1)."""
@@ -183,13 +186,13 @@ def erasure_noise_level(alpha, delta: float) -> float:
         f"order {alpha} unsupported: the pairing covers 1, integers >= 2, inf")
 
 
-def smoothing_erasure_report(code: cd.LinearCode, delta: float, alpha) -> BoundReport:
+def smoothing_erasure_report(code: cd.Code, delta: float, alpha) -> BoundReport:
     """D_alpha(T_delta f_C || U_n) <= dual-code BEC conditional entropy
     (`smoothing_erasure_reports` at one order)."""
     return smoothing_erasure_reports(code, delta, (alpha,))[0]
 
 
-def smoothing_erasure_reports(code: cd.LinearCode, delta, alphas) -> list[BoundReport]:
+def smoothing_erasure_reports(code: cd.Code, delta, alphas) -> list[BoundReport]:
     """`smoothing_erasure_report` at each order of `alphas`, in that order.
 
     The orders share their order-free work: one Bernoulli(delta) kernel,
@@ -197,6 +200,7 @@ def smoothing_erasure_reports(code: cd.LinearCode, delta, alphas) -> list[BoundR
     evaluates both sides on the exact cell pmf, built at most once per
     call, and the exact delta.
     """
+    code.require_linear("the smoothing-vs-erasure bound")
     lams = [erasure_noise_level(alpha, delta) for alpha in alphas]
     kernel = kn.Kernel.bernoulli(code.n, Fraction(delta))
     pmf = sm.cell_pmf(code, kernel)

@@ -2,18 +2,18 @@
 
 The central object is T_r f_C: the uniform distribution on a code pushed
 through a noise kernel.  Its transform is the kernel's spectrum times the
-code's, so for every kernel it is constant on each coset of a linear code
-(each point of an explicit one), and it is computed, and every report reads
-it, as a pmf on those cells (`cell_pmf`): one transform of the kernel's
-spectrum by the code's `cell_transform`, the same route for both code
-classes and every kernel form.  Only `smooth` spreads it over the 2^n
-points.  This module measures how far that distribution is from uniform
-(Renyi divergence of any order), provides the closed-form second-moment
-identities that express the L2 case through distance spectra, the rate
-lower bound, threshold-rate formulas for Bernoulli and ball noise families,
-and exact certificates of perfect smoothing, which hold when all cell
-masses are equal (including recovery of the smoothing kernel for uniformly
-packed codes).
+code's, so for every kernel it is constant on each coset of the linear
+code L whose cosets make up the code (a coset of a linear code, a point of
+an explicit one), and it is computed, and every report reads it, as a pmf
+on those cells (`cell_pmf`): one transform of the kernel's spectrum by the
+code's `cell_transform`, the same route for every code and kernel form.
+Only `smooth` spreads it over the 2^n points.  This module measures how
+far that distribution is from uniform (Renyi divergence of any order),
+provides the closed-form second-moment identities that express the L2
+case through distance spectra, the rate lower bound, threshold-rate
+formulas for Bernoulli and ball noise families, and exact certificates of
+perfect smoothing, which hold when all cell masses are equal (including
+recovery of the smoothing kernel for uniformly packed codes).
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 def cell_pmf(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
     """The noisy code distribution r * f_C as a pmf on the cells it is
-    constant on (the 2^(n-k) cosets of a linear code, the points of an
-    explicit one), whose divergences and norms equal those of the dense pmf.
+    constant on (the 2^(n-k) cosets of the code's L), whose divergences and
+    norms equal those of the dense pmf.
 
     For every kernel, the code's `cell_transform` of the kernel's spectrum
     at its spectrum points gives |C| cells^2 / 2^n times each cell's mass:
@@ -71,8 +71,9 @@ def _cell_masses(code, kernel: kn.Kernel, exact: bool, share: int) -> np.ndarray
     if exact or _on_int64(code, kernel):
         counts, denom = kernel.spectrum(code.spectrum_points(), exact=True)
         return _cell_values(code.cell_transform(counts, denom), denom * scale, exact)
-    # both spectra first: an explicit code's W(1_C), built by the first cell
-    # transform and kept for the second, is then not held beside them
+    # both spectra first: the character sum of a code that is not linear,
+    # built by the first cell transform and kept for the second, is then
+    # not held beside them
     values = kernel.spectrum(code.spectrum_points())
     support, _ = kernel.spectrum(code.spectrum_points(), exact=True, support=True)
     pmf = code.cell_transform(values, 1)

@@ -54,7 +54,7 @@ def _rng(cfg: SuiteConfig, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[cfg.seed, (9 << 32) | tag]))
 
 
-def _random_code(rng, n_max: int, n_min: int = 4) -> cd.LinearCode:
+def _random_code(rng, n_max: int, n_min: int = 4) -> cd.Code:
     n = int(rng.integers(n_min, n_max + 1))
     k = int(rng.integers(1, n))
     return cd.random_linear(n, k, int(rng.integers(0, 2**31)))

@@ -33,7 +33,9 @@ REGIMES = ("shannon_capacity", "bec_dual", "rm", "alpha_secrecy")
 class NestedScheme:
     """A pair C_e ⊂ C_b of linear codes; messages are cosets of C_e in C_b."""
 
-    def __init__(self, inner: cd.LinearCode, outer: cd.LinearCode):
+    def __init__(self, inner: cd.Code, outer: cd.Code):
+        inner.require_linear("a nested scheme")
+        outer.require_linear("a nested scheme")
         if inner.n != outer.n:
             raise ValueError("inner and outer codes differ in length")
         if not inner.is_subcode_of(outer):

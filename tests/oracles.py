@@ -269,6 +269,19 @@ def decoding_error_dense(code, delta, list_size: int, t: int) -> Fraction:
     return sum(int(f) * d ** w * (1 - d) ** (code.n - w) for w, f in enumerate(fails))
 
 
+def decoding_error_mean_dense(code, delta, list_size: int, t: int) -> Fraction:
+    """Pr{F_t(c + Y) >= L+1 or |Y| > t} averaged over every codeword c sent,
+    summed over all 2^n error words Y with F_t counted against every
+    codeword; the oracle for `dec.mc_decoding_error` on any code."""
+    d, n = Fraction(delta), code.n
+    points = np.arange(1 << n)
+    weights = np.bitwise_count(points)
+    near = sum((np.bitwise_count(points ^ c) <= t).astype(np.int64) for c in code.codeword_ints())
+    fails = sum(np.bincount(weights[(near[points ^ c] >= list_size + 1) | (weights > t)],
+                            minlength=n + 1) for c in code.codeword_ints())
+    return sum(int(f) * d ** w * (1 - d) ** (n - w) for w, f in enumerate(fails)) / code.size
+
+
 def collision_count_direct(code, coords) -> int:
     """Enumeration oracle for `er.collision_count`: codewords vanishing on `coords`."""
     mask = 0

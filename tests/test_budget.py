@@ -229,7 +229,7 @@ def test_explicit_float_smoothing_admitted_at_n24(monkeypatch):
     def spectrum_points(*args, **kwargs):
         raise Admitted
 
-    monkeypatch.setattr(cd.ExplicitCode, "spectrum_points", spectrum_points)
+    monkeypatch.setattr(cd.Code, "spectrum_points", spectrum_points)
     with pytest.raises(Admitted):
         sm.smooth(cd.ExplicitCode(24, [0, 3, 5]), kn.Kernel.bernoulli(24, Fraction(1, 10)))
 

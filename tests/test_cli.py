@@ -393,6 +393,23 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--t" in err and "--theta" in err
 
+    @pytest.mark.parametrize("command", [
+        ["erasure-bound", "--delta", "0.1", "--alpha", "2", "--mode", "exact"],
+        ["erasure-bound", "--delta", "0.1", "--alpha", "2", "--mode", "mc:100"],
+        ["wiretap", "leakage", "--de", "0.3", "--alpha", "1"],
+    ], ids=["erasure-exact", "erasure-mc", "wiretap-leakage"])
+    def test_linear_only_commands_refuse_an_explicit_code(self, capsys, tmp_path, command):
+        # the Hamming words as a word list: not a linear code for these commands
+        words, inner = tmp_path / "e.code", tmp_path / "in.code"
+        cd.save_code(str(words), cd.ExplicitCode(7, cd.hamming(3).codeword_ints()))
+        cd.save_code(str(inner), cd.repetition(7))
+        where = ["--code", str(words)] if command[0] == "erasure-bound" else \
+            ["--inner", str(inner), "--outer", str(words)]
+        assert main(command + where) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "needs a linear code" in captured.err
+
 
 def test_package_imports_without_scipy():
     # numpy and mpmath carry every computation; scipy is for the bench only

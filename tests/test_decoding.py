@@ -11,7 +11,8 @@ from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
 
 from conftest import random_linear_code, seeded_rng
-from oracles import ball_counts_table, decoding_error_dense, l2_dense_oracle
+from oracles import (ball_counts_table, decoding_error_dense, decoding_error_mean_dense,
+                     l2_dense_oracle)
 
 
 class TestListErrorBound:
@@ -183,6 +184,30 @@ class TestMonteCarloDecoding:
     def test_needs_a_trial(self, hamming7):
         with pytest.raises(ValueError, match="trials"):
             dec.mc_decoding_error(hamming7, 0.1, 1, 1, 0)
+
+    @pytest.mark.parametrize("name", ["three-words", "random-8", "cosets-8"])
+    def test_sends_a_uniform_codeword(self, name, monkeypatch):
+        # a code that is not linear: the error event depends on the codeword
+        # sent, and the estimate is its mean over all of them (0 is not one
+        # of the three words, whose zero-word event reads about 0.044)
+        def build():
+            if name == "three-words":
+                return cd.ExplicitCode(7, [0b1110000, 0b1110011, 0b0001100])
+            if name == "random-8":
+                return cd.ExplicitCode(8, seeded_rng(90).choice(256, 11, replace=False))
+            return cd.Code(cd.random_linear(8, 2, 5).generator, [0b10010110, 0b01100001, 7])
+        code, trials = build(), 100_000
+        for delta, t, list_size in ((0.05, 1, 1), (0.1, 2, 1), (0.15, 3, 2)):
+            exact = float(decoding_error_mean_dense(code, delta, list_size, t))
+            sigma = math.sqrt(exact * (1 - exact) / trials)
+            table = dec.mc_decoding_error(code, delta, list_size, t, trials, seed=4)
+            assert abs(table[0] - exact) <= 4 * sigma, (delta, t, table, exact)
+            # the scan, used when the table is refused, sees the same draws
+            fresh = build()
+            fresh.codeword_ints()
+            with monkeypatch.context() as mp:
+                mp.setattr(hc, "MEMORY_CAP", 48 * fresh.cells - 1)
+                assert dec.mc_decoding_error(fresh, delta, list_size, t, trials, seed=4) == table
 
     def test_table_free_path_matches_table(self):
         code = cd.reed_muller(1, 3)

@@ -342,6 +342,15 @@ def _punctured_nordstrom_robinson() -> cd.ExplicitCode:
                                 for w in ext if int(w) & octad in allowed])
 
 
+def _nordstrom_robinson_cosets() -> cd.Code:
+    """The same code as 8 cosets of its linear kernel {v : v + C = C}, a
+    [15, 5] code: 2^10 cells in place of 2^15 points."""
+    words = _punctured_nordstrom_robinson().codeword_ints()
+    kernel = words[np.isin(words[:, None] ^ words, words).all(axis=1)]
+    rref, _ = cd.gf2_rref(kernel[:, None] >> np.arange(15) & 1)
+    return cd.Code(rref, words)
+
+
 class TestPackedFamilyKernels:
     def test_profiles_are_pmfs_with_expected_support(self):
         k = kn.two_error_bch_profile(31)
@@ -361,13 +370,15 @@ class TestPackedFamilyKernels:
         (_bch_31_21, kn.two_error_bch_profile, kn.preparata_profile, 3, {12, 16, 20}),
         (_punctured_nordstrom_robinson, kn.preparata_profile, kn.two_error_bch_profile, 3,
          {6, 8, 10}),
-    ], ids=["bch-31-21", "nordstrom-robinson-15"])
+        (_nordstrom_robinson_cosets, kn.preparata_profile, kn.two_error_bch_profile, 3,
+         {6, 8, 10}),
+    ], ids=["bch-31-21", "nordstrom-robinson-15", "nordstrom-robinson-15-cosets"])
     def test_each_profile_smooths_its_code(self, build, right, wrong, rho, spectrum):
         code = build()
         n = code.n
         assert cd.covering_radius(code) == rho
         dist = cd.distance_distribution(code)
-        if isinstance(code, cd.ExplicitCode):
+        if not code.is_linear:
             assert {i: int(v) for i, v in enumerate(dist) if v} == \
                 {0: 1, 5: 42, 6: 70, 7: 15, 8: 15, 9: 70, 10: 42, 15: 1}
         dual = cd.dual_distance_distribution(dist, code.size)
@@ -380,3 +391,38 @@ class TestPackedFamilyKernels:
         for profile, smooths in ((right(n), True), (wrong(n), False)):
             rhat = hc.radial_transform(n, profile.radial_profile())
             assert all(rhat[j] == 0 for j in spectrum) == smooths
+
+
+class TestNordstromRobinsonCosets:
+    def test_shape(self):
+        code = _nordstrom_robinson_cosets()
+        assert (code.k, code.reps.size, code.size, code.cells) == (5, 8, 256, 1 << 10)
+        assert not code.is_linear
+        assert np.array_equal(np.sort(code.codeword_ints()),
+                              _punctured_nordstrom_robinson().codeword_ints())
+
+    @pytest.mark.parametrize("build", [
+        lambda: kn.Kernel.bernoulli(15, Fraction(1, 10)), lambda: kn.Kernel.ball(15, 2),
+        lambda: kn.preparata_profile(15)], ids=["bernoulli-1/10", "ball-2", "preparata"])
+    def test_cell_pmf_sums_the_point_pmf(self, build):
+        # T_r f_C is constant on the cosets of the kernel: each coset's mass
+        # is the sum of the word list's masses on its 32 points
+        cosets, kernel = _nordstrom_robinson_cosets(), build()
+        per_coset = [Fraction(0)] * cosets.cells
+        points = sm.cell_pmf(_punctured_nordstrom_robinson(), kernel, exact=True)
+        for cell, mass in zip(cosets.cube_cells().tolist(), points):
+            per_coset[cell] += mass
+        assert sm.cell_pmf(cosets, kernel, exact=True).tolist() == per_coset
+        assert np.allclose(sm.cell_pmf(cosets, kernel), [float(v) for v in per_coset],
+                           rtol=1e-12, atol=0)
+
+    def test_file_roundtrip(self, tmp_path):
+        # written as its 256 words, the same file as the word list's
+        path, twin = tmp_path / "cosets.code", tmp_path / "words.code"
+        cd.save_code(path, _nordstrom_robinson_cosets())
+        cd.save_code(twin, _punctured_nordstrom_robinson())
+        assert path.read_text().splitlines()[0] == "explicit 15 256"
+        assert path.read_text() == twin.read_text()
+        loaded = cd.load_code(path)
+        assert np.array_equal(loaded.codeword_ints(),
+                              _punctured_nordstrom_robinson().codeword_ints())

@@ -405,7 +405,7 @@ class TestPerfectSmoothingCertificate:
         for base in codes:
             n = base.n
             both = [base] + ([cd.ExplicitCode(n, base.codeword_ints())]
-                             if isinstance(base, cd.LinearCode) else [])
+                             if base.is_linear else [])
             kernels = [
                 # |C| denom / 2^n is mostly fractional under ball(1), the
                 # certificate's early exit, and integral under the others
