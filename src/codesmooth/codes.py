@@ -162,8 +162,10 @@ class Code:
     def cell_of(self, points) -> np.ndarray:
         """Syndrome of each point: bit j is its parity on row j of L's dual
         generator.  Looked up 12 coordinates at a time in tables built on
-        the first call and cached."""
+        the first call and cached; the points themselves when L = {0}."""
         pts = np.asarray(points, dtype=np.int64)
+        if not self.k:
+            return pts
         out = np.zeros(pts.shape, dtype=np.int64)
         for i, table in enumerate(self._cell_tables):
             out ^= table[(pts >> 12 * i) & 0xFFF]

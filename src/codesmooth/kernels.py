@@ -27,7 +27,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from . import hypercube as hc
@@ -234,6 +233,14 @@ def parse_kernel_spec(spec: str, n: int) -> Kernel:
 # Renyi entropies
 # ---------------------------------------------------------------------------
 
+def _raised_mpmath():
+    """mpmath when its working precision is raised above float's 53 bits,
+    else None.  Only code that has imported mpmath can have raised it, so
+    a process that never imported it runs in float and never loads it."""
+    mpmath = sys.modules.get("mpmath")
+    return mpmath if mpmath is not None and mpmath.mp.prec > 53 else None
+
+
 def log2(x):
     """log2 of a positive int, Fraction, float or mpf at mpmath's working
     precision: a float at the default 53 bits, an mpf above them.
@@ -241,7 +248,8 @@ def log2(x):
     A Fraction is rounded once, to a float or an mpf; one below the normal
     float range is split into numerator and denominator instead.
     """
-    if mpmath.mp.prec > 53:
+    mpmath = _raised_mpmath()
+    if mpmath is not None:
         if isinstance(x, Fraction):
             x = mpmath.mpf(x.numerator) / x.denominator
         return mpmath.log(x, 2)
@@ -333,7 +341,7 @@ def binary_renyi(alpha, delta) -> float:
         return 0.0
     if d == Fraction(1, 2):
         return 1.0  # exact at the symmetric point for every order
-    if alpha <= 0 or mpmath.mp.prec > 53:
+    if alpha <= 0 or _raised_mpmath() is not None:
         val = exact_renyi(radial_masses(1, [1 - d, d]), alpha)
     elif alpha in (1, INF):
         # -log(1 - x) by log1p: h = -(x log x + (1 - x) log(1 - x)) at 1, and

@@ -10,14 +10,13 @@ float64 on float inputs, and on exact inputs (ints, Fractions, object
 arrays) they sum exactly and take their logs through `kernels.log2`, at
 mpmath's working precision.  A recheck therefore calls the same functions
 as its float check, on exact inputs, and `check_bound` is the only place
-that raises the working precision, to RECHECK_DPS digits, around it.
+that raises the working precision, to RECHECK_DPS digits, around it.  It
+imports mpmath there, so a run without a recheck never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import mpmath
 
 NEAR_VIOLATION = 1e-9
 RECHECK_DPS = 50  # working precision of every exact recheck, in digits
@@ -59,6 +58,8 @@ def check_bound(name: str, lhs, rhs, recheck=None, details=None) -> BoundReport:
     exact_slack = None
     passed = slack >= 0
     if slack < NEAR_VIOLATION and recheck is not None:
+        import mpmath   # loaded by the first recheck only: float runs never need it
+
         with mpmath.workdps(RECHECK_DPS):
             exact_lhs, exact_rhs = recheck()
             # mpf takes a Fraction operand on either side of + but on the

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from codesmooth import codes as cd
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +19,15 @@ def golay():
 @pytest.fixture(scope="session")
 def hamming7():
     return cd.hamming(3)
+
+
+def run_fresh(probe: str) -> str:
+    """Run the Python source `probe` in a new interpreter that imports
+    codesmooth from this checkout, and return what it prints."""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
 
 
 def seeded_rng(tag: int) -> np.random.Generator:

@@ -177,6 +177,18 @@ def test_float_smoothing_estimate_tracks_its_peak(linear):
     assert peak <= estimate <= 1.5 * peak, (peak, estimate)
 
 
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_first_explicit_smoothing_within_its_charge(n):
+    # the cells of an explicit code are its points: the first smoothing of
+    # a new code builds its character sum and no syndrome tables.  Another
+    # code's smoothing first builds the process-wide transform caches.
+    kernel = kn.Kernel.bernoulli(n, Fraction(1, 10))
+    sm.smooth(cd.ExplicitCode(n, [0, 1]), kernel)
+    code = cd.ExplicitCode(n, cd.random_linear(n, n // 2, 3).codeword_ints())
+    peak = _traced_peak(lambda: sm.smooth(code, kernel))
+    assert peak <= sm._smoothing_bytes(code, kernel, False, dense=True), peak
+
+
 @pytest.mark.parametrize("linear", [False, True])
 def test_radial_exact_estimate_tracks_its_peak(linear):
     # exact radial smoothing counts cells in integers (the dual spectrum on

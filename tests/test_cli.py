@@ -1,16 +1,15 @@
 import json
 import math
-import os
-import subprocess
-import sys
+import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from codesmooth import codes as cd
 from codesmooth import decoding as dec
 from codesmooth.cli import main
+
+from conftest import run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -413,10 +412,33 @@ class TestUsageErrors:
 
 def test_package_imports_without_scipy():
     # numpy and mpmath carry every computation; scipy is for the bench only
-    src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import sys, codesmooth, codesmooth.cli, codesmooth.verify; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    assert run_fresh(probe).strip() == "[]"
+
+
+def test_package_loads_its_modules_on_first_use():
+    # an ensemble run loads the transform, the kernels and the ensemble
+    # code, and neither mpmath nor any other submodule
+    probe = textwrap.dedent("""
+        import sys
+        import codesmooth
+        from codesmooth import random_coding
+        print(sorted(m for m in sys.modules if m == "mpmath" or m.startswith("codesmooth")))
+        for name in codesmooth.__all__:
+            getattr(codesmooth, name)
+        assert set(codesmooth.__all__) <= set(dir(codesmooth))
+        star = {}
+        exec("from codesmooth import *", star)
+        assert set(codesmooth.__all__) <= set(star)
+        assert star["Kernel"] is codesmooth.kernels.Kernel
+        assert codesmooth.reports.BoundReport is codesmooth.BoundReport
+        try:
+            codesmooth.no_such_name
+        except AttributeError as exc:
+            print(exc)
+    """)
+    loaded, missing = run_fresh(probe).splitlines()
+    assert loaded == str(["codesmooth", "codesmooth.hypercube", "codesmooth.kernels",
+                          "codesmooth.random_coding"])
+    assert missing == "module 'codesmooth' has no attribute 'no_such_name'"

@@ -1,6 +1,7 @@
 """Every exact recheck, forced: it must reproduce the float check's slack."""
 
 import math
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from codesmooth import smoothing as sm
 from codesmooth import verify as vf
 from codesmooth import wiretap as wt
 
-from conftest import seeded_rng
+from conftest import run_fresh, seeded_rng
 from oracles import renyi_entropy
 
 INF = math.inf
@@ -87,3 +88,24 @@ def test_exact_inputs_keep_float_results_at_the_default_precision():
         exact = kn.exact_renyi(kn.point_masses(noisy), alpha)
         assert isinstance(exact, float)
         assert exact == pytest.approx(renyi_entropy(floats, alpha), abs=1e-12)
+
+
+def test_recheck_in_a_fresh_process():
+    # nothing imports mpmath before the first recheck, which loads it and
+    # raises its precision; kernels.log2 then answers at that precision
+    probe = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from codesmooth import codes as cd, wiretap as wt
+        scheme = wt.NestedScheme(cd.random_linear(10, 4, seed=17), cd.full_space(10))
+        print("mpmath" in sys.modules)
+        rep = wt.secrecy_report(scheme, Fraction(1, 5))
+        print(rep.passed, rep.rechecked, rep.exact_slack == 0)
+        import codesmooth.kernels as kn
+        import mpmath
+        with mpmath.workdps(50):
+            third = kn.log2(Fraction(1, 3))
+        print(type(third).__name__, mpmath.nstr(third, 40))
+    """)
+    assert run_fresh(probe).splitlines() == [
+        "False", "True True True", "mpf -1.58496250072115618145373894394781650876"]
