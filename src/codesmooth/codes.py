@@ -186,13 +186,16 @@ class Code:
         point when L = {0}, enumerated per call rather than held."""
         return self._parity.codeword_ints() if self.k else np.arange(self.cells)
 
-    def dual_weights(self) -> list[int]:
-        """The distinct nonzero weights of the dual spectrum: of the words u
-        of L's dual where chi(u) != 0 (all of them on a linear code)."""
+    def spectrum_support(self) -> np.ndarray:
+        """The nonzero words of L's dual where chi != 0: off 0, the support
+        of the code's transform."""
         points = self.spectrum_points()
-        if not self.is_linear:
-            points = points[self._characters != 0]
-        return [int(w) for w in np.unique(np.bitwise_count(points)) if w]
+        points = points if self.is_linear else points[self._characters != 0]
+        return points[points != 0]
+
+    def dual_weights(self) -> list[int]:
+        """The distinct weights of `spectrum_support`."""
+        return np.unique(np.bitwise_count(self.spectrum_support())).tolist()
 
     def cell_transform(self, values: np.ndarray, mass: int) -> np.ndarray:
         """s -> sum_a chi(a) values[a] (-1)^{a.s} for values on L's dual words

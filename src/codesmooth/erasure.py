@@ -343,15 +343,25 @@ def _reduce_kept(terms: np.ndarray, reduce) -> np.ndarray:
 
 def bernoulli_noise(f: np.ndarray, delta) -> np.ndarray:
     """T_delta f, the average of f over Bernoulli(delta) bit flips, as a new
-    array.  Floats take one Kronecker pass of the flip [[1 - d, d], [d, 1 - d]]
-    (`hc._wht_blocked_inplace`), with no kernel built; an exact (object
-    array) `f` is convolved with the lifted exact Bernoulli(delta) kernel.
-    """
-    if hc.is_exact(f):
-        kernel = kn.Kernel.bernoulli(hc.dimension_of(f), Fraction(delta))
-        return hc.convolve(f, kernel.lift(exact=True))
-    d = float(delta)
-    return hc._wht_blocked_inplace(np.array(f, dtype=np.float64), ((1 - d, d), (d, 1 - d)))
+    array: one Kronecker pass of the flip [[1 - d, d], [d, 1 - d]] on floats
+    (`hc._wht_blocked_inplace`), with no kernel built, or for d = p/q of
+    [[q - p, p], [p, q - p]] on the integer numerators of exact values, then
+    divided by their denominator times q^n."""
+    if not hc.is_exact(f):
+        d = float(delta)
+        return hc._wht_blocked_inplace(np.array(f, dtype=np.float64), ((1 - d, d), (d, 1 - d)))
+    n, (p, q) = hc.dimension_of(f), Fraction(delta).as_integer_ratio()
+    # by tracemalloc at n = 6..14, the peak, at the division, holds per point
+    # two pointers, the numerator, grown by q's bits a pass, and a Fraction
+    # (48 bytes) with a numerator and a denominator as wide, 4 bytes per 30
+    # bits each, plus 4 KiB of stacks; first charged before scaling allocates
+    grown = 3 * n * q.bit_length()
+    hc.admit("exact Bernoulli noise", nbytes=((160 + grown * 2 // 15) << n) + 4096)
+    ints, denom = hc._scale_to_int(f)
+    bits = 2 * hc._max_abs(ints).bit_length() + denom.bit_length() + grown
+    hc.admit("exact Bernoulli noise", nbytes=((160 + bits * 2 // 15) << n) + 4096)
+    hc._wht_blocked_inplace(ints, ((q - p, p), (p, q - p)))
+    return ints * Fraction(1, denom * q ** n)
 
 
 def noisy_entropy_report(f, delta: float) -> BoundReport:

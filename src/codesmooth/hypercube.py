@@ -20,14 +20,14 @@ g <= 5, of H_{2^n} (Fino and Algazi, 1976), on float32 or float64
 rows of 2^g entries per slab, every other group as products by H_{2^g}
 down the middle axis.  The same passes apply any Kronecker power of a 2x2
 factor, such as the bit flip [[1-d, d], [d, 1-d]] whose n-th power is
-Bernoulli(d) noise.  Integers take it exactly: every partial sum, in any
-order, is an integer of magnitude at most max|a| * 2^n, exact in a float
-whose mantissa holds that bound.  Wider integers are sums of limbs of
-53 - n bits, recombined in int64 (a ring mod 2^64) or as Python ints, and
-Fractions are integers over their common denominator.  Every radial
-routine is built on `radial_transform`, the per-weight transform of a
-radial function.  Every layer shares `admit`, the size cap, and
-`sample_mean`, the one Monte Carlo loop.
+Bernoulli(d) noise, and object integers take them one bit at a time.
+Integers take H exactly: every partial sum, in any order, is an integer of
+magnitude at most max|a| * 2^n, exact in a float whose mantissa holds that
+bound.  Wider integers are sums of limbs of 53 - n bits, recombined in
+int64 (a ring mod 2^64) or as Python ints, and Fractions are integers over
+their common denominator.  Every radial routine is built on
+`radial_transform`, the per-weight transform of a radial function.  Every
+layer shares `admit`, the size cap, and `sample_mean`, the Monte Carlo loop.
 """
 
 from __future__ import annotations
@@ -157,6 +157,7 @@ def wht_natural(values) -> np.ndarray:
 
 
 _HADAMARD = ((1, 1), (1, -1))
+FLOAT_STACK_BYTES = 38 << 10  # H's float32 and float64 stacks: 31 KB a build
 _SCRATCH_FLOATS = 1 << 17  # reused by every product of one transform
 _GEMM_ROWS = 1 << 10       # rows per GEMM over the lowest bits of a vector
 _OBJECT_CHUNK = 1 << 8     # Python ints per step of the limb loop
@@ -226,11 +227,12 @@ def _int64_from(floats: np.ndarray, ints: np.ndarray) -> None:
 
 @functools.lru_cache(maxsize=32)
 def _kronecker_powers(factor: tuple, dtype) -> tuple[np.ndarray, ...]:
-    """F^{(x)g} for g = 0..5 of a 2x2 factor F, read-only: entry (i, j) is
+    """F^{(x)g} of a 2x2 factor F, read-only, for g = 0..5 built in float64
+    and cast, or g = 0..1 of Python ints for dtype object: entry (i, j) is
     the product over the bits b of F[i_b, j_b]; for H, (-1)^{|i & j|}."""
-    powers = [np.ones((1, 1))]
-    for _ in range(5):
-        powers.append(np.kron(np.array(factor, dtype=np.float64), powers[-1]))
+    powers = [np.ones((1, 1), dtype=object if dtype == object else np.float64)]
+    for _ in range(1 if dtype == object else 5):
+        powers.append(np.kron(np.array(factor, dtype=powers[0].dtype), powers[-1]))
     powers = [p.astype(dtype) for p in powers]
     for p in powers:
         p.flags.writeable = False
@@ -238,11 +240,12 @@ def _kronecker_powers(factor: tuple, dtype) -> tuple[np.ndarray, ...]:
 
 
 def _wht_blocked_inplace(a: np.ndarray, factor: tuple = _HADAMARD) -> np.ndarray:
-    """Multiply a float32 or float64 array by F^{(x)n} for a 2x2 `factor`
-    F given as nested tuples, H by default, as one product by F^{(x)g} per
-    group of index bits.
+    """Multiply a float32, float64 or Python-int object array by F^{(x)n}
+    for a 2x2 `factor` F given as nested tuples, H by default, as one
+    product by F^{(x)g} per group of index bits.
 
-    The n bits split into ceil(n/5) near-equal groups.  The group of g bits
+    The n bits split into ceil(n/5) near-equal groups, or n of one bit on
+    an object array, two products per entry each.  The group of g bits
     above the lowest `lo` views the array as (high, 2^g, 2^lo * columns)
     and multiplies the middle axis by F^{(x)g}, through a scratch buffer of
     the array's dtype a slab of `high` (or of the last axis, when one slab
@@ -265,8 +268,11 @@ def _wht_blocked_inplace(a: np.ndarray, factor: tuple = _HADAMARD) -> np.ndarray
     n = dimension_of(a)
     powers = _kronecker_powers(factor, a.dtype)
     flat = a.reshape(1 << n, -1)
-    scratch = np.empty(min(a.size, _SCRATCH_FLOATS), dtype=a.dtype)
-    groups, lo = -(-n // 5), 0
+    room = min(a.size, _SCRATCH_FLOATS)
+    # numpy's matmul into an object `out` leaks the references it overwrites,
+    # so products of Python ints go to new slab-sized arrays
+    scratch = None if a.dtype == object else np.empty(room, dtype=a.dtype)
+    groups, lo = -(-n // (len(powers) - 1)), 0
     for j in range(groups):
         g = (n - lo) // (groups - j)
         width = flat.shape[1] << lo
@@ -274,20 +280,20 @@ def _wht_blocked_inplace(a: np.ndarray, factor: tuple = _HADAMARD) -> np.ndarray
             # the lowest bits of a vector: rows of 2^g entries, a slab of them
             # times (F^{(x)g})^T per GEMM, not one matrix-vector product per row
             v = np.reshape(flat, (-1, 1 << g), copy=False)
-            rows = min(_GEMM_ROWS, scratch.size >> g)
+            rows = min(_GEMM_ROWS, room >> g)
             blocks = (v[h:h + rows] for h in range(0, v.shape[0], rows))
         else:
             v = np.reshape(flat, (-1, 1 << g, width), copy=False)  # a view, or raise
-            rows = max(1, scratch.size // v[0].size)
-            cols = min(width, scratch.size >> g)
+            rows = max(1, room // v[0].size)
+            cols = min(width, room >> g)
             blocks = (v[h:h + rows, :, c:c + cols]
                       for h in range(0, v.shape[0], rows) for c in range(0, width, cols))
         for block in blocks:
-            out = scratch[:block.size].reshape(block.shape)
+            out = None if scratch is None else scratch[:block.size].reshape(block.shape)
             if width == 1:
-                np.matmul(block, powers[g].T, out=out)
+                out = np.matmul(block, powers[g].T, out=out)
             else:
-                np.matmul(powers[g], block, out=out)
+                out = np.matmul(powers[g], block, out=out)
             block[...] = out
         lo += g
     return a
@@ -447,19 +453,12 @@ def mu(n: int, t: int, i: int) -> int:
 # ---------------------------------------------------------------------------
 
 def lift_radial(n: int, profile) -> np.ndarray:
-    """Expand a per-weight value profile to a dense length-2^n array."""
+    """Expand a per-weight value profile to a dense float64 length-2^n
+    array, each value rounded once to a float."""
     if len(profile) != n + 1:
         raise DimensionMismatch(f"profile length {len(profile)} != n+1 = {n + 1}")
-    exact = is_exact(profile)
-    admit("dense radial lift", nbytes=(25 if exact else 17) << n)
-    wt = weights_table(n)
-    if exact:
-        out = np.empty(1 << n, dtype=object)
-        prof = [Fraction(v) for v in profile]
-        out[:] = [prof[w] for w in wt]
-        return out
-    prof = np.asarray(profile, dtype=np.float64)
-    return prof[wt]
+    admit("dense radial lift", nbytes=17 << n)
+    return np.array([float(v) for v in profile])[weights_table(n)]
 
 
 def radial_transform(n: int, profile) -> list:

@@ -12,9 +12,10 @@ A kernel is a pmf used as additive channel noise.  Supported forms:
 
 Every kernel holds exact values only.  Every radial form is stored once,
 as its exact per-weight VALUE profile r(i) (not a per-shell mass),
-computed by the constructor; lifting places that value on each of the
-C(n,i) points of the shell, and every radial computation reads the
-profile.  A dense kernel stores its 2^n values as Fractions.
+computed by the constructor, and every radial computation reads the
+profile.  A dense kernel stores its 2^n values as Fractions.  A lift to
+the 2^n points is float; exact dense values of the other forms exist only
+as a test oracle.
 """
 
 from __future__ import annotations
@@ -126,19 +127,15 @@ class Kernel:
             raise ValueError(f"kernel {self._spec!r} is not radial")
         return self.profile
 
-    def lift(self, exact: bool = False) -> np.ndarray:
-        """Dense pmf of the kernel: its exact values, or each rounded once
-        to a float."""
-        n = self.n
+    def lift(self) -> np.ndarray:
+        """Dense float64 pmf of the kernel, each exact value rounded once."""
         if self.values is not None:
-            return self.values if exact else self.values.astype(np.float64)
-        if self.coords is not None:
-            hc.admit("dense subcube lift", nbytes=(25 if exact else 17) << n)
-            support = (np.arange(1 << n) & sum(1 << c for c in self.coords)) == 0
-            mass = Fraction(1, 1 << n - len(self.coords))
-            return np.where(support, mass, Fraction(0)) if exact else \
-                np.where(support, float(mass), 0.0)
-        return hc.lift_radial(n, self.profile if exact else [float(v) for v in self.profile])
+            return self.values.astype(np.float64)
+        if self.coords is None:
+            return hc.lift_radial(self.n, self.profile)
+        hc.admit("dense subcube lift", nbytes=17 << self.n)
+        support = (np.arange(1 << self.n) & sum(1 << c for c in self.coords)) == 0
+        return np.where(support, 1 / (1 << self.n - len(self.coords)), 0.0)
 
     @functools.cached_property
     def denominator(self) -> int:

@@ -12,8 +12,9 @@ far that distribution is from uniform (Renyi divergence of any order),
 provides the closed-form second-moment identities that express the L2
 case through distance spectra, the rate lower bound, threshold-rate
 formulas for Bernoulli and ball noise families, and exact certificates of
-perfect smoothing, which hold when all cell masses are equal (including
-recovery of the smoothing kernel for uniformly packed codes).
+perfect smoothing, which hold when the kernel's exact spectrum vanishes on
+the code's nonzero spectrum support (including recovery of the smoothing
+kernel for uniformly packed codes).
 """
 
 from __future__ import annotations
@@ -97,41 +98,44 @@ def _on_int64(code, kernel: kn.Kernel) -> bool:
 
 def _smoothing_bytes(code, kernel: kn.Kernel, exact: bool, dense: bool = False) -> int:
     """Peak bytes of `cell_pmf`, with `dense` of `smooth`: the largest of its
-    phases, by tracemalloc at n = 12..20.  The cell transform, per cell:
-    17-27 float while D cells < 2^63, with 8 more for the low limb of an
-    integer transform past 2^53 up to 2^17 cells, and 24-28 beyond; exact
-    49-57, then 91-217 for 54-991 bits of D; plus the code's own
-    `transform_bytes`.  A dense kernel's spectrum, per point: 56-86 while
-    D < 2^63, 106-137 for 67-94 bits and 258-325 for 551-771.  The gather
-    of `smooth`, which a cell per point skips: 16-18 per point plus the
-    cell pmf."""
+    phases, by tracemalloc at n = 12..20, and in float the Kronecker stacks.
+    The cell transform, per cell: 17-27 float while D cells < 2^63, with 8
+    more for the low limb of an integer transform past 2^53 up to 2^17
+    cells, and 24-28 beyond; exact 49-57, then 91-217 for 54-991 bits of D;
+    plus the code's own `transform_bytes`.  A dense kernel's spectrum, per
+    point: 56-86 while D < 2^63, 106-137 for 67-94 bits and 258-325 for
+    551-771.  The gather of `smooth`, which a cell per point skips: 16-18
+    per point plus the cell pmf."""
     bits, on_int64 = kernel.denominator.bit_length(), _on_int64(code, kernel)
     per_cell = (64 if on_int64 else 124 + bits // 8) if exact else 22 if on_int64 else 28
-    phases = [(per_cell + code.transform_bytes) * code.cells]
+    phases = [(per_cell + code.transform_bytes) * code.cells, _dense_spectrum_bytes(kernel)]
     largest_count = kernel.denominator * (code.size * code.cells ** 2 >> code.n)
     if on_int64 and not exact and largest_count > 1 << 53:
         # the low limb's array joins the transform; from 2^17 cells on, that
         # phase is no larger than the float pmf's
         phases[0] += 8 * min(code.cells, 1 << 17)
-    if kernel.values is not None:
-        phases.append((96 if bits <= 63 else 120 + 3 * bits // 10) << code.n)
     if dense and code.cells < 1 << code.n:
         phases.append((20 << code.n) + 8 * code.cells)
-    return max(phases)
+    return max(phases) + (0 if exact else hc.FLOAT_STACK_BYTES)
+
+
+def _dense_spectrum_bytes(kernel: kn.Kernel) -> int:
+    """Peak bytes of a dense kernel's exact spectrum (`_smoothing_bytes`), else 0."""
+    bits = kernel.denominator.bit_length()
+    return 0 if kernel.values is None else (96 if bits <= 63 else 120 + 3 * bits // 10) << kernel.n
 
 
 def is_perfectly_smoothed(code, kernel: kn.Kernel) -> bool:
-    """Exact test of T_r f_C == U_n.
-
-    Every cell of `cell_pmf` holds 2^n / cells points, so T_r f_C is uniform
-    iff all cell masses are equal: all integers of the cell transform of the
-    kernel's exact spectrum.
-    """
+    """Exact test of T_r f_C == U_n, with no cell transform: its transform
+    is the kernel's spectrum times the code's, so it holds iff the kernel's
+    exact spectrum vanishes on the code's `spectrum_support`."""
     if kernel.n != code.n:
         raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={code.n}")
-    hc.admit("perfect-smoothing certificate", nbytes=_smoothing_bytes(code, kernel, True))
-    mass = code.cell_transform(*kernel.spectrum(code.spectrum_points(), exact=True))
-    return bool((mass == mass[0]).all())
+    # per cell chi, the points, two masks, the support, its weights and spectrum
+    hc.admit("perfect-smoothing certificate", nbytes=44 * code.cells
+             + _dense_spectrum_bytes(kernel) + hc.FLOAT_STACK_BYTES)
+    counts, _ = kernel.spectrum(code.spectrum_support(), exact=True)
+    return not counts.any()
 
 
 # ---------------------------------------------------------------------------

@@ -190,9 +190,9 @@ def rate_point(delta_b: float, delta_e: float, regime: str, alpha=None) -> RateP
 
 
 def rate_curve(delta_b: float, grid: int, regime: str, alpha=None) -> list[RatePoint]:
-    """Sweep delta_e over (delta_b, 1/2] on a uniform grid."""
+    """Sweep delta_e over (delta_b, 1/2] on a uniform grid ending at 1/2 exactly."""
     pts = []
     for i in range(1, grid + 1):
-        de = delta_b + (0.5 - delta_b) * i / grid
+        de = 0.5 if i == grid else delta_b + (0.5 - delta_b) * i / grid
         pts.append(rate_point(delta_b, de, regime, alpha=alpha))
     return pts

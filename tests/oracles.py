@@ -116,11 +116,28 @@ def convolve_direct(f, g) -> np.ndarray:
     return out
 
 
+def lift_exact(kernel: kn.Kernel) -> np.ndarray:
+    """The kernel's exact dense pmf, an object array of 2^n Fractions: its
+    profile's value at each point's weight, 2^(|S| - n) where a subcube
+    kernel's point is 0 on S, or a dense kernel's own values; the exact
+    twin of the float `Kernel.lift`."""
+    if kernel.values is not None:
+        return kernel.values
+    n, points = kernel.n, np.arange(1 << kernel.n)
+    if kernel.coords is not None:
+        free = (points & sum(1 << c for c in kernel.coords)) == 0
+        return np.where(free, Fraction(1, 1 << n - len(kernel.coords)), Fraction(0))
+    profile = [Fraction(v) for v in kernel.profile]
+    out = np.empty(1 << n, dtype=object)
+    out[:] = [profile[w] for w in np.bitwise_count(points)]
+    return out
+
+
 def smooth_dense(code, kernel: kn.Kernel, exact: bool = False) -> np.ndarray:
     """The noisy code distribution r * f_C as one transform convolution of
     the dense code pmf with the lifted kernel, independent of the kernel's
     spectrum and the codes' cell transforms; the oracle for `sm.smooth`."""
-    return hc.convolve(code.pmf(exact=exact), kernel.lift(exact=exact))
+    return hc.convolve(code.pmf(exact=exact), lift_exact(kernel) if exact else kernel.lift())
 
 
 def coset_weight_table(code) -> np.ndarray:
@@ -248,7 +265,7 @@ def qn_exhaustive(n: int, m: int, kernel: kn.Kernel, alpha: int) -> Fraction:
     """Brute-force E Q_n(alpha) in rationals over every codeword tuple, for
     integer alpha (tiny n, M only)."""
     hc.admit("exhaustive ensemble expectation", steps=(1 << n) ** m)
-    lifted = kernel.lift(exact=True)
+    lifted = lift_exact(kernel)
     idx = np.arange(1 << n)
     total = Fraction(0)
     for tup in product(range(1 << n), repeat=m):

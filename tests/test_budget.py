@@ -14,6 +14,9 @@ from codesmooth import kernels as kn
 from codesmooth import random_coding as rc
 from codesmooth import smoothing as sm
 
+from conftest import run_fresh
+from oracles import lift_exact
+
 PEAK_LIMIT = 16 << 20
 
 
@@ -49,6 +52,8 @@ REFUSALS = [
      lambda: dec.decoding_error_exact(cd.random_linear(40, 8, seed=0), Fraction(1, 20), 1, 3)),
     ("radial transform", "step cap",   # a dense profile: (2^13 + 1) 2^13 steps
      lambda: hc.radial_transform(1 << 13, [1] * ((1 << 13) + 1))),
+    ("exact Bernoulli noise", "memory cap",
+     lambda: er.bernoulli_noise(_exact_zeros(24), Fraction(1, 10))),
 ]
 
 
@@ -129,11 +134,11 @@ def _traced_peak(call) -> int:
 
 @pytest.mark.parametrize("n", [10, 12, 14])
 def test_exact_convolution_estimate_tracks_its_peak(n, monkeypatch):
-    # the noisy-entropy recheck's operands: the binary values of random
-    # floats against a Bernoulli kernel at the binary value of 0.1, whose
-    # denominator has 55 bits per coordinate
+    # wide exact operands: the binary values of random floats against a
+    # Bernoulli kernel at the binary value of 0.1, whose denominator has 55
+    # bits per coordinate
     f = hc.as_dense(np.random.default_rng(n).random(1 << n), exact=True)
-    g = kn.Kernel.bernoulli(n, Fraction(0.1)).lift(exact=True)
+    g = lift_exact(kn.Kernel.bernoulli(n, Fraction(0.1)))
     admitted = []
     with monkeypatch.context() as mp:
         mp.setattr(hc, "admit", lambda what, nbytes=0, steps=0: admitted.append(nbytes))
@@ -143,13 +148,29 @@ def test_exact_convolution_estimate_tracks_its_peak(n, monkeypatch):
     assert peak <= estimate <= 1.5 * peak, (peak, estimate)
 
 
+@pytest.mark.parametrize("n", [8, 10, 12])
+@pytest.mark.parametrize("delta", [Fraction(0.1), Fraction(1, 20)], ids=["binary-0.1", "1/20"])
+def test_exact_bernoulli_noise_estimate_tracks_its_peak(n, delta, monkeypatch):
+    # the noisy-report recheck's input, the binary values of random floats,
+    # whose numerators grow by the bits of delta's denominator per pass
+    f = hc.as_dense(np.random.default_rng(n).random(1 << n) * 2, exact=True)
+    admitted = []
+    with monkeypatch.context() as mp:
+        mp.setattr(hc, "admit", lambda what, nbytes=0, steps=0:
+                   admitted.append(nbytes) if what == "exact Bernoulli noise" else None)
+        er.bernoulli_noise(f, delta)
+    estimate = max(admitted)
+    peak = _traced_peak(lambda: er.bernoulli_noise(f, delta))
+    assert peak <= estimate <= 1.5 * peak, (peak, estimate)
+
+
 def test_exact_smoothing_estimate_grows_with_the_kernel_denominator(monkeypatch):
     # a dense exact kernel's spectrum is built from Fractions, charged by the
     # bits of its denominator: 55 per coordinate at binary 0.1, 3.3 at 1/10
     n = 10
     code = cd.ExplicitCode(n, cd.random_linear(n, 5, seed=1).codeword_ints())
-    small = kn.Kernel.dense(kn.Kernel.bernoulli(n, Fraction(1, 10)).lift(exact=True))
-    binary = kn.Kernel.dense(kn.Kernel.bernoulli(n, Fraction(0.1)).lift(exact=True))
+    small = kn.Kernel.dense(lift_exact(kn.Kernel.bernoulli(n, Fraction(1, 10))))
+    binary = kn.Kernel.dense(lift_exact(kn.Kernel.bernoulli(n, Fraction(0.1))))
     estimate = sm._smoothing_bytes(code, binary, True, dense=True)
     assert estimate > 2 * sm._smoothing_bytes(code, small, True, dense=True)
     peak = _traced_peak(lambda: sm.smooth(code, binary, exact=True))
@@ -180,13 +201,19 @@ def test_float_smoothing_estimate_tracks_its_peak(linear):
 @pytest.mark.parametrize("n", [12, 14, 16])
 def test_first_explicit_smoothing_within_its_charge(n):
     # the cells of an explicit code are its points: the first smoothing of
-    # a new code builds its character sum and no syndrome tables.  Another
-    # code's smoothing first builds the process-wide transform caches.
-    kernel = kn.Kernel.bernoulli(n, Fraction(1, 10))
-    sm.smooth(cd.ExplicitCode(n, [0, 1]), kernel)
-    code = cd.ExplicitCode(n, cd.random_linear(n, n // 2, 3).codeword_ints())
-    peak = _traced_peak(lambda: sm.smooth(code, kernel))
-    assert peak <= sm._smoothing_bytes(code, kernel, False, dense=True), peak
+    # a new code builds its character sum and no syndrome tables, and the
+    # first of a process the transform's Kronecker stacks
+    peak, charge = map(int, run_fresh(f"""
+import tracemalloc
+from fractions import Fraction
+from codesmooth import codes as cd, kernels as kn, smoothing as sm
+kernel = kn.Kernel.bernoulli({n}, Fraction(1, 10))
+code = cd.ExplicitCode({n}, cd.random_linear({n}, {n // 2}, 3).codeword_ints())
+tracemalloc.start()
+sm.smooth(code, kernel)
+print(tracemalloc.get_traced_memory()[1], sm._smoothing_bytes(code, kernel, False, dense=True))
+""").split())
+    assert peak <= charge, (peak, charge)
 
 
 @pytest.mark.parametrize("linear", [False, True])

@@ -34,6 +34,12 @@ class TestWiretapRates:
         assert abs(rows["bec_dual"] - 0.3181) <= 5e-4
         assert abs(rows["rm"] - 0.5536) <= 5e-4
 
+    def test_grid_sweep_ends_at_one_half(self, capsys):
+        code, out = run_cli(capsys, "wiretap", "rates", "--db", "0.1", "--grid", "3")
+        assert code == 0
+        rows = csv_rows(out)
+        assert len(rows) == 9 and all(r["delta_e"] == "0.5" for r in rows[2::3])
+
     def test_grid_sweep_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "rates.csv"
         code, _ = run_cli(capsys, "wiretap", "rates", "--db", "0.05",

@@ -16,8 +16,8 @@ from codesmooth import smoothing as sm
 
 from conftest import random_linear_code, seeded_rng
 from oracles import (bec_entropy_exact, bec_entropy_mc_loop, collision_count_direct,
-                     conditional_average, conditional_norm_expectation, rank_profile_dfs,
-                     rank_profile_per_axis, renyi_entropy, smooth_dense,
+                     conditional_average, conditional_norm_expectation, lift_exact,
+                     rank_profile_dfs, rank_profile_per_axis, renyi_entropy, smooth_dense,
                      subset_expectation_loop)
 
 INF = math.inf
@@ -174,15 +174,17 @@ def test_subset_expectation_matches_the_per_subset_loop(n, order):
 
 @pytest.mark.parametrize("n", [1, 4, 8, 12])
 def test_bernoulli_noise_is_the_kernel_convolution(n):
+    # floats to round-off; exact values, under the binary value of a float
+    # delta, entry for entry
     f = seeded_rng(60 + n).random(1 << n) * 2
-    for delta in (0.1, 0.3, Fraction(1, 20)):
+    exact = hc.as_dense(f, exact=True)
+    for delta in (0.1, 0.3, Fraction(1, 20), Fraction(3, 10)):
         want = hc.convolve(f, kn.Kernel.bernoulli(n, delta).lift())
         got = er.bernoulli_noise(f, delta)
         assert np.allclose(got, want, rtol=1e-14, atol=0), delta
-    m = min(n, 4)
-    exact = hc.as_dense(f[:1 << m], exact=True)
-    assert np.array_equal(er.bernoulli_noise(exact, 0.1),
-                          hc.convolve(exact, kn.Kernel.bernoulli(m, Fraction(0.1)).lift(exact=True)))
+        kernel = lift_exact(kn.Kernel.bernoulli(n, Fraction(delta)))
+        assert er.bernoulli_noise(exact, delta).tolist() == \
+            hc.convolve(exact, kernel).tolist(), delta
 
 
 def test_float_noisy_reports_build_no_kernel(monkeypatch):
@@ -195,6 +197,21 @@ def test_float_noisy_reports_build_no_kernel(monkeypatch):
     for rep in (er.noisy_entropy_report(f, 0.1), er.noisy_norm_report(f, 0.3, 2),
                 er.noisy_norm_report(f, 0.1, INF)):
         assert rep.passed and not rep.rechecked, rep.line()
+
+
+def test_rechecked_noisy_reports_build_no_kernel(monkeypatch):
+    # an exact recheck runs the float report's own Kronecker pass
+    def refuse(*args, **kwargs):
+        raise AssertionError("a recheck built or lifted a kernel, or convolved")
+
+    f = seeded_rng(61).random(64) * 2
+    monkeypatch.setattr(reports, "NEAR_VIOLATION", math.inf)
+    monkeypatch.setattr(hc, "convolve", refuse)
+    monkeypatch.setattr(kn.Kernel, "lift", refuse)
+    monkeypatch.setattr(kn.Kernel, "bernoulli", refuse)
+    for rep in (er.noisy_entropy_report(f, 0.1), er.noisy_norm_report(f, 0.3, 2),
+                er.noisy_norm_report(f, 0.1, INF)):
+        assert rep.passed and rep.rechecked, rep.line()
 
 
 def test_subset_expectation_refuses_like_its_statistics():

@@ -14,8 +14,8 @@ from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
 
 from conftest import random_fraction_array, random_linear_code, seeded_rng
-from oracles import (as_int64, convolve_direct, krawtchouk, krawtchouk_row, kronecker_passes, lloyd,
-                     mu_spectral, radial_hat, wht_butterfly)
+from oracles import (as_int64, convolve_direct, krawtchouk, krawtchouk_row, kronecker_passes,
+                     lift_exact, lloyd, mu_spectral, radial_hat, wht_butterfly)
 
 
 def direct_transform(f):
@@ -552,11 +552,13 @@ class TestBallGeometry:
 
 class TestRadial:
     def test_lift_radial_places_values_by_weight(self):
+        # each exact value rounded once to a float
         n = 5
         prof = [Fraction(i + 1, 7) for i in range(n + 1)]
         dense = hc.lift_radial(n, prof)
         wt = hc.weights_table(n)
-        assert all(dense[x] == prof[wt[x]] for x in range(1 << n))
+        assert dense.dtype == np.float64
+        assert all(dense[x] == float(prof[wt[x]]) for x in range(1 << n))
 
     def test_radial_convolve_matches_dense(self):
         rng = seeded_rng(17)
@@ -564,8 +566,8 @@ class TestRadial:
         p1 = [Fraction(int(a), 31) for a in rng.integers(0, 8, n + 1)]
         p2 = [Fraction(int(a), 17) for a in rng.integers(0, 8, n + 1)]
         prof = hc.radial_convolve(n, p1, p2)
-        dense = hc.convolve(hc.lift_radial(n, p1), hc.lift_radial(n, p2))
-        lifted = hc.lift_radial(n, prof)
+        dense = hc.convolve(_lift(n, p1), _lift(n, p2))
+        lifted = _lift(n, prof)
         assert all(lifted[i] == dense[i] for i in range(1 << n))
 
     def test_pairing_identity_random_codes(self):
@@ -606,6 +608,11 @@ class TestRadial:
             assert per[k] == sum(p * krawtchouk(n, i, k) for i, p in enumerate(profile[:4]))
 
 
+def _lift(n: int, profile) -> np.ndarray:
+    """The exact lift of a per-weight profile, which need not be a pmf."""
+    return lift_exact(kn.Kernel(n, "radial", profile=profile))
+
+
 def _scaled_profile(kernel: kn.Kernel) -> list[int]:
     prof = kernel.radial_profile()
     denom = math.lcm(*(v.denominator for v in prof))
@@ -621,7 +628,7 @@ class TestConvolveRadial:
         f = code.indicator()
         outs = cd.ExplicitCode(code.n, code.codeword_ints()).radial_counts(profiles)
         for p, out in zip(profiles, outs):
-            assert out.tolist() == hc.convolve(f, hc.lift_radial(code.n, p)).tolist()
+            assert out.tolist() == hc.convolve(f, _lift(code.n, p)).tolist()
         return outs
 
     def test_matches_exact_convolve_20_codes(self):

@@ -13,7 +13,7 @@ from codesmooth import kernels as kn
 from codesmooth import smoothing as sm
 
 from conftest import seeded_rng
-from oracles import binary_renyi_mp, renyi_entropy
+from oracles import binary_renyi_mp, lift_exact, renyi_entropy
 
 INF = math.inf
 
@@ -21,11 +21,11 @@ INF = math.inf
 class TestKernelLifts:
     def test_unbiased_bernoulli_is_uniform(self):
         k = kn.Kernel.bernoulli(4, Fraction(1, 2))
-        assert all(v == Fraction(1, 16) for v in k.lift(exact=True))
+        assert all(v == Fraction(1, 16) for v in lift_exact(k))
 
     def test_ball_kernel_support_and_mass(self):
         k = kn.Kernel.ball(7, 1)
-        lifted = k.lift(exact=True)
+        lifted = lift_exact(k)
         support = [i for i in range(128) if lifted[i] != 0]
         assert len(support) == 8  # V_1(7) = 8 by count
         assert all(lifted[i] == Fraction(1, 8) for i in support)
@@ -33,7 +33,7 @@ class TestKernelLifts:
 
     def test_sphere_kernel(self):
         k = kn.Kernel.sphere(6, 2)
-        lifted = k.lift(exact=True)
+        lifted = lift_exact(k)
         wt = hc.weights_table(6)
         for x in range(64):
             expected = Fraction(1, math.comb(6, 2)) if wt[x] == 2 else 0
@@ -48,7 +48,19 @@ class TestKernelLifts:
             kn.Kernel.radial(5, _random_radial_pmf(5, seed=1)),
         ]
         for k in forms:
-            assert sum(k.lift(exact=True)) == 1
+            assert sum(lift_exact(k)) == 1
+
+    def test_lift_rounds_each_exact_value_once(self):
+        forms = [
+            kn.Kernel.bernoulli(5, Fraction(3, 10)),
+            kn.Kernel.ball(5, 2),
+            kn.Kernel.subcube(5, [0, 2]),
+            kn.Kernel.dense(lift_exact(kn.Kernel.sphere(5, 3))),
+        ]
+        for k in forms:
+            lifted = k.lift()
+            assert lifted.dtype == np.float64
+            assert lifted.tolist() == [float(v) for v in lift_exact(k)], k
 
     def test_radius(self):
         assert kn.Kernel.ball(9, 4).radius() == 4
@@ -57,7 +69,7 @@ class TestKernelLifts:
         assert kn.Kernel.bernoulli(9, 0).radius() == 0
         assert kn.Kernel.subcube(4, [0, 1]).radius() == 2
         sphere = kn.Kernel.sphere(6, 2)
-        assert kn.Kernel.dense(sphere.lift(exact=True)).radius() == 2
+        assert kn.Kernel.dense(lift_exact(sphere)).radius() == 2
         # n - |S|, with no 2^40-point lift, which the memory cap refuses
         assert kn.Kernel.subcube(40, [0]).radius() == 39
         assert kn.Kernel.subcube(40, [3, 3, 7]).radius() == 38
@@ -128,7 +140,7 @@ class TestRenyiEntropy:
         # H_2(beta_0.3) = n h_2(0.3), cross-checked against a direct power sum
         n, alpha = 8, 2
         k = kn.Kernel.bernoulli(n, Fraction(3, 10))
-        lifted = k.lift(exact=True)
+        lifted = lift_exact(k)
         direct = -math.log2(float(sum(Fraction(v) ** 2 for v in lifted)))
         assert math.isclose(k.renyi_entropy(alpha), direct, rel_tol=1e-12)
         assert math.isclose(direct, n * kn.binary_renyi(alpha, 0.3), rel_tol=1e-12)
@@ -155,7 +167,7 @@ class TestRenyiEntropy:
 
     def test_radial_shortcut_matches_dense(self):
         k = kn.Kernel.ball(10, 3)
-        dense = np.array([float(v) for v in k.lift(exact=True)])
+        dense = np.array([float(v) for v in lift_exact(k)])
         for alpha in (0, 0.5, 1, 2, 3.5, INF):
             assert math.isclose(k.renyi_entropy(alpha), renyi_entropy(dense, alpha),
                                 rel_tol=1e-10)
@@ -276,7 +288,7 @@ class TestSpectrum:
         for k in (kn.Kernel.bernoulli(n, Fraction(1, 10)), kn.Kernel.ball(n, 2),
                   kn.Kernel.sphere(n, 3), kn.Kernel.subcube(n, [0, 2]), kn.Kernel.dense(pattern),
                   kn.Kernel.dense(kn.Kernel.bernoulli(n, Fraction(1, 4)).lift())):
-            want = hc.wht_natural(k.lift(exact=True))
+            want = hc.wht_natural(lift_exact(k))
             counts, denom = k.spectrum(points, exact=True)
             assert [Fraction(int(t), denom) for t in counts] == want.tolist(), k
             assert np.allclose(k.spectrum(points), want.astype(float), rtol=1e-14, atol=1e-15), k

@@ -8,7 +8,7 @@ from codesmooth import kernels as kn
 from codesmooth import random_coding as rc
 
 from conftest import seeded_rng
-from oracles import fractional_power_inequality, qn_exhaustive
+from oracles import fractional_power_inequality, lift_exact, qn_exhaustive
 
 INF = math.inf
 
@@ -104,7 +104,7 @@ class TestQnExact:
     def test_order_two_closed_form(self):
         # only pairwise collisions enter: 1 + (2^n S_2 - 1) / M
         for kernel in _tiny_kernels() + [kn.Kernel.bernoulli(10, Fraction(1, 10))]:
-            s2 = sum(v * v for v in kernel.lift(exact=True))
+            s2 = sum(v * v for v in lift_exact(kernel))
             for m in (1, 5, 1 << 20):
                 assert rc.qn_exact(kernel.n, m, kernel, 2) == 1 + ((1 << kernel.n) * s2 - 1) / m
 

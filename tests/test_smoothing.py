@@ -11,8 +11,8 @@ from codesmooth import kernels as kn
 from codesmooth import smoothing as sm
 
 from conftest import random_linear_code, seeded_rng
-from oracles import (centered_divergence_general, l2_dense_oracle, lloyd, norm_dense,
-                     perfect_kernel_rows, radial_hat, smooth_dense)
+from oracles import (centered_divergence_general, l2_dense_oracle, lift_exact, lloyd,
+                     norm_dense, perfect_kernel_rows, radial_hat, smooth_dense)
 
 INF = math.inf
 
@@ -43,7 +43,7 @@ class TestSmooth:
         code = cd.ExplicitCode(6, [0])
         kernel = kn.Kernel.bernoulli(6, Fraction(1, 5))
         noisy = sm.smooth(code, kernel, exact=True)
-        lifted = kernel.lift(exact=True)
+        lifted = lift_exact(kernel)
         assert all(noisy[i] == lifted[i] for i in range(64))
 
     def test_noisy_distribution_is_pmf(self):
@@ -76,7 +76,7 @@ class TestSmooth:
         # depends on the transform's summation order
         code = cd.ExplicitCode(10, [0, 145, 70, 215])
         sphere = kn.Kernel.sphere(10, 4)
-        for kernel in (sphere, kn.Kernel.dense(sphere.lift(exact=True))):
+        for kernel in (sphere, kn.Kernel.dense(lift_exact(sphere))):
             noisy = sm.smooth(code, kernel)
             assert np.count_nonzero(noisy) == 680
             assert sm.divergence_to_uniform(noisy, 0).d_alpha == 10 - math.log2(680)
@@ -167,7 +167,7 @@ class TestDivergenceToUniform:
             exact = np.array([Fraction(int(x == 5)) for x in range(1 << n)], dtype=object)
             alpha = 100
         elif case == "bernoulli-lift":
-            exact, alpha = kn.Kernel.bernoulli(n, Fraction(1, 10)).lift(exact=True), 400
+            exact, alpha = lift_exact(kn.Kernel.bernoulli(n, Fraction(1, 10))), 400
         else:
             exact = sm.cell_pmf(cd.repetition(n), kn.Kernel.bernoulli(n, Fraction(1, 100)), True)
             alpha = 100
@@ -413,8 +413,8 @@ class TestPerfectSmoothingCertificate:
                 kn.Kernel.bernoulli(n, Fraction(1, 10)), kn.Kernel.bernoulli(n, Fraction(1, 4)),
                 kn.Kernel.subcube(n, []), kn.Kernel.subcube(n, [0]),
                 kn.Kernel.subcube(n, range(n)),
-                kn.Kernel.dense(kn.Kernel.ball(n, 1).lift(exact=True)),
-                kn.Kernel.dense(kn.Kernel.bernoulli(n, Fraction(1, 4)).lift(exact=True)),
+                kn.Kernel.dense(lift_exact(kn.Kernel.ball(n, 1))),
+                kn.Kernel.dense(lift_exact(kn.Kernel.bernoulli(n, Fraction(1, 4)))),
             ]
             for code in both:
                 for kernel in kernels:
@@ -425,6 +425,19 @@ class TestPerfectSmoothingCertificate:
         assert sm.is_perfectly_smoothed(cd.full_space(6), kn.Kernel.bernoulli(6, Fraction(1, 10)))
         assert seen == {(form, v) for form in ("ball", "bernoulli", "subcube", "dense")
                         for v in (False, True)}
+
+    def test_runs_no_cell_transform(self, hamming7, golay, monkeypatch):
+        # the kernel's spectrum on the code's spectrum support decides it
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate ran a cell transform")
+
+        explicit = cd.ExplicitCode(7, hamming7.codeword_ints())
+        monkeypatch.setattr(cd.Code, "cell_transform", refuse)
+        for code in (hamming7, explicit):
+            assert sm.is_perfectly_smoothed(code, kn.Kernel.ball(7, 1))
+            assert not sm.is_perfectly_smoothed(code, kn.Kernel.bernoulli(7, Fraction(1, 10)))
+        assert sm.is_perfectly_smoothed(golay, kn.Kernel.ball(23, 3))
+        assert not sm.is_perfectly_smoothed(golay, kn.Kernel.ball(23, 2))
 
 
 class TestPerfectKernelSearch:

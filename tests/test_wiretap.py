@@ -201,6 +201,18 @@ class TestRatePoints:
         assert pts[-1].delta_e == 0.5
         assert pts[-1].rate == pytest.approx(1 - kn.binary_entropy(0.05))
 
+    def test_curve_ends_at_one_half_on_every_grid(self):
+        # the interpolation at the last point rounds above 1/2 on 21 of these
+        # pairs, e.g. (0.05, 13) and (0.1, 3), and below it on 42 more
+        for b in range(50):
+            db = b / 100
+            for grid in range(1, 40):
+                pts = wt.rate_curve(db, grid, "rm")
+                assert pts[-1].delta_e == 0.5
+                assert [p.delta_e for p in pts[:-1]] == \
+                    [db + (0.5 - db) * i / grid for i in range(1, grid)]
+                assert all(p.delta_e < q.delta_e for p, q in zip(pts, pts[1:]))
+
     def test_reliable_rate_threshold_forms_agree(self):
         # R < 1 - log2(1 + 2 sqrt(d(1-d)))  <=>  2 sqrt(d(1-d)) < 2^(1-R) - 1
         rng = seeded_rng(71)
