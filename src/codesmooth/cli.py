@@ -7,7 +7,7 @@ Tabular output is CSV with the run configuration embedded as '#'
 comment lines; --json switches the scalar commands to JSON.
 
 Exit codes: 0 on success, 1 when an asserted bound fails (after the
-exact recheck), 2 on usage errors.
+exact recheck), 2 on usage errors.  Each subcommand imports what it calls.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import codes as cd
-from . import decoding as dec
-from . import erasure as er
-from . import kernels as kn
-from . import random_coding as rc
-from . import smoothing as sm
-from . import verify as vf
-from . import wiretap as wt
 from .reports import check_bound
 
 INF = math.inf
@@ -70,6 +62,7 @@ def _emit(lines: list[str], path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_smooth(args) -> int:
+    from . import codes as cd, kernels as kn, smoothing as sm
     code = cd.load_code(args.code)
     kernel = kn.parse_kernel_spec(args.kernel, code.n)
     exact = args.mode == "exact"
@@ -93,6 +86,7 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_capacity_curve(args) -> int:
+    from . import smoothing as sm
     lines = _config_header(args, "capacity-curve")
     lines.append("# formulas: shannon=1-h(d); s2=1-h_2(d); sinf=1-h_inf(d); "
                  "bec_dual_threshold=(1-2d)^2")
@@ -110,6 +104,7 @@ def cmd_capacity_curve(args) -> int:
 
 
 def cmd_wiretap_rates(args) -> int:
+    from . import wiretap as wt
     # `all` covers alpha_secrecy when --alpha is given; asked for alone, it needs one
     if args.regime == "alpha_secrecy" and args.alpha is None:
         raise ValueError("the alpha_secrecy regime needs --alpha")
@@ -138,6 +133,7 @@ def cmd_wiretap_rates(args) -> int:
 
 
 def cmd_wiretap_leakage(args) -> int:
+    from . import codes as cd, wiretap as wt
     scheme = wt.NestedScheme(cd.load_code(args.inner), cd.load_code(args.outer))
     leak = None
     rows = []
@@ -167,6 +163,7 @@ def cmd_wiretap_leakage(args) -> int:
 
 
 def cmd_erasure_bound(args) -> int:
+    from . import codes as cd, erasure as er, kernels as kn, smoothing as sm
     code = cd.load_code(args.code)
     if not re.fullmatch(r"exact|mc:-?\d+", args.mode):
         raise ValueError(f"--mode takes exact or mc:N, not {args.mode!r}")
@@ -191,6 +188,7 @@ def cmd_erasure_bound(args) -> int:
 
 
 def cmd_decode_bound(args) -> int:
+    from . import codes as cd, decoding as dec
     code = cd.load_code(args.code)
     dist = cd.distance_distribution(code)
     if args.theta is not None:
@@ -231,6 +229,7 @@ def cmd_decode_bound(args) -> int:
 
 
 def cmd_mc_qn(args) -> int:
+    from . import kernels as kn, random_coding as rc
     alpha_frac = Fraction(args.alpha)  # exact: "1.1" is 11/10; "inf" is refused
     kernel = kn.parse_kernel_spec(args.kernel, args.n)
     spec = rc.EnsembleSpec(args.n, args.rate, kernel, args.trials, seed=args.seed)
@@ -259,6 +258,7 @@ def cmd_mc_qn(args) -> int:
 
 
 def cmd_code_gen(args) -> int:
+    from . import codes as cd
     params = [int(p) for p in args.params.split(",")] if args.params else []
     code = cd.family(args.family, params)
     cd.save_code(args.out, code)
@@ -267,6 +267,7 @@ def cmd_code_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf
     reports = vf.run_suite(quick=args.quick, seed=args.seed)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", type=float, required=True)
     p.add_argument("--de", type=float)
     p.add_argument("--regime", default="all",
-                   choices=["all", *wt.REGIMES])
+                   help="all, shannon_capacity, bec_dual, rm or alpha_secrecy")
     p.add_argument("--alpha", type=_parse_alpha)
     p.add_argument("--grid", type=int)
     p.add_argument("--csv")

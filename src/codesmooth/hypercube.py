@@ -27,13 +27,18 @@ bound.  Wider integers are sums of limbs of 53 - n bits, recombined in
 int64 (a ring mod 2^64) or as Python ints, and Fractions are integers over
 their common denominator.  Every radial routine is built on
 `radial_transform`, the per-weight transform of a radial function.  Every
-layer shares `admit`, the size cap, and `sample_mean`, the Monte Carlo loop.
+layer shares `admit`, the size cap, and `sample_mean`, the Monte Carlo loop,
+whose ensemble trials run on `POOL_WIDTH` threads at one OpenBLAS thread:
+on a 2-vCPU VM, 0.70-1.03 times the serial time of the bench's estimates,
+where the default BLAS count took 1.15-1.72 times.  Decoding and erasure
+shards on two threads were no faster, and stay serial.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +52,9 @@ _INT64_MAX = np.iinfo(np.int64).max
 # step costs about a microsecond of Python, so 2^22 steps take seconds.
 MEMORY_CAP = 1 << 30
 STEP_CAP = 2 ** 22
+# Trials a pooled Monte Carlo estimate runs at once: one per usable CPU
+POOL_WIDTH = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
+    os.cpu_count() or 1
 
 
 class BudgetExceeded(ValueError):
@@ -68,24 +76,66 @@ def admit(what: str, nbytes: int = 0, steps: int = 0) -> None:
             f"{what}: estimated {steps:,} steps exceed the step cap of {STEP_CAP:,}")
 
 
-def sample_mean(draw, trials: int, seed: int, stream: int, shard: int) -> tuple[float, float]:
+def sample_mean(draw, trials: int, seed: int, stream: int, shard: int,
+                value=None, slots: tuple[int, int] | None = None) -> tuple[float, float]:
     """Mean and standard error sqrt(mean((v - mean)^2) / trials) of the
     per-trial values `draw(rng, count)` returns, for at most `shard` trials
     at a time on the Philox key [seed, stream << 32 | shard index].  Integer
     values sum exactly; float ones by `math.fsum`, in two passes, as the
-    one-pass E[v^2] - E[v]^2 cancels when the values barely differ."""
+    one-pass E[v^2] - E[v]^2 cancels when the values barely differ.
+
+    With `value`, `draw` yields the trials' inputs instead, and `_pooled`
+    maps each to value(input, slot) with `slots` = (width, slot bytes)."""
     if trials < 1:
         raise ValueError("Monte Carlo estimates need trials >= 1")
-    values = np.concatenate([
-        np.asarray(draw(np.random.Generator(np.random.Philox(key=[seed, stream << 32 | i])),
-                        min(shard, trials - done)))
-        for i, done in enumerate(range(0, trials, shard))])
+    shards = (draw(np.random.Generator(np.random.Philox(key=[seed, stream << 32 | i])),
+                   min(shard, trials - done))
+              for i, done in enumerate(range(0, trials, shard)))
+    values = np.concatenate([np.asarray(v) for v in shards]) if value is None else \
+        np.array(_pooled(value, (x for part in shards for x in part), *slots))
     if values.dtype.kind in "biu":
         total, squares = int(values.sum()), int(np.square(values, dtype=np.int64).sum())
         return total / trials, math.sqrt(Fraction(trials * squares - total * total, trials ** 3))
     mean = math.fsum(values.tolist()) / trials
     values -= mean
     return mean, math.sqrt(math.fsum((values * values).tolist()) / trials / trials)
+
+
+def _pooled(value, inputs, width: int, nbytes: int) -> list:
+    """value(x, slot) of each input x, drawn here in order, on `width`
+    threads at one BLAS thread (so each BLAS sum has one order at any
+    width), or here where `_blas_threads` finds no setter.  Trial i reuses
+    trial i - width's slot, an int64 anonymous map freed to the OS on return."""
+    import mmap
+    blas = _blas_threads()
+    slots = [np.frombuffer(mmap.mmap(-1, nbytes), np.int64) for _ in range(width if blas else 1)]
+    if blas is None:
+        return [value(x, slots[0]) for x in inputs]
+    from concurrent.futures import ThreadPoolExecutor
+    threads = blas[0]()
+    blas[1](1)
+    try:
+        with ThreadPoolExecutor(width) as pool:
+            trials = []
+            for i, x in enumerate(inputs):
+                if i >= width:
+                    trials[i - width].result()   # its slot is free again
+                trials.append(pool.submit(value, x, slots[i % width]))
+            return [trial.result() for trial in trials]
+    finally:
+        blas[1](threads)
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS a numpy wheel ships, or None."""
+    import ctypes
+    import glob
+    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*"):
+        lib = ctypes.CDLL(path)   # the library numpy loaded, by its path
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    return None
 
 
 class DimensionMismatch(ValueError):
@@ -102,9 +152,15 @@ def dimension_of(values) -> int:
 
 
 def weights_table(n: int) -> np.ndarray:
-    """Array of Hamming weights of 0..2^n-1 (uint8)."""
-    admit("Hamming weight table", nbytes=9 << n)
-    return np.bitwise_count(np.arange(1 << n, dtype=np.int64))
+    """Array of Hamming weights of 0..2^n-1 (uint8): those of one byte,
+    then by doubling, as the weights of [2^i, 2^(i+1)) are those of
+    [0, 2^i) plus one."""
+    admit("Hamming weight table", nbytes=(1 << n) + 512)
+    out, low = np.empty(1 << n, dtype=np.uint8), min(n, 8)
+    out[:1 << low] = np.bitwise_count(np.arange(1 << low, dtype=np.uint8))
+    for i in range(low, n):
+        np.add(out[:1 << i], 1, out=out[1 << i:2 << i])
+    return out
 
 
 def is_exact(values) -> bool:
@@ -187,7 +243,7 @@ def _wht_inplace(a: np.ndarray) -> np.ndarray:
     bound = _max_abs(a)
     for dtype in (np.float32, np.float64):
         if _float_exact(dtype, n, bound):
-            _int64_from(_wht_blocked_inplace(_float_in_place(a, dtype)), a)
+            _widen(_wht_blocked_inplace(_float_in_place(a, dtype)), a)
             return a
     bits = 53 - n
     low = a & (1 << bits) - 1
@@ -214,15 +270,20 @@ def _float_in_place(ints: np.ndarray, dtype) -> np.ndarray:
     return floats.reshape(ints.shape)
 
 
-def _int64_from(floats: np.ndarray, ints: np.ndarray) -> None:
-    """Undo `_float_in_place`: cast `floats`, the head of `ints`' buffer,
-    back into `ints`.  Chunks run top down; numpy does not buffer an
-    overlapping assignment that widens float32, so the lowest chunk, the
-    only one that overlaps itself, goes through a copy."""
-    flat, src = np.reshape(ints, -1, copy=False), np.reshape(floats, -1, copy=False)
+def _widen(floats: np.ndarray, out: np.ndarray, factor: np.ndarray | None = None) -> None:
+    """Undo `_float_in_place`: cast `floats`, the head of `out`'s buffer,
+    into `out` (int64 or float64), times `factor` when one is given.
+    Chunks run top down; numpy does not buffer an overlapping assignment
+    that widens float32, so the lowest chunk, the only one that overlaps
+    itself, goes through a copy."""
+    flat, src = np.reshape(out, -1, copy=False), np.reshape(floats, -1, copy=False)
     for s in reversed(range(0, flat.size, _SCRATCH_FLOATS)):
-        chunk = src[s:s + _SCRATCH_FLOATS]
-        flat[s:s + _SCRATCH_FLOATS] = chunk if s else chunk.copy()
+        part = slice(s, s + _SCRATCH_FLOATS)
+        chunk = src[part] if s else src[part].copy()
+        if factor is None:
+            flat[part] = chunk
+        else:
+            np.multiply(chunk, factor[part], out=flat[part])
 
 
 @functools.lru_cache(maxsize=32)
@@ -239,10 +300,12 @@ def _kronecker_powers(factor: tuple, dtype) -> tuple[np.ndarray, ...]:
     return tuple(powers)
 
 
-def _wht_blocked_inplace(a: np.ndarray, factor: tuple = _HADAMARD) -> np.ndarray:
+def _wht_blocked_inplace(a: np.ndarray, factor: tuple = _HADAMARD,
+                         scratch: np.ndarray | None = None) -> np.ndarray:
     """Multiply a float32, float64 or Python-int object array by F^{(x)n}
     for a 2x2 `factor` F given as nested tuples, H by default, as one
-    product by F^{(x)g} per group of index bits.
+    product by F^{(x)g} per group of index bits, through `scratch` if given
+    (of at least min(a.nbytes, 8 * _SCRATCH_FLOATS) bytes) or a new buffer.
 
     The n bits split into ceil(n/5) near-equal groups, or n of one bit on
     an object array, two products per entry each.  The group of g bits
@@ -263,7 +326,7 @@ def _wht_blocked_inplace(a: np.ndarray, factor: tuple = _HADAMARD) -> np.ndarray
     if a.ndim == 1 and a.nbytes >= _ROWS_FROM:
         rows = np.reshape(a, (-1, _ROW_BYTES // a.itemsize), copy=False)
         for part in [*rows, rows]:   # each row, then the high bits down the columns
-            _wht_blocked_inplace(part, factor)
+            _wht_blocked_inplace(part, factor, scratch)
         return a
     n = dimension_of(a)
     powers = _kronecker_powers(factor, a.dtype)
@@ -271,7 +334,8 @@ def _wht_blocked_inplace(a: np.ndarray, factor: tuple = _HADAMARD) -> np.ndarray
     room = min(a.size, _SCRATCH_FLOATS)
     # numpy's matmul into an object `out` leaks the references it overwrites,
     # so products of Python ints go to new slab-sized arrays
-    scratch = None if a.dtype == object else np.empty(room, dtype=a.dtype)
+    if a.dtype != object:
+        scratch = np.empty(room, dtype=a.dtype) if scratch is None else scratch.view(a.dtype)
     groups, lo = -(-n // (len(powers) - 1)), 0
     for j in range(groups):
         g = (n - lo) // (groups - j)

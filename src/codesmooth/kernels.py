@@ -144,17 +144,23 @@ class Kernel:
         values = self.profile or ([1] if self.values is None else self.values)
         return math.lcm(*{v.denominator for v in values})
 
-    def spectrum(self, points, exact: bool = False, support: bool = False):
-        """rhat(u) = sum_x r(x)(-1)^{u.x} at each point u.  Exact: (T, D) with
+    def spectrum(self, points=None, exact: bool = False, support: bool = False):
+        """rhat(u) = sum_x r(x)(-1)^{u.x} at each point u, or at every point
+        in index order when `points` is None.  Exact: (T, D) with
         rhat = T / D, integers (int64 when they fit) over the common
         denominator D of the values.  Float: each distinct T / D rounded
         once.  support=True transforms the support's indicator.  Bernoulli(p/q)
         in lowest terms has T(w) = (q - 2p)^w q^(n - w) over D = q^n."""
-        u = np.asarray(points, dtype=np.int64)
+        u = np.asarray(points, dtype=np.int64) if points is not None else \
+            np.arange(1 << self.n) if self.coords is not None else None
+
+        def weights():   # the whole cube's from the doubling table: no int64 arange
+            return hc.weights_table(self.n) if u is None else np.bitwise_count(u)
+
         if self.delta is not None and not support:
             p, q = self.delta.numerator, self.delta.denominator
             per = [(q - 2 * p) ** w * q ** (self.n - w) for w in range(self.n + 1)]
-            denom, at = q ** self.n, np.bitwise_count(u)
+            denom, at = q ** self.n, weights()
         elif self.coords is not None:
             # uniform on {x : x_S = 0}: rhat(u) = 1 when supp u lies inside S
             per, denom = [0, 1 << self.n - len(self.coords) if support else 1], 1
@@ -164,9 +170,9 @@ class Kernel:
             ints, denom = ((np.asarray(values) != 0).astype(np.int64), 1) if support else \
                 hc._scale_to_int(values)
             if self.profile is not None:
-                per, at = hc.radial_transform(self.n, ints.tolist()), np.bitwise_count(u)
+                per, at = hc.radial_transform(self.n, ints.tolist()), weights()
             else:   # |rhat| is at most the sum of the nonnegative integer values
-                per, at = hc.wht_exact(ints, int(ints.sum())), u
+                per, at = hc.wht_exact(ints, int(ints.sum())), slice(None) if u is None else u
         if not exact:
             return np.array([int(v) / denom for v in per])[at]
         return hc.int_array(per)[at], denom

@@ -42,12 +42,19 @@ class EnsembleSpec:
             raise hc.DimensionMismatch("kernel dimension differs from n")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        # the kernel's float64 spectrum, a trial's counts and their float64
-        # product, the draws, and numpy's cast buffers: tracemalloc measured
-        # (24 << n) + 8 M + 70 KB at n = 14..20 on the spectrum route, and at
-        # most (17 << n) + 8 M on the Bernoulli one
+        # per trial in flight its slot (its counts, then the transforms'
+        # scratch), its draws, `hc._widen`'s float32 copy and ufunc buffer;
+        # beside them the kernel's spectrum, the next trial's draws and
+        # Python objects: 1.00-1.41 times the tracemalloc peak of two
+        # workers at n = 14..20, 2 to 40 trials
+        n, m = self.n, self.num_codewords
+        self.slot_bytes = 8 * ((1 << n) + min(1 << n, hc._SCRATCH_FLOATS))
+        trial = self.slot_bytes + 8 * m + 4 * min(1 << n, hc._SCRATCH_FLOATS) + (8 << 13)
+        fixed = (8 << n) + (1 << 17)
+        self.workers = max(1, min(hc.POOL_WIDTH, self.trials,
+                                  (hc.MEMORY_CAP - fixed - 8 * m) // trial))
         hc.admit("dense ensemble trial",
-                 nbytes=(24 << self.n) + 8 * self.num_codewords + (1 << 17))
+                 nbytes=fixed + self.workers * trial + 8 * m * (self.trials > self.workers))
 
     @property
     def num_codewords(self) -> int:
@@ -71,32 +78,40 @@ def _sample_statistics(spec: EnsembleSpec, trial_value,
     kernel one float64 pass of the factor [[1-d, d], [d, 1-d]] over
     counts * 2^n / M, whose terms are all nonnegative; for any other kernel
     the spectrum's float64 inverse transform, with round-off below 0
-    clamped.  `trial_value` may overwrite its argument.
+    clamped.  `trial_value` may overwrite its argument.  Each of the
+    `spec.workers` threads holds everything 2^n-sized in its own slot.
     """
     n, m = spec.n, spec.num_codewords
     delta = None if parseval else spec.kernel.delta
     if delta is None:
-        wr = spec.kernel.spectrum(np.arange(1 << n))
+        wr = spec.kernel.spectrum()
         wr /= m
         counts_dtype = np.float32 if hc._float_exact(np.float32, 0, m) else np.float64
     else:
         flip = ((float(1 - delta), float(delta)), (float(delta), float(1 - delta)))
 
-    def trial(rng) -> float:
-        counts = np.bincount(rng.integers(0, 1 << n, size=m), minlength=1 << n)
+    def trial(draws, slot) -> float:
+        counts, scratch = slot[:1 << n], slot[1 << n:]
+        counts.fill(0)
+        np.add.at(counts, draws, 1)
         if delta is not None:
             noisy = hc._float_in_place(counts, np.float64)
             noisy *= (1 << n) / m
-            return trial_value(hc._wht_blocked_inplace(noisy, flip))
-        spectrum = hc._wht_blocked_inplace(hc._float_in_place(counts, counts_dtype)) * wr
-        del counts   # free its buffer before the inverse transform
+            return trial_value(hc._wht_blocked_inplace(noisy, flip, scratch))
+        spectrum = counts.view(np.float64)   # W(counts) W(r) / M, in place
+        hc._widen(hc._wht_blocked_inplace(hc._float_in_place(counts, counts_dtype),
+                                          scratch=scratch), spectrum, wr)
         if parseval:
             return trial_value(spectrum)
         # 2^n T_r f_C = W(W(f) W(r)) / 2^n scaled back up by 2^n
-        return trial_value(np.maximum(hc._wht_inplace(spectrum), 0.0, out=spectrum))
+        return trial_value(np.maximum(hc._wht_blocked_inplace(spectrum, scratch=scratch), 0.0,
+                                      out=spectrum))
 
-    return hc.sample_mean(lambda rng, count: [trial(rng) for _ in range(count)],
-                          spec.trials, spec.seed, 3, MC_SHARD)
+    def draws(rng, count):
+        return (rng.integers(0, 1 << n, size=m) for _ in range(count))
+
+    return hc.sample_mean(draws, spec.trials, spec.seed, 3, MC_SHARD, trial,
+                          (spec.workers, spec.slot_bytes))
 
 
 def qn_estimate(spec: EnsembleSpec, alpha) -> tuple[float, float]:

@@ -448,3 +448,29 @@ def test_package_loads_its_modules_on_first_use():
     assert loaded == str(["codesmooth", "codesmooth.hypercube", "codesmooth.kernels",
                           "codesmooth.random_coding"])
     assert missing == "module 'codesmooth' has no attribute 'no_such_name'"
+
+
+def test_help_loads_no_computational_module():
+    # each subcommand imports what it calls, so the parser needs neither
+    # numpy nor any module that computes
+    probe = textwrap.dedent("""
+        import sys
+        from codesmooth import cli
+        try:
+            cli.main(["--help"])
+        except SystemExit:
+            pass
+        print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("codesmooth")))
+    """)
+    assert run_fresh(probe).splitlines()[-1] == str(["codesmooth", "codesmooth.cli",
+                                                     "codesmooth.reports"])
+
+
+def test_ensemble_import_defers_the_trial_pool():
+    # the pool's thread machinery loads at the first pooled estimate
+    probe = textwrap.dedent("""
+        import sys
+        from codesmooth import random_coding
+        print("concurrent.futures" in sys.modules, "mmap" in sys.modules)
+    """)
+    assert run_fresh(probe).split() == ["False", "False"]

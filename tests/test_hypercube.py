@@ -657,6 +657,13 @@ class TestConvolveRadial:
         assert out.dtype == object
 
 
+def test_weights_table_is_the_popcount():
+    for n in range(17):
+        table = hc.weights_table(n)
+        assert table.dtype == np.uint8
+        assert np.array_equal(table, np.bitwise_count(np.arange(1 << n, dtype=np.int64))), n
+
+
 class TestSampleMean:
     def test_needs_a_trial(self):
         with pytest.raises(ValueError, match="trials"):
@@ -685,3 +692,24 @@ class TestSampleMean:
     def test_bernoulli_error_is_the_binomial_one(self):
         est, sigma = hc.sample_mean(lambda rng, count: rng.random(count) < 0.3, 10_000, 2, 1, 4096)
         assert math.isclose(sigma, math.sqrt(est * (1 - est) / 10_000), rel_tol=1e-14)
+
+    def test_pooled_values_keep_the_trial_order(self, monkeypatch):
+        # inputs are drawn here in order; value(input, slot) gets a slot of
+        # the asked size that no other trial in flight holds
+        monkeypatch.setattr(hc, "_blas_threads", lambda: (lambda: 1, lambda count: None))
+        held, sizes = set(), []
+
+        def value(x, slot):
+            assert slot.ctypes.data not in held
+            held.add(slot.ctypes.data)
+            sizes.append(slot.size)
+            slot[:] = int(x * 1000)
+            total = float(slot.sum())
+            held.discard(slot.ctypes.data)
+            return total
+
+        want = hc.sample_mean(lambda rng, count: [float(int(rng.random() * 1000) * 4)
+                                                  for _ in range(count)], 21, 7, 5, 8)
+        assert hc.sample_mean(lambda rng, count: (rng.random() for _ in range(count)),
+                              21, 7, 5, 8, value, (3, 32)) == want
+        assert sizes == [4] * 21

@@ -295,6 +295,14 @@ class TestSpectrum:
             support, one = k.spectrum(points, exact=True, support=True)
             assert one == 1 and support.tolist() == \
                 hc.wht_natural((k.lift() > 0).astype(np.int64)).tolist(), k
+            # the whole cube, in index order, with no points given
+            for exact, support in ((False, False), (True, False), (True, True)):
+                whole = k.spectrum(exact=exact, support=support)
+                at_points = k.spectrum(points, exact=exact, support=support)
+                if exact:
+                    (whole, denom), (at_points, want_denom) = whole, at_points
+                    assert denom == want_denom, k
+                assert whole.dtype == at_points.dtype and np.array_equal(whole, at_points), k
 
 
     @pytest.mark.parametrize("n", [1, 2, 7, 20, 40])

@@ -1,9 +1,11 @@
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from codesmooth import hypercube as hc
 from codesmooth import kernels as kn
 from codesmooth import random_coding as rc
 
@@ -276,3 +278,77 @@ class TestTrialRoutes:
                           (rc.sup_norm_estimate(spec)[0], PINNED["bernoulli sup"]),
                           (rc.qn_estimate(ball, 1.5)[0], PINNED["ball a1.5"])):
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0), (got, want)
+
+
+class TestTrialPool:
+    """Trials run on `hc.POOL_WIDTH` threads with the OpenBLAS thread count
+    held at 1, and the estimates keep the bits of the serial loop."""
+
+    @staticmethod
+    def _estimates(n, width, monkeypatch):
+        # the Bernoulli pass (orders 3 and inf), the spectrum route (a ball
+        # at order 1.5) and Parseval (order 2), 7 trials over `width` slots
+        monkeypatch.setattr(hc, "POOL_WIDTH", width)
+        bernoulli = rc.EnsembleSpec(n, 0.6, kn.Kernel.bernoulli(n, Fraction(1, 10)), 7, seed=n)
+        ball = rc.EnsembleSpec(n, 0.6, kn.Kernel.ball(n, 2), 7, seed=n)
+        assert bernoulli.workers == ball.workers == min(width, 7)
+        return [rc.qn_estimate(bernoulli, 3), rc.sup_norm_estimate(bernoulli),
+                rc.qn_estimate(ball, 1.5), rc.qn_estimate(ball, 2), rc.qn_estimate(bernoulli, 2)]
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_pool_equals_one_worker_bit_for_bit(self, n, monkeypatch):
+        serial = self._estimates(n, 1, monkeypatch)
+        assert self._estimates(n, 3, monkeypatch) == serial
+
+    def test_no_blas_setter_runs_serially_with_the_same_values(self, monkeypatch):
+        pooled = self._estimates(12, 2, monkeypatch)
+        monkeypatch.setattr(hc, "_blas_threads", lambda: None)
+        threads = set()
+        spec = rc.EnsembleSpec(12, 0.6, kn.Kernel.ball(12, 2), 7, seed=12)
+        rc._sample_statistics(spec, lambda s: threads.add(threading.get_ident()) or 0.0)
+        assert threads == {threading.get_ident()}
+        assert self._estimates(12, 2, monkeypatch) == pooled
+
+    def test_blas_threads_restored_after_an_estimate_and_an_error(self, monkeypatch):
+        counts = [4]
+        monkeypatch.setattr(hc, "_blas_threads", lambda: (lambda: counts[-1], counts.append))
+        monkeypatch.setattr(hc, "POOL_WIDTH", 2)
+        spec = rc.EnsembleSpec(10, 0.6, kn.Kernel.bernoulli(10, Fraction(1, 10)), 5)
+        rc.qn_estimate(spec, 3)
+        assert counts == [4, 1, 4]
+
+        def fails(s):
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            rc._sample_statistics(spec, fails)
+        assert counts == [4, 1, 4, 1, 4]
+
+    def test_the_library_thread_count_is_restored(self):
+        blas = hc._blas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS thread setter in this numpy")
+        get, _ = blas
+        before = get()
+        spec = rc.EnsembleSpec(12, 0.6, kn.Kernel.bernoulli(12, Fraction(1, 10)), 4)
+        rc.qn_estimate(spec, 2)
+        with pytest.raises(ZeroDivisionError):
+            rc._sample_statistics(spec, lambda s: 1 / 0)
+        assert get() == before
+
+    def test_width_is_capped_by_the_trials_and_the_memory_cap(self, monkeypatch):
+        kernel = kn.Kernel.bernoulli(20, Fraction(1, 10))
+        monkeypatch.setattr(hc, "POOL_WIDTH", 1)
+        admitted = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hc, "admit", lambda what, nbytes=0, steps=0: admitted.append(nbytes))
+            rc.EnsembleSpec(20, 0.5, kernel, 8)
+        monkeypatch.setattr(hc, "POOL_WIDTH", 8)
+        assert rc.EnsembleSpec(20, 0.5, kernel, 3).workers == 3
+        assert rc.EnsembleSpec(20, 0.5, kernel, 8).workers == 8
+        # a cap that admits one worker admits the spec, on one worker
+        monkeypatch.setattr(hc, "MEMORY_CAP", admitted[0])
+        assert rc.EnsembleSpec(20, 0.5, kernel, 8).workers == 1
+        monkeypatch.setattr(hc, "MEMORY_CAP", admitted[0] - 1)
+        with pytest.raises(hc.BudgetExceeded):
+            rc.EnsembleSpec(20, 0.5, kernel, 8)
