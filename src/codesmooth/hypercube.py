@@ -181,17 +181,6 @@ def as_dense(values, exact: bool | None = None) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def assert_pmf(values) -> None:
-    """Check that exact values (ints, Fractions) form a pmf: nonnegative and
-    summing to exactly 1."""
-    total = sum(values)
-    if total != 1:
-        raise ValueError(f"exact pmf sums to 1{float(total - 1):+.3g}, not 1 "
-                         "(a float counts at its binary value)")
-    if any(v < 0 for v in values):
-        raise ValueError("exact pmf has a negative entry")
-
-
 # ---------------------------------------------------------------------------
 # Walsh-Hadamard transform
 # ---------------------------------------------------------------------------
@@ -521,7 +510,8 @@ def lift_radial(n: int, profile) -> np.ndarray:
     array, each value rounded once to a float."""
     if len(profile) != n + 1:
         raise DimensionMismatch(f"profile length {len(profile)} != n+1 = {n + 1}")
-    admit("dense radial lift", nbytes=17 << n)
+    # per point the weight table and the pmf, and numpy's 64 KiB index buffer
+    admit("dense radial lift", nbytes=(9 << n) + (68 << 10))
     return np.array([float(v) for v in profile])[weights_table(n)]
 
 

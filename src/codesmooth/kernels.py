@@ -8,14 +8,14 @@ A kernel is a pmf used as additive channel noise.  Supported forms:
 * ``subcube(S)``        -- uniform on {x : x|_S = 0}; convolving with it
                            averages a function over the coordinates off S
 * ``radial(profile)``   -- arbitrary per-weight value profile
-* ``dense(values)``     -- arbitrary dense pmf of exact values
 
 Every kernel holds exact values only.  Every radial form is stored once,
 as its exact per-weight VALUE profile r(i) (not a per-shell mass),
 computed by the constructor, and every radial computation reads the
-profile.  A dense kernel stores its 2^n values as Fractions.  A lift to
-the 2^n points is float; exact dense values of the other forms exist only
-as a test oracle.
+profile; a subcube is stored as its coordinates.  Each form's spectrum is
+computed from those at the points asked for, never from 2^n values.  A
+lift to the 2^n points is float; exact dense values exist only as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -38,22 +38,19 @@ INF = math.inf
 class Kernel:
     """Immutable noise kernel.
 
-    A radial kernel stores its exact per-weight value profile, a subcube
-    kernel its coordinates and a dense kernel its exact values; each keeps the
-    spec text it was built from.  A kernel built by `bernoulli`, the product
-    of n independent bit flips, also keeps its flip probability `delta`
-    (None on every other kernel).
+    A radial kernel stores its exact per-weight value profile and a subcube
+    kernel its coordinates; each keeps the spec text it was built from.  A
+    kernel built by `bernoulli`, the product of n independent bit flips,
+    also keeps its flip probability `delta` (None on every other kernel).
     """
 
-    def __init__(self, n: int, spec: str, *, coords=None, profile=None, values=None,
-                 delta=None):
+    def __init__(self, n: int, spec: str, *, coords=None, profile=None, delta=None):
         if n < 1:
             raise ValueError(f"kernel dimension {n} out of range")
         self.n = n
         self._spec = spec
         self.coords = tuple(sorted(coords)) if coords is not None else None
         self.profile = list(profile) if profile is not None else None
-        self.values = values
         self.delta = delta
 
     # -- constructors ------------------------------------------------------
@@ -107,15 +104,6 @@ class Kernel:
             raise ValueError("radial profile has a negative entry")
         return cls(n, "radial", profile=prof)
 
-    @classmethod
-    def dense(cls, values) -> "Kernel":
-        """Arbitrary pmf on the 2^n points from exact values: Fractions,
-        ints, or floats taken at their binary value, which must then sum to
-        exactly 1."""
-        arr = hc.as_dense(values, exact=True)
-        hc.assert_pmf(arr)
-        return cls(hc.dimension_of(arr), "dense", values=arr)
-
     # -- structure ---------------------------------------------------------
 
     def is_radial(self) -> bool:
@@ -129,20 +117,20 @@ class Kernel:
 
     def lift(self) -> np.ndarray:
         """Dense float64 pmf of the kernel, each exact value rounded once."""
-        if self.values is not None:
-            return self.values.astype(np.float64)
         if self.coords is None:
             return hc.lift_radial(self.n, self.profile)
-        hc.admit("dense subcube lift", nbytes=17 << self.n)
-        support = (np.arange(1 << self.n) & sum(1 << c for c in self.coords)) == 0
-        return np.where(support, 1 / (1 << self.n - len(self.coords)), 0.0)
+        # uniform on {x : x_S = 0}, set in place: the pmf's 8 bytes a point
+        hc.admit("dense subcube lift", nbytes=(8 << self.n) + (4 << 10))
+        out = np.zeros((2,) * self.n)   # axis a is bit n - 1 - a
+        out[tuple(0 if self.n - 1 - a in self.coords else slice(None) for a in range(self.n))] = \
+            1 / (1 << self.n - len(self.coords))
+        return out.reshape(-1)
 
     @functools.cached_property
     def denominator(self) -> int:
         """The common denominator D of the exact values, 1 for a subcube's
         0/1 spectrum."""
-        values = self.profile or ([1] if self.values is None else self.values)
-        return math.lcm(*{v.denominator for v in values})
+        return math.lcm(*{v.denominator for v in self.profile or [1]})
 
     def spectrum(self, points=None, exact: bool = False, support: bool = False):
         """rhat(u) = sum_x r(x)(-1)^{u.x} at each point u, or at every point
@@ -166,13 +154,9 @@ class Kernel:
             per, denom = [0, 1 << self.n - len(self.coords) if support else 1], 1
             at = ((u & ~sum(1 << c for c in self.coords)) == 0).view(np.uint8)
         else:
-            values = self.values if self.profile is None else self.profile
-            ints, denom = ((np.asarray(values) != 0).astype(np.int64), 1) if support else \
-                hc._scale_to_int(values)
-            if self.profile is not None:
-                per, at = hc.radial_transform(self.n, ints.tolist()), weights()
-            else:   # |rhat| is at most the sum of the nonnegative integer values
-                per, at = hc.wht_exact(ints, int(ints.sum())), slice(None) if u is None else u
+            ints, denom = ([int(v != 0) for v in self.profile], 1) if support else \
+                hc._scale_to_int(self.profile)
+            per, at = hc.radial_transform(self.n, list(ints)), weights()
         if not exact:
             return np.array([int(v) / denom for v in per])[at]
         return hc.int_array(per)[at], denom
@@ -181,23 +165,17 @@ class Kernel:
         """Largest weight carrying mass: n - |S| for a subcube, whose
         support is every point that is 0 on S."""
         if self.is_radial():
-            prof = self.radial_profile()
-            return max((i for i, v in enumerate(prof) if v != 0), default=0)
-        if self.coords is not None:
-            return self.n - len(self.coords)
-        return int(hc.weights_table(self.n)[self.values != 0].max(initial=0))
+            return max((i for i, v in enumerate(self.profile) if v != 0), default=0)
+        return self.n - len(self.coords)
 
     def masses(self) -> dict:
         """{exact point value: number of points} over the kernel's support:
         C(n, i) points per shell of a radial profile, the 2^(n-|S|) free
-        points of a subcube, the grouped values of a dense pmf; no
-        2^n array is built for the first two."""
+        points of a subcube; no 2^n array is built."""
         if self.is_radial():
             return radial_masses(self.n, self.profile)
-        if self.coords is not None:
-            free = 1 << (self.n - len(self.coords))
-            return {Fraction(1, free): free}
-        return point_masses(self.values)
+        free = 1 << (self.n - len(self.coords))
+        return {Fraction(1, free): free}
 
     def renyi_entropy(self, alpha) -> float:
         """H_alpha of the kernel from its exact values (`masses`)."""

@@ -97,32 +97,24 @@ def _on_int64(code, kernel: kn.Kernel) -> bool:
 
 
 def _smoothing_bytes(code, kernel: kn.Kernel, exact: bool, dense: bool = False) -> int:
-    """Peak bytes of `cell_pmf`, with `dense` of `smooth`: the largest of its
+    """Peak bytes of `cell_pmf`, with `dense` of `smooth`: the larger of its
     phases, by tracemalloc at n = 12..20, and in float the Kronecker stacks.
     The cell transform, per cell: 17-27 float while D cells < 2^63, with 8
     more for the low limb of an integer transform past 2^53 up to 2^17
     cells, and 24-28 beyond; exact 49-57, then 91-217 for 54-991 bits of D;
-    plus the code's own `transform_bytes`.  A dense kernel's spectrum, per
-    point: 56-86 while D < 2^63, 106-137 for 67-94 bits and 258-325 for
-    551-771.  The gather of `smooth`, which a cell per point skips: 16-18
-    per point plus the cell pmf."""
+    plus the code's own `transform_bytes`.  The kernel's spectrum is read
+    at the cells' points, inside that charge.  The gather of `smooth`,
+    which a cell per point skips: 16-18 per point plus the cell pmf."""
     bits, on_int64 = kernel.denominator.bit_length(), _on_int64(code, kernel)
     per_cell = (64 if on_int64 else 124 + bits // 8) if exact else 22 if on_int64 else 28
-    phases = [(per_cell + code.transform_bytes) * code.cells, _dense_spectrum_bytes(kernel)]
+    transform = (per_cell + code.transform_bytes) * code.cells
     largest_count = kernel.denominator * (code.size * code.cells ** 2 >> code.n)
     if on_int64 and not exact and largest_count > 1 << 53:
         # the low limb's array joins the transform; from 2^17 cells on, that
         # phase is no larger than the float pmf's
-        phases[0] += 8 * min(code.cells, 1 << 17)
-    if dense and code.cells < 1 << code.n:
-        phases.append((20 << code.n) + 8 * code.cells)
-    return max(phases) + (0 if exact else hc.FLOAT_STACK_BYTES)
-
-
-def _dense_spectrum_bytes(kernel: kn.Kernel) -> int:
-    """Peak bytes of a dense kernel's exact spectrum (`_smoothing_bytes`), else 0."""
-    bits = kernel.denominator.bit_length()
-    return 0 if kernel.values is None else (96 if bits <= 63 else 120 + 3 * bits // 10) << kernel.n
+        transform += 8 * min(code.cells, 1 << 17)
+    gather = (20 << code.n) + 8 * code.cells if dense and code.cells < 1 << code.n else 0
+    return max(transform, gather) + (0 if exact else hc.FLOAT_STACK_BYTES)
 
 
 def is_perfectly_smoothed(code, kernel: kn.Kernel) -> bool:
@@ -132,8 +124,7 @@ def is_perfectly_smoothed(code, kernel: kn.Kernel) -> bool:
     if kernel.n != code.n:
         raise hc.DimensionMismatch(f"kernel n={kernel.n}, code n={code.n}")
     # per cell chi, the points, two masks, the support, its weights and spectrum
-    hc.admit("perfect-smoothing certificate", nbytes=44 * code.cells
-             + _dense_spectrum_bytes(kernel) + hc.FLOAT_STACK_BYTES)
+    hc.admit("perfect-smoothing certificate", nbytes=44 * code.cells + hc.FLOAT_STACK_BYTES)
     counts, _ = kernel.spectrum(code.spectrum_support(), exact=True)
     return not counts.any()
 
@@ -347,8 +338,8 @@ def perfect_kernel_search(code) -> kn.Kernel | None:
     vanishes on W only if rho >= |W|; Delsarte's bound, covering radius <=
     |W|, then leaves a kernel at the covering radius only when that radius
     is |W|, and one only: rhat(w) = prod_{j in W} (1 - w/j), the radial
-    transform of prod_j (j - w) over 2^n prod_j j.  It must be nonnegative,
-    and is re-verified by the exact uniformity certificate.
+    transform of prod_j (j - w) over 2^n prod_j j, which vanishes exactly
+    on W by construction.  It must be nonnegative.
     """
     weights = code.dual_weights()
     if len(weights) != cd.covering_radius(code):
@@ -359,8 +350,7 @@ def perfect_kernel_search(code) -> kn.Kernel | None:
     profile = [Fraction(v, scale) for v in hc.radial_transform(n, annihilator)]
     if any(v < 0 for v in profile):
         return None
-    kernel = kn.Kernel.radial(n, profile)
-    return kernel if is_perfectly_smoothed(code, kernel) else None
+    return kn.Kernel.radial(n, profile)
 
 
 # ---------------------------------------------------------------------------

@@ -118,11 +118,8 @@ def convolve_direct(f, g) -> np.ndarray:
 
 def lift_exact(kernel: kn.Kernel) -> np.ndarray:
     """The kernel's exact dense pmf, an object array of 2^n Fractions: its
-    profile's value at each point's weight, 2^(|S| - n) where a subcube
-    kernel's point is 0 on S, or a dense kernel's own values; the exact
-    twin of the float `Kernel.lift`."""
-    if kernel.values is not None:
-        return kernel.values
+    profile's value at each point's weight, or 2^(|S| - n) where a subcube
+    kernel's point is 0 on S; the exact twin of the float `Kernel.lift`."""
     n, points = kernel.n, np.arange(1 << kernel.n)
     if kernel.coords is not None:
         free = (points & sum(1 << c for c in kernel.coords)) == 0

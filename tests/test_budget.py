@@ -165,22 +165,37 @@ def test_exact_bernoulli_noise_estimate_tracks_its_peak(n, delta, monkeypatch):
     assert peak <= estimate <= 1.5 * peak, (peak, estimate)
 
 
-def test_exact_smoothing_estimate_grows_with_the_kernel_denominator(monkeypatch):
-    # a dense exact kernel's spectrum is built from Fractions, charged by the
-    # bits of its denominator: 55 per coordinate at binary 0.1, 3.3 at 1/10
-    n = 10
-    code = cd.ExplicitCode(n, cd.random_linear(n, 5, seed=1).codeword_ints())
-    small = kn.Kernel.dense(lift_exact(kn.Kernel.bernoulli(n, Fraction(1, 10))))
-    binary = kn.Kernel.dense(lift_exact(kn.Kernel.bernoulli(n, Fraction(0.1))))
-    estimate = sm._smoothing_bytes(code, binary, True, dense=True)
-    assert estimate > 2 * sm._smoothing_bytes(code, small, True, dense=True)
-    peak = _traced_peak(lambda: sm.smooth(code, binary, exact=True))
+@pytest.mark.parametrize("n", range(12, 21))
+@pytest.mark.parametrize("form", ["bernoulli", "ball", "subcube"])
+def test_lift_estimate_tracks_its_peak(n, form, monkeypatch):
+    # a radial lift indexes its values by the weight table; a subcube lift
+    # sets its free points in the float pmf itself
+    kernel = {"bernoulli": lambda: kn.Kernel.bernoulli(n, Fraction(1, 10)),
+              "ball": lambda: kn.Kernel.ball(n, 3),
+              "subcube": lambda: kn.Kernel.subcube(n, range(0, n, 2))}[form]()
+    admitted = []
+    with monkeypatch.context() as mp:
+        mp.setattr(hc, "admit", lambda what, nbytes=0, steps=0:
+                   admitted.append(nbytes) if "lift" in what else None)
+        kernel.lift()
+    estimate = admitted[0]
+    peak = _traced_peak(kernel.lift)
     assert peak <= estimate <= 1.5 * peak, (peak, estimate)
-    monkeypatch.setattr(hc, "MEMORY_CAP", estimate)
-    sm.smooth(code, binary, exact=True)
-    monkeypatch.setattr(hc, "MEMORY_CAP", estimate - 1)
-    with pytest.raises(hc.BudgetExceeded, match="exact smoothing"):
-        sm.smooth(code, binary, exact=True)
+
+
+def test_radial_lift_admitted_at_n26(monkeypatch):
+    # charged at the measured rate, a 2^26-point radial lift passes its
+    # admission and reaches the weight table
+    class Admitted(Exception):
+        pass
+
+    def weights_table(n):
+        raise Admitted
+
+    kernel = kn.Kernel.bernoulli(26, Fraction(1, 10))
+    monkeypatch.setattr(hc, "weights_table", weights_table)
+    with pytest.raises(Admitted):
+        kernel.lift()
 
 
 @pytest.mark.parametrize("linear", [False, True])

@@ -7,6 +7,8 @@ import pytest
 
 from codesmooth import codes as cd
 from codesmooth import decoding as dec
+from codesmooth import kernels as kn
+from codesmooth import smoothing as sm
 from codesmooth.cli import main
 
 from conftest import run_fresh
@@ -114,6 +116,27 @@ class TestCodeAndSmooth:
         assert payload["n"] == 16
         ds = [r["d_alpha"] for r in payload["reports"]]
         assert ds == sorted(ds)  # divergence grows with the order
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_every_form_of_the_kernel_grammar(self, capsys, tmp_path, mode):
+        # each report is the library's own, on the cell pmf of the same kernel
+        path, csv = tmp_path / "rm14.code", tmp_path / "bch.csv"
+        run_cli(capsys, "code", "gen", "--family", "rm", "--params", "1,4", "--out", str(path))
+        bch = kn.two_error_bch_profile(16)
+        csv.write_text(",".join(map(str, bch.radial_profile())) + "\n")
+        kernels = {"bernoulli:1/10": kn.Kernel.bernoulli(16, Fraction(1, 10)),
+                   "ball:1": kn.Kernel.ball(16, 1), "sphere:2": kn.Kernel.sphere(16, 2),
+                   "subcube:0,2": kn.Kernel.subcube(16, [0, 2]), f"radial:@{csv}": bch}
+        rm = cd.load_code(path)
+        for spec, kernel in kernels.items():
+            code, out = run_cli(capsys, "smooth", "--code", str(path), "--kernel", spec,
+                                "--alpha", "1,2,inf", "--mode", mode, "--json")
+            assert code == 0, spec
+            noisy = sm.cell_pmf(rm, kernel, mode == "exact")
+            want = [sm.divergence_to_uniform(noisy, alpha) for alpha in (1, 2, math.inf)]
+            got = json.loads(out)["reports"]
+            assert [(r["d_alpha"], r["l_alpha"], r["dimensionless"]) for r in got] == \
+                [(w.d_alpha, w.l_alpha, w.dimensionless) for w in want], spec
 
     def test_smooth_reads_cosets_at_n32(self, capsys, tmp_path):
         path = tmp_path / "rm25.code"

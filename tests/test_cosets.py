@@ -43,13 +43,9 @@ def _pair(code):
 
 
 def _kernels(n):
-    # every kernel form: radial, a subcube, and a dense one that is not radial
-    # and vanishes on every third point
-    pattern = [x % 3 for x in range(1 << n)]
-    total = sum(pattern)
+    # every kernel form: radial, and a subcube, which is not radial
     return [kn.Kernel.bernoulli(n, Fraction(1, 10)), kn.Kernel.ball(n, min(2, n)),
-            kn.Kernel.sphere(n, n // 2), kn.Kernel.subcube(n, range(0, n, 2)),
-            kn.Kernel.dense([Fraction(v, total) for v in pattern])]
+            kn.Kernel.sphere(n, n // 2), kn.Kernel.subcube(n, range(0, n, 2))]
 
 
 def _rows(rows):
@@ -230,14 +226,27 @@ def test_float_report_on_4m_cosets_runs_under_the_caps():
 
 
 def test_hamming31_without_the_cube():
+    # every kernel form is read at the code's 2^5 spectrum points, so no
+    # call builds a 2^31 array
     code = cd.hamming(5)
+    kernels = [kn.Kernel.bernoulli(31, Fraction(3, 10)), kn.Kernel.ball(31, 1),
+               kn.Kernel.sphere(31, 2), kn.Kernel.subcube(31, range(0, 31, 2)),
+               kn.two_error_bch_profile(31)]
     tracemalloc.start()
     try:
         rho = cd.covering_radius(code)
-        certified = sm.is_perfectly_smoothed(code, kn.Kernel.ball(31, 1))
         rows = _rows(sm.local_weight_rows(code, 1))
+        results = [(sm.cell_pmf(code, kernel), sm.cell_pmf(code, kernel, exact=True),
+                    sm.is_perfectly_smoothed(code, kernel)) for kernel in kernels]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (rho, certified, rows) == (1, True, [(0, 1), (1, 0)])
+    assert (rho, rows) == (1, [(0, 1), (1, 0)])
+    for kernel, (floats, exact, certified) in zip(kernels, results):
+        assert len(exact) == code.cells and sum(exact) == 1, kernel
+        assert np.allclose(floats, exact.astype(float), rtol=1e-12, atol=0), kernel
+        assert certified == all(v == Fraction(1, code.cells) for v in exact), kernel
+    # the unit ball, and the BCH kernel, whose spectrum vanishes on the BCH
+    # dual's weights 12, 16 and 20, hence on the simplex code's 16
+    assert [certified for *_, certified in results] == [False, True, False, False, True]
     assert peak < 16 << 20

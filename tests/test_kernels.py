@@ -55,7 +55,6 @@ class TestKernelLifts:
             kn.Kernel.bernoulli(5, Fraction(3, 10)),
             kn.Kernel.ball(5, 2),
             kn.Kernel.subcube(5, [0, 2]),
-            kn.Kernel.dense(lift_exact(kn.Kernel.sphere(5, 3))),
         ]
         for k in forms:
             lifted = k.lift()
@@ -68,8 +67,6 @@ class TestKernelLifts:
         assert kn.Kernel.bernoulli(9, Fraction(1, 10)).radius() == 9
         assert kn.Kernel.bernoulli(9, 0).radius() == 0
         assert kn.Kernel.subcube(4, [0, 1]).radius() == 2
-        sphere = kn.Kernel.sphere(6, 2)
-        assert kn.Kernel.dense(lift_exact(sphere)).radius() == 2
         # n - |S|, with no 2^40-point lift, which the memory cap refuses
         assert kn.Kernel.subcube(40, [0]).radius() == 39
         assert kn.Kernel.subcube(40, [3, 3, 7]).radius() == 38
@@ -82,23 +79,6 @@ class TestKernelLifts:
             want = [d ** i * (1 - d) ** (n - i) for i in range(n + 1)]
             got = kn.Kernel.bernoulli(n, d).profile
             assert got == want and all(type(v) is Fraction for v in got), d
-
-    def test_dense_takes_exact_values_only(self):
-        # the binary values of these float lifts do not sum to exactly 1
-        for k in (kn.Kernel.bernoulli(6, Fraction(1, 10)), kn.Kernel.sphere(6, 2)):
-            with pytest.raises(ValueError, match="binary value"):
-                kn.Kernel.dense(k.lift())
-
-    def test_dense_floats_count_at_their_binary_value(self):
-        floats = kn.Kernel.dense(np.full(8, 1 / 8))
-        fractions = kn.Kernel.dense([Fraction(1, 8)] * 8)
-        (counts, denom), (want, want_denom) = (k.spectrum(np.arange(8), exact=True)
-                                               for k in (floats, fractions))
-        assert counts.tolist() == want.tolist() and denom == want_denom
-        assert np.array_equal(floats.spectrum(np.arange(8)), fractions.spectrum(np.arange(8)))
-        assert floats.masses() == fractions.masses() == {Fraction(1, 8): 8}
-        for alpha in (0, 0.5, 1, 2, INF):
-            assert floats.renyi_entropy(alpha) == fractions.renyi_entropy(alpha)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -149,10 +129,10 @@ class TestRenyiEntropy:
         assert math.isclose(kn.Kernel.ball(7, 1).renyi_entropy(0), 3.0)
 
     def test_no_noise_distribution_entropies(self):
-        f = np.zeros(32)
-        f[:2] = 0.5
-        assert math.isclose(kn.Kernel.dense(f).renyi_entropy(1), 1.0)
-        assert math.isclose(kn.Kernel.dense(f).renyi_entropy(INF), 1.0)
+        # uniform on the two points that are 0 on coordinates 1..4
+        k = kn.Kernel.subcube(5, [1, 2, 3, 4])
+        assert math.isclose(k.renyi_entropy(1), 1.0)
+        assert math.isclose(k.renyi_entropy(INF), 1.0)
 
     def test_monotone_in_order_50_random_pmfs(self):
         # D_alpha = n - H_alpha rises with the order
@@ -175,8 +155,6 @@ class TestRenyiEntropy:
     def test_rejects_non_pmf(self):
         with pytest.raises(ValueError):
             sm.divergence_to_uniform(np.full(8, 0.25), 2)
-        with pytest.raises(ValueError):
-            kn.Kernel.dense(np.full(8, 0.25))
 
 
 class TestBinaryRenyi:
@@ -284,10 +262,8 @@ class TestSpectrum:
     def test_matches_the_transform_of_the_lift(self):
         # every kernel form, exact and float, and the support's transform
         n, points = 6, np.arange(64)
-        pattern = [Fraction(x % 3, 63) for x in range(64)]
         for k in (kn.Kernel.bernoulli(n, Fraction(1, 10)), kn.Kernel.ball(n, 2),
-                  kn.Kernel.sphere(n, 3), kn.Kernel.subcube(n, [0, 2]), kn.Kernel.dense(pattern),
-                  kn.Kernel.dense(kn.Kernel.bernoulli(n, Fraction(1, 4)).lift())):
+                  kn.Kernel.sphere(n, 3), kn.Kernel.subcube(n, [0, 2])):
             want = hc.wht_natural(lift_exact(k))
             counts, denom = k.spectrum(points, exact=True)
             assert [Fraction(int(t), denom) for t in counts] == want.tolist(), k

@@ -2,7 +2,6 @@ import math
 import threading
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from codesmooth import hypercube as hc
@@ -90,9 +89,8 @@ class TestQnEstimate:
 
 
 def _tiny_kernels():
-    dense = np.array([Fraction(v, 36) for v in (9, 1, 4, 0, 6, 2, 3, 11)], dtype=object)
     return [kn.Kernel.bernoulli(3, Fraction(1, 4)), kn.Kernel.ball(3, 1),
-            kn.Kernel.sphere(3, 2), kn.Kernel.subcube(3, [1]), kn.Kernel.dense(dense)]
+            kn.Kernel.sphere(3, 2), kn.Kernel.subcube(3, [1])]
 
 
 class TestQnExact:
